@@ -9,8 +9,7 @@ script fronts the same pipeline.
 """
 from .circuits import Circuit, Gate, GateKind, circuit_from_json, circuit_to_json, \
     circuit_to_qasm3, counts
-from .coloring import EdgeColoring, color_builtin, color_general, color_model, \
-    coloring_from_json, coloring_to_json
+from .coloring import EdgeColoring, color_model, coloring_from_json, coloring_to_json
 from .model import Boundary, CouplingTensor, EdgeTerm, LatticeKind, SpinModel, \
     TimeProfile, build_lattice, from_edges, model_from_json, model_to_json, \
     term_hamiltonian
@@ -51,8 +50,6 @@ __all__ = [
     "circuit_to_json",
     "circuit_to_qasm3",
     "circuit_unitary",
-    "color_builtin",
-    "color_general",
     "color_model",
     "coloring_from_json",
     "coloring_to_json",

@@ -10,7 +10,6 @@ exp(-i tau H_ij), stored evaluated so playback never re-exponentiates.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -18,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .jsonutil import dump_json, format_float
+from .jsonutil import dump_json, format_float, json_document
 
 UNITARITY_TOL = 1e-12
 
@@ -223,13 +222,13 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    obj = json.loads(text)
-    layers = tuple(
-        tuple(_gate_from_obj(g) for g in layer) for layer in obj["layers"]
-    )
-    circ = Circuit(n=int(obj["n"]), layers=layers)
-    if "depth" in obj and int(obj["depth"]) != circ.depth:
-        raise ValueError(f"stored depth {obj['depth']} != layer count {circ.depth}")
+    with json_document(text, "circuit") as obj:
+        layers = tuple(
+            tuple(_gate_from_obj(g) for g in layer) for layer in obj["layers"]
+        )
+        circ = Circuit(n=int(obj["n"]), layers=layers)
+        if "depth" in obj and int(obj["depth"]) != circ.depth:
+            raise ValueError(f"stored depth {obj['depth']} != layer count {circ.depth}")
     return circ
 
 

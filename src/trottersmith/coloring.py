@@ -2,19 +2,19 @@
 
 Edges that share no site carry commuting Hamiltonian terms, so a proper edge
 coloring splits H into K internally-commuting groups H_1..H_K that can each
-be exponentiated in a single parallel layer.  Built-in lattices get their
-natural direction-based colorings (chain 2, square 4, honeycomb 3 classes);
-arbitrary graphs go through Misra-Gries, which never needs more than
-max-degree + 1 classes.
+be exponentiated in a single parallel layer.  One colorer serves every model,
+built-in or custom: a bipartite bond graph gets exactly max-degree classes
+(Koenig's theorem; chain 2, even square 4, honeycomb 3), any other graph at
+most max-degree + 1 (Misra-Gries).
 """
 from __future__ import annotations
 
-import json
 import logging
+import operator
 from dataclasses import dataclass
 
-from .jsonutil import dump_json
-from .model import Boundary, LatticeKind, SpinModel
+from .jsonutil import dump_json, json_document
+from .model import SpinModel
 
 logger = logging.getLogger(__name__)
 
@@ -89,101 +89,43 @@ def _classes_from_labels(labels: dict[int, int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(buckets[label]) for label in sorted(buckets))
 
 
-def color_builtin(model: SpinModel) -> EdgeColoring:
-    """Direction-based coloring for a built-in lattice.
-
-    Chain: even/odd bonds (K=2).  Square: horizontal/vertical split by
-    position parity (K=4).  Honeycomb: the three bond orientations (K=3).
-    Periodic cases whose parity classes cannot close up (odd rings, odd
-    periodic square dimensions) fall back to the general colorer.
-    """
-    if model.lattice is LatticeKind.CUSTOM:
-        raise ValueError("color_builtin needs a built-in lattice; use color_general")
-    periodic = model.boundary is Boundary.PERIODIC
-    pairs = model.edge_pairs()
-
-    if model.lattice is LatticeKind.CHAIN:
-        if periodic and model.n % 2 == 1:
-            logger.info(
-                "odd periodic chain (n=%d) has no 2-class bond coloring; "
-                "falling back to the general colorer", model.n,
-            )
-            return color_general(model)
-        labels = {}
-        for idx, (i, j) in enumerate(pairs):
-            # bond b joins sites (b, b+1 mod n); the wrap bond (0, n-1) is bond n-1
-            bond = i if j == i + 1 else j
-            labels[idx] = bond % 2
-        return EdgeColoring(model.n, _classes_from_labels(labels))
-
-    if model.lattice is LatticeKind.SQUARE:
-        cols = _square_cols(model)
-        rows = model.n // cols
-        if periodic and (rows % 2 or cols % 2):
-            logger.info(
-                "periodic square lattice %dx%d has an odd dimension; "
-                "falling back to the general colorer", rows, cols,
-            )
-            return color_general(model)
-        labels = {}
-        for idx, (i, j) in enumerate(pairs):
-            ri, ci = divmod(i, cols)
-            rj, cj = divmod(j, cols)
-            if ri == rj:
-                col = ci if (cj == ci + 1) else cj  # wrap bond sits at the last column
-                labels[idx] = 0 + (col % 2)
-            else:
-                row = ri if (rj == ri + 1) else rj
-                labels[idx] = 2 + (row % 2)
-        return EdgeColoring(model.n, _classes_from_labels(labels))
-
-    # honeycomb: classify each A-B bond by its orientation in the unit cell
-    labels = {}
-    for idx, (i, j) in enumerate(pairs):
-        a_site, b_site = (i, j) if i % 2 == 0 else (j, i)
-        cell_a, cell_b = a_site // 2, b_site // 2
-        if cell_a == cell_b:
-            labels[idx] = 0
-        else:
-            lx = _honeycomb_lx(model)
-            xa, ya = cell_a % lx, cell_a // lx
-            xb, yb = cell_b % lx, cell_b // lx
-            labels[idx] = 1 if ya == yb else 2
-    return EdgeColoring(model.n, _classes_from_labels(labels))
+def _is_bipartite(n: int, pairs: list[tuple[int, int]]) -> bool:
+    """BFS 2-coloring of the sites; True iff no edge joins two same-side sites."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pairs:
+        adj[i].append(j)
+        adj[j].append(i)
+    side = [-1] * n
+    for root in range(n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        queue = [root]
+        for u in queue:
+            for w in adj[u]:
+                if side[w] < 0:
+                    side[w] = 1 - side[u]
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return False
+    return True
 
 
-def _square_cols(model: SpinModel) -> int:
-    """Recover the column count of a square lattice from its bond structure."""
-    # the smallest vertical-bond stride equals the number of columns
-    strides = sorted({j - i for i, j in model.edge_pairs() if j - i > 1})
-    if not strides:
-        # single-row lattice: every bond is horizontal
-        return model.n
-    for s in strides:
-        if s > 1 and model.n % s == 0:
-            return s
-    raise ValueError("cannot infer square lattice shape from edges")
+def color_model(model: SpinModel) -> EdgeColoring:
+    """Proper edge coloring of a model's bond graph by alternating-path swaps.
 
-
-def _honeycomb_lx(model: SpinModel) -> int:
-    """Recover the cell-grid width of a honeycomb lattice from its bonds."""
-    cells = model.n // 2
-    # horizontal neighbor bonds join cells differing by 1 (or wrap by lx-1)
-    diffs = sorted({abs(j // 2 - i // 2) for i, j in model.edge_pairs() if j // 2 != i // 2})
-    for d in diffs:
-        if d > 1 and cells % d == 0:
-            return d
-    return cells  # single-row cell grid
-
-
-def color_general(model: SpinModel) -> EdgeColoring:
-    """Proper edge coloring of an arbitrary simple graph via Misra-Gries.
-
-    Uses at most max_degree + 1 colors.  Deterministic: edges are processed
-    in sorted order and free colors are always the smallest available.
+    Bipartite graphs (open lattices, even rings and tori, honeycombs) get
+    exactly max_degree classes, as Koenig's theorem allows: each edge (u, v)
+    takes a color free at both ends, after inverting one c/d alternating path
+    from u, which by parity never reaches v.  Other graphs go through
+    Misra-Gries, which never needs more than max_degree + 1 classes.
+    Deterministic: edges are processed in sorted order and free colors are
+    always the smallest available.
     """
     pairs = model.edge_pairs()
-    palette = model.max_degree + 1
+    bipartite = _is_bipartite(model.n, pairs)
+    logger.info("coloring path: %s", "bipartite" if bipartite else "misra-gries")
+    palette = model.max_degree + (0 if bipartite else 1)
     # vertex -> {color: neighbor}, edge (i,j) -> color
     at: list[dict[int, int]] = [dict() for _ in range(model.n)]
     color_of: dict[tuple[int, int], int] = {}
@@ -214,7 +156,33 @@ def color_general(model: SpinModel) -> EdgeColoring:
     def get_color(u: int, v: int) -> int | None:
         return color_of.get((u, v) if u < v else (v, u))
 
+    def invert(u: int, d: int, c: int) -> None:
+        # invert the maximal path from u alternating colors d, c, d, ...
+        prev, cur, want = u, at[u].get(d), d
+        chain = []
+        while cur is not None:
+            chain.append((prev, cur, want))
+            want = c if want == d else d
+            nxt = at[cur].get(want)
+            if nxt == prev:
+                nxt = None
+            prev, cur = cur, nxt
+        for a, b, col in chain:
+            uncolor(a, b)
+        for a, b, col in chain:
+            set_color(a, b, d if col == c else c)
+
     for (u, v) in pairs:
+        if bipartite:
+            # fan is just [v]: free d at u by swapping the path, which by
+            # parity cannot end at v, so d stays free at v
+            c = free(u)
+            if not is_free(v, c):
+                d = free(v)
+                invert(u, d, c)
+                c = d
+            set_color(u, v, c)
+            continue
         # maximal fan of u starting at v: each next leaf's edge color is free
         # on the previous leaf
         fan = [v]
@@ -232,20 +200,7 @@ def color_general(model: SpinModel) -> EdgeColoring:
         c = free(u)
         d = free(fan[-1])
         if c != d:
-            # invert the maximal path from u alternating colors d, c, d, ...
-            prev, cur, want = u, at[u].get(d), d
-            chain = []
-            while cur is not None:
-                chain.append((prev, cur, want))
-                want = c if want == d else d
-                nxt = at[cur].get(want)
-                if nxt == prev:
-                    nxt = None
-                prev, cur = cur, nxt
-            for a, b, col in chain:
-                uncolor(a, b)
-            for a, b, col in chain:
-                set_color(a, b, d if col == c else c)
+            invert(u, d, c)
         # w: last fan prefix vertex (post-inversion) with d free on it
         w_idx = None
         for idx, w in enumerate(fan):
@@ -271,13 +226,6 @@ def color_general(model: SpinModel) -> EdgeColoring:
     return EdgeColoring(model.n, _classes_from_labels(labels))
 
 
-def color_model(model: SpinModel) -> EdgeColoring:
-    """Best available coloring: builtin structure when present, else general."""
-    if model.lattice is LatticeKind.CUSTOM:
-        return color_general(model)
-    return color_builtin(model)
-
-
 # --- JSON serialization -----------------------------------------------------
 
 def coloring_to_json(coloring: EdgeColoring) -> str:
@@ -289,11 +237,9 @@ def coloring_to_json(coloring: EdgeColoring) -> str:
 
 
 def coloring_from_json(text: str) -> EdgeColoring:
-    doc = json.loads(text)
-    try:
-        coloring = EdgeColoring(int(doc["n"]), tuple(tuple(c) for c in doc["classes"]))
-    except KeyError as exc:
-        raise ValueError(f"coloring document is missing field {exc}") from exc
-    if doc.get("K") is not None and int(doc["K"]) != coloring.num_classes:
-        raise ValueError("coloring document K does not match its class list")
+    with json_document(text, "coloring") as doc:
+        classes = tuple(tuple(operator.index(e) for e in c) for c in doc["classes"])
+        coloring = EdgeColoring(int(doc["n"]), classes)
+        if doc.get("K") is not None and int(doc["K"]) != coloring.num_classes:
+            raise ValueError("coloring document K does not match its class list")
     return coloring

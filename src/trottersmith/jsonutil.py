@@ -3,12 +3,15 @@
 The standard library serializer renders floats with ``repr``, which is
 shortest-round-trip but not a fixed digit count.  Artifacts here promise 17
 significant digits (always lossless for IEEE doubles) and byte-stable output
-for identical inputs, so we walk the structure ourselves.
+for identical inputs, so we walk the structure ourselves.  Reading goes
+through :func:`json_document`, which turns every malformed document into a
+ValueError.
 """
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 
 def format_float(x: float) -> str:
@@ -69,3 +72,22 @@ def dump_json(obj) -> str:
     _write(obj, out, 0)
     out.append("\n")
     return "".join(out)
+
+
+@contextmanager
+def json_document(text: str, what: str):
+    """Parse ``text`` as a JSON object and yield it to the caller's reader.
+
+    Malformed input of any shape (not JSON, not an object, a missing field,
+    a field of the wrong type) surfaces as ValueError, so the CLI reports it
+    as bad input rather than an internal failure.
+    """
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} document must be a JSON object, got {type(doc).__name__}")
+    try:
+        yield doc
+    except KeyError as exc:
+        raise ValueError(f"{what} document is missing field {exc}") from exc
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"malformed {what} document: {exc}") from exc

@@ -15,13 +15,12 @@ it into internally commuting classes.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 import numpy as np
 
-from .jsonutil import dump_json
+from .jsonutil import dump_json, json_document
 
 ISOTROPY_TOL = 1e-12
 
@@ -253,15 +252,17 @@ def assign_fields(
     site_fields = np.asarray(site_fields, dtype=float)
     if site_fields.shape != (n, 3):
         raise ValueError(f"site_fields must have shape ({n}, 3), got {site_fields.shape}")
+    # first edge in which each site is the lower / the upper endpoint
+    first_low: dict[int, int] = {}
+    first_high: dict[int, int] = {}
+    for idx, (i, j) in enumerate(pairs):
+        first_low.setdefault(i, idx)
+        first_high.setdefault(j, idx)
     owner: dict[int, int] = {}
     for s in range(n):
-        low = [idx for idx, (i, _) in enumerate(pairs) if i == s]
-        if low:
-            owner[s] = low[0]
-            continue
-        any_edge = [idx for idx, (i, j) in enumerate(pairs) if j == s]
-        if any_edge:
-            owner[s] = any_edge[0]
+        idx = first_low.get(s, first_high.get(s))
+        if idx is not None:
+            owner[s] = idx
         elif np.any(site_fields[s] != 0.0):
             raise ValueError(f"site {s} has a nonzero field but touches no edge")
     shares = {idx: (np.zeros(3), np.zeros(3)) for idx in range(len(pairs))}
@@ -446,8 +447,7 @@ def model_to_json(model: SpinModel) -> str:
 
 
 def model_from_json(text: str) -> SpinModel:
-    doc = json.loads(text)
-    try:
+    with json_document(text, "model") as doc:
         prof_doc = doc.get("profile", {"kind": "constant"})
         profile = (
             CONSTANT_PROFILE
@@ -471,5 +471,3 @@ def model_from_json(text: str) -> SpinModel:
             boundary=Boundary(doc.get("boundary", "open")),
             profile=profile,
         )
-    except KeyError as exc:
-        raise ValueError(f"model document is missing field {exc}") from exc

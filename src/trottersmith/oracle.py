@@ -251,10 +251,10 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 
 def phase_distance(u: np.ndarray, target: np.ndarray, seed: int = NORM_SEED) -> float:
-    """min over phi of ||u - e^{i phi} target|| in spectral norm.
+    """||u - e^{i phi} target|| in spectral norm at phi = arg tr(target^H u).
 
-    The minimizing phase is taken as arg tr(target^H u), which aligns the
-    global phases before comparing.
+    That phase minimizes the Frobenius distance, not the spectral one, so the
+    result is an upper bound on the minimum over phi of the spectral distance.
     """
     u = np.asarray(u, dtype=complex)
     target = np.asarray(target, dtype=complex)

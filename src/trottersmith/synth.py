@@ -25,26 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind
+from .circuits import _H, Circuit, Gate, GateKind, _rotation
 from .coloring import EdgeColoring
-from .model import EdgeTerm, SpinModel, term_hamiltonian
+from .model import ID2, PAULIS, EdgeTerm, SpinModel, term_hamiltonian
 from .trotter import ProductFormula, expand
 
 KAK_UNITARITY_TOL = 1e-10
 KAK_RECONSTRUCTION_TOL = 1e-8
 ZERO_ANGLE_TOL = 1e-12
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
-_PAULIS = (_X, _Y, _Z)
 
-_XX = np.kron(_X, _X)
-_YY = np.kron(_Y, _Y)
-_ZZ = np.kron(_Z, _Z)
+_XX, _YY, _ZZ = (np.kron(p, p) for p in PAULIS)
 
 # columns are Bell-type states; the interaction core is diagonal here
 _MAGIC = np.array(
@@ -63,15 +55,6 @@ _CX12 = np.array(
 _CX21 = np.array(
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
 )
-
-
-def _rz(t: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]])
-
-
-def _rx(t: float) -> np.ndarray:
-    c, s = math.cos(t / 2.0), math.sin(t / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]])
 
 
 def _expm_herm(h: np.ndarray, factor: complex = -1j) -> np.ndarray:
@@ -204,7 +187,7 @@ def split_local(m4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _AXIS_SWAP = {
     frozenset((0, 1)): _S,
     frozenset((0, 2)): _H,
-    frozenset((1, 2)): _rx(-math.pi / 2.0),
+    frozenset((1, 2)): _rotation(GateKind.RX, -math.pi / 2.0),
 }
 
 
@@ -219,7 +202,7 @@ def _canonicalize(g, left, right, k):
         # and a global phase
         nonlocal g, l1, l2
         k[a] += sgn * math.pi / 2.0
-        sig = _PAULIS[a]
+        sig = PAULIS[a]
         l1 = l1 @ sig
         l2 = l2 @ sig
         g += -sgn * math.pi / 2.0
@@ -228,7 +211,7 @@ def _canonicalize(g, left, right, k):
         # conjugating by sigma_c (c the third axis) on one qubit flips the
         # signs of k[a] and k[b] together
         nonlocal l1, r1
-        sig = _PAULIS[3 - a - b]
+        sig = PAULIS[3 - a - b]
         l1 = l1 @ sig
         r1 = sig @ r1
         k[a] = -k[a]
@@ -391,7 +374,7 @@ def _one_cnot_dressing(u: np.ndarray):
 
 
 # bridge for the exchange template; its dressing is derived once at import
-_BRIDGE = _CX12 @ np.kron(_I2, _H) @ _CX21
+_BRIDGE = _CX12 @ np.kron(ID2, _H) @ _CX21
 _BR_A1, _BR_A2, _BR_B1, _BR_B2 = _one_cnot_dressing(_BRIDGE)
 
 
@@ -411,12 +394,12 @@ def synth_exchange(alpha: float, qubits: tuple[int, int] = (0, 1)) -> Fragment:
         [Gate(GateKind.CX, (a, b))],
         [
             Gate(GateKind.U1Q, (a,), matrix=_BR_A1),
-            Gate(GateKind.U1Q, (b,), matrix=_rz(-alpha / 2.0) @ _BR_A2),
+            Gate(GateKind.U1Q, (b,), matrix=_rotation(GateKind.RZ, -alpha / 2.0) @ _BR_A2),
         ],
         [Gate(GateKind.CX, (a, b))],
         [
             Gate(GateKind.RZ, (a,), angle=alpha / 2.0),
-            Gate(GateKind.U1Q, (b,), matrix=_H @ _rz(alpha / 2.0)),
+            Gate(GateKind.U1Q, (b,), matrix=_H @ _rotation(GateKind.RZ, alpha / 2.0)),
         ],
         [Gate(GateKind.CX, (b, a))],
     ]

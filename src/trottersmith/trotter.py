@@ -117,7 +117,7 @@ def suzuki(q: int, num_classes: int, merge: bool = True) -> ProductFormula:
         ks = list(range(1, num_classes + 1))
         stages = [(k, 0.5) for k in ks] + [(k, 0.5) for k in reversed(ks)]
     for level in range(2, q + 1):
-        p = 1.0 / (4.0 - 4.0 ** (1.0 / (2 * level - 1)))
+        p = suzuki_p(level)
         outer = [(k, c * p) for k, c in stages]
         middle = [(k, c * (1.0 - 4.0 * p)) for k, c in stages]
         stages = outer + outer + middle + outer + outer

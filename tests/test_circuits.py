@@ -186,6 +186,17 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="stored depth"):
             circuit_from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"n": 4, "layers": 5}',
+        '{"n": 4, "layers": [[{"qubits": [0]}]]}',
+        '{"n": 4, "layers": [[{"kind": "h", "qubits": 0}]]}',
+        '{"n": [4], "layers": []}',
+    ])
+    def test_malformed_documents_rejected(self, text):
+        with pytest.raises(ValueError):
+            circuit_from_json(text)
+
 
 class TestZyz:
     def test_random_reconstruction(self, rng):

@@ -5,6 +5,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottersmith import (
     circuit_from_json,
@@ -94,10 +96,20 @@ class TestColor:
 
     def test_corrupt_model_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        res = run("color", "--model", str(path))
-        assert res.exit_code == 2
-        assert "error:" in res.stderr
+        for text in ("{not json", "[]", '{"n": 4, "edges": 5}', '{"n": 4, "edges": [[0, 1]]}'):
+            path.write_text(text)
+            res = run("color", "--model", str(path))
+            assert res.exit_code == 2, text
+            assert "error:" in res.stderr
+            assert "internal error" not in res.stderr
+
+    def test_odd_periodic_square_4x3(self, tmp_path):
+        model_path = tmp_path / "square43.json"
+        run("lattice", "--kind", "square", "--dims", "4x3", "--boundary", "periodic",
+            "--out", str(model_path))
+        res = run("color", "--model", str(model_path))
+        assert res.exit_code == 0, res.output
+        assert "K=5" in res.stderr
 
 
 class TestPlan:
@@ -157,11 +169,15 @@ class TestSynth:
     def test_rejects_corrupt_coloring(self, chain4_file, tmp_path):
         col = tmp_path / "col.json"
         # classes put adjacent bonds together: invalid for this chain
-        col.write_text(json.dumps({"n": 4, "classes": [[0, 1], [2]]}))
-        res = run("synth", "--model", str(chain4_file), "--coloring", str(col),
-                  "--steps", "1", "--time", "1.0")
-        assert res.exit_code == 2
-        assert "error:" in res.stderr
+        for text in (json.dumps({"n": 4, "classes": [[0, 1], [2]]}), "[]",
+                     json.dumps({"n": 4, "classes": 5}),
+                     json.dumps({"n": 4, "classes": [["0"], [1], [2]]})):
+            col.write_text(text)
+            res = run("synth", "--model", str(chain4_file), "--coloring", str(col),
+                      "--steps", "1", "--time", "1.0")
+            assert res.exit_code == 2, text
+            assert "error:" in res.stderr
+            assert "internal error" not in res.stderr
 
     def test_supplied_coloring_is_used(self, chain4_file, tmp_path):
         col = tmp_path / "col.json"
@@ -290,3 +306,27 @@ class TestExitCodes:
         res = run("color", "--model", str(chain4_file))
         assert res.exit_code == 1
         assert "internal error: RuntimeError" in res.stderr
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "K", "classes", "edges", "layers", "i", "j",
+                                       "J", "kind", "qubits", "profile", "depth"]),
+                      inner, max_size=5),
+    max_leaves=12,
+)
+
+
+class TestLoaderContract:
+    @given(_json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_loaders_raise_only_value_error(self, doc):
+        # any document either loads or is rejected as bad input (exit 2)
+        text = json.dumps(doc)
+        for loader in (model_from_json, coloring_from_json, circuit_from_json):
+            try:
+                loader(text)
+            except ValueError:
+                pass

@@ -1,4 +1,4 @@
-"""Edge colorings: builtin lattice classes, Misra-Gries, validation."""
+"""Edge colorings: lattice classes, bipartite and Misra-Gries paths, validation."""
 from __future__ import annotations
 
 import itertools
@@ -11,8 +11,6 @@ from trottersmith import (
     CouplingTensor,
     EdgeColoring,
     build_lattice,
-    color_builtin,
-    color_general,
     color_model,
     from_edges,
 )
@@ -30,13 +28,13 @@ def cycle_model(n: int):
 class TestBuiltinColorings:
     def test_chain_even_periodic_k2(self):
         model = build_lattice("chain", 6, "periodic")
-        col = color_builtin(model)
+        col = color_model(model)
         assert col.num_classes == 2
         validate(model, col)
 
     def test_chain_open_k2(self):
         model = build_lattice("chain", 4)
-        col = color_builtin(model)
+        col = color_model(model)
         assert col.num_classes == 2
         # even bonds {(0,1),(2,3)} then odd bonds {(1,2)}
         assert [sorted(model.edges[i].sites for i in cls) for cls in col.classes] == [
@@ -46,7 +44,7 @@ class TestBuiltinColorings:
 
     def test_square_4x4_periodic_k4(self):
         model = build_lattice("square", (4, 4), "periodic")
-        col = color_builtin(model)
+        col = color_model(model)
         assert col.num_classes == 4
         validate(model, col)
         # a 4-regular graph split into 4 classes forces perfect matchings
@@ -54,31 +52,42 @@ class TestBuiltinColorings:
 
     def test_honeycomb_k3(self):
         model = build_lattice("hexagonal", (2, 2), "periodic")
-        col = color_builtin(model)
+        col = color_model(model)
         assert col.num_classes == 3
         validate(model, col)
 
     def test_odd_periodic_chain_falls_back_to_k3(self):
         model = build_lattice("chain", 5, "periodic")
-        col = color_builtin(model)
+        col = color_model(model)
         assert col.num_classes == 3
         validate(model, col)
 
     def test_odd_periodic_square_falls_back(self):
         model = build_lattice("square", (3, 3), "periodic")
-        col = color_builtin(model)
+        col = color_model(model)
         validate(model, col)
         assert col.num_classes <= model.max_degree + 1
 
-    def test_custom_model_rejected(self):
-        with pytest.raises(ValueError):
-            color_builtin(cycle_model(5))
+    @pytest.mark.parametrize("rows", range(3, 13))
+    def test_periodic_squares_validate(self, rows):
+        # a torus is bipartite iff both sides are even; then K = degree 4
+        for cols in range(3, 13):
+            model = build_lattice("square", (rows, cols), "periodic")
+            col = color_model(model)
+            validate(model, col)
+            assert (col.num_classes == 4) == (rows % 2 == 0 and cols % 2 == 0), (rows, cols)
+
+    def test_custom_chain_k2(self):
+        model = from_edges(6, [(i, i + 1, J1) for i in range(5)])
+        col = color_model(model)
+        validate(model, col)
+        assert col.num_classes == 2
 
 
 class TestColorGeneral:
     def test_five_cycle_needs_three_colors(self):
         model = cycle_model(5)
-        col = color_general(model)
+        col = color_model(model)
         validate(model, col)
         assert col.num_classes == 3
         # brute-force oracle: no proper 2-coloring of C5's edges exists
@@ -94,11 +103,11 @@ class TestColorGeneral:
 
     def test_single_edge(self):
         model = from_edges(2, [(0, 1, J1)])
-        assert color_general(model).num_classes == 1
+        assert color_model(model).num_classes == 1
 
     def test_complete_graph_k5(self):
         model = from_edges(5, [(i, j, J1) for i in range(5) for j in range(i + 1, 5)])
-        col = color_general(model)
+        col = color_model(model)
         validate(model, col)
         assert col.num_classes == 5
 
@@ -111,9 +120,17 @@ class TestColorGeneral:
                      unique=True)
         )
         model = from_edges(n, [(i, j, J1) for i, j in chosen])
-        col = color_general(model)
+        col = color_model(model)
         validate(model, col)
         assert col.num_classes <= model.max_degree + 1
+        if is_bipartite(n, chosen):
+            assert col.num_classes == model.max_degree
+
+
+def is_bipartite(n: int, pairs) -> bool:
+    """Brute force over all 2^n side assignments."""
+    return any(all(sides[i] != sides[j] for i, j in pairs)
+               for sides in itertools.product((0, 1), repeat=n))
 
 
 class TestValidate:
