@@ -282,7 +282,7 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
 @click.option("--order", type=int, default=1, show_default=True)
 @click.option("--time", "t", type=float, default=1.0, show_default=True)
 @click.option("--m-grid", default="4,8,16,32,64", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_context
 @_guard
@@ -290,7 +290,8 @@ def verify(ctx, model_path, order, t, m_grid, jobs, out) -> None:
     """Measure Trotter error against the dense oracle over a step grid.
 
     Writes CSV with header m,error,bound,order (bound only for order 1)
-    and reports the fitted log-log slope of error versus m.
+    and reports the fitted log-log slope of error versus m, or nan unless
+    the grid has at least two distinct m and every error is positive.
     """
     seed = ctx.obj["seed"]
     model = _load_model(model_path)
@@ -327,6 +328,8 @@ def verify(ctx, model_path, order, t, m_grid, jobs, out) -> None:
 
 
 def _loglog_slope(ms: list[int], errors: list[float]) -> float:
+    if len(set(ms)) < 2 or min(errors) <= 0.0:
+        return float("nan")
     xs = np.log(np.asarray(ms, dtype=float))
     ys = np.log(np.asarray(errors, dtype=float))
     return float(np.polyfit(xs, ys, 1)[0])

@@ -1,10 +1,13 @@
 """Dense reference evolution, statevector playback, and norm utilities.
 
 Everything here is exact up to floating point and deliberately small-scale:
-dense operators are capped at ORACLE_LIMIT qubits (overridable through the
-TROTTERSMITH_ORACLE_LIMIT environment variable) and statevector playback at
-STATEVECTOR_LIMIT.  These routines are the measuring stick the compiled
-circuits are judged against, so they share no code with the synthesis path.
+dense operators are capped at DEFAULT_ORACLE_LIMIT qubits (overridable through
+the TROTTERSMITH_ORACLE_LIMIT environment variable) and statevector playback
+at STATEVECTOR_LIMIT.  One kernel, ``_apply_local``, puts every local operator
+onto the n qubits: edge terms into H, the product formula's 4x4 edge
+exponentials into the running unitary edge by edge, and gates into a
+statevector.  These routines are the measuring stick the compiled circuits
+are judged against, so they share no code with the synthesis path.
 """
 from __future__ import annotations
 
@@ -40,26 +43,20 @@ def _check_dense(n: int) -> None:
         )
 
 
-def embed_two_site(op4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    """Lift a 4x4 operator on sites (i, j) to the full 2^n space.
+def _apply_local(op: np.ndarray, qubits: tuple[int, ...], block: np.ndarray) -> np.ndarray:
+    """Apply a k-qubit operator to ``qubits`` of a (2**n,) or (2**n, b) array.
 
-    The operator's first tensor factor lands on site i, the second on j;
-    site 0 is the leftmost factor of the global space.
+    The array is viewed with one axis per qubit (site 0 leftmost, any column
+    axis last), the operator's first tensor factor acts on ``qubits[0]``, and
+    only the 2^k x 2^k matrix is contracted in.
     """
-    if not (0 <= i < n and 0 <= j < n and i != j):
-        raise ValueError(f"invalid site pair ({i}, {j}) for n={n}")
-    _check_dense(n)
-    op4 = np.asarray(op4, dtype=complex)
-    if op4.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 operator, got {op4.shape}")
-    full = np.kron(op4, np.eye(2 ** (n - 2), dtype=complex))
-    # full's site order is [i, j, others...]; permute back to [0..n-1]
-    order = [i, j] + [s for s in range(n) if s not in (i, j)]
-    inv = [0] * n
-    for pos, site in enumerate(order):
-        inv[site] = pos
-    axes = inv + [n + a for a in inv]
-    return full.reshape((2,) * (2 * n)).transpose(axes).reshape(2**n, 2**n)
+    n = int(block.shape[0]).bit_length() - 1
+    k = len(qubits)
+    psi = block.reshape((2,) * n + block.shape[1:])
+    res = np.tensordot(
+        op.reshape((2,) * (2 * k)), psi, axes=(list(range(k, 2 * k)), list(qubits))
+    )
+    return np.moveaxis(res, list(range(k)), list(qubits)).reshape(block.shape)
 
 
 def expm_hermitian(h: np.ndarray, factor: complex = -1j) -> np.ndarray:
@@ -71,9 +68,10 @@ def expm_hermitian(h: np.ndarray, factor: complex = -1j) -> np.ndarray:
 def total_hamiltonian(model: SpinModel) -> np.ndarray:
     """Dense H = sum of edge terms, fields included (profile factored out)."""
     _check_dense(model.n)
-    h = np.zeros((2**model.n, 2**model.n), dtype=complex)
+    eye = np.eye(2**model.n, dtype=complex)
+    h = np.zeros_like(eye)
     for term in model.edges:
-        h += embed_two_site(term_hamiltonian(term), term.i, term.j, model.n)
+        h += _apply_local(term_hamiltonian(term), (term.i, term.j), eye)
     return h
 
 
@@ -89,22 +87,15 @@ def exact_evolution(model: SpinModel, t: float) -> np.ndarray:
 def reference_evolution(model: SpinModel, t: float, m_ref: int) -> np.ndarray:
     """Time-ordered evolution on an m_ref-step grid, left-endpoint sampling.
 
-    Exact for a constant profile (any m_ref); for a piecewise profile this
-    is the reference the compiled circuits aim at.
+    A profile scales all of H, so the steps commute and their product is one
+    exponential of H over the summed step durations.  Exact for a constant
+    profile (any m_ref); for a piecewise profile this is the reference the
+    compiled circuits aim at.
     """
     if m_ref < 1:
         raise ValueError("m_ref must be >= 1")
-    h = total_hamiltonian(model)
-    if model.profile.is_constant:
-        return expm_hermitian(h, -1j * t)
-    dt = t / m_ref
-    w, v = np.linalg.eigh(h)
-    u = np.eye(2**model.n, dtype=complex)
-    for p in range(m_ref):
-        scale = model.profile.factor_at_fraction(p / m_ref)
-        step = (v * np.exp(-1j * dt * scale * w)) @ v.conj().T
-        u = step @ u
-    return u
+    total = sum(model.profile.factor_at_fraction(p / m_ref) for p in range(m_ref))
+    return expm_hermitian(total_hamiltonian(model), -1j * t * (total / m_ref))
 
 
 def spectral_norm(
@@ -144,19 +135,6 @@ def spectral_norm(
     )
 
 
-def class_hamiltonians(model: SpinModel, coloring: EdgeColoring) -> list[np.ndarray]:
-    """Dense H_k per color class, index k-1 for class k."""
-    _check_dense(model.n)
-    out = []
-    for cls in coloring.classes:
-        h = np.zeros((2**model.n, 2**model.n), dtype=complex)
-        for ei in cls:
-            term = model.edges[ei]
-            h += embed_two_site(term_hamiltonian(term), term.i, term.j, model.n)
-        out.append(h)
-    return out
-
-
 def formula_unitary(
     model: SpinModel,
     coloring: EdgeColoring,
@@ -164,17 +142,24 @@ def formula_unitary(
     m: int,
     t: float,
 ) -> np.ndarray:
-    """Dense product-formula unitary; the first scheduled stage acts first."""
+    """Dense product-formula unitary; the first scheduled stage acts first.
+
+    A class's edges are disjoint, so each stage is applied edge by edge as
+    4x4 exponentials contracted into the running unitary's columns.
+    """
     if formula.num_classes != coloring.num_classes:
         raise ValueError(
             f"formula has K={formula.num_classes} but coloring has {coloring.num_classes}"
         )
-    hs = class_hamiltonians(model, coloring)
-    eig = [np.linalg.eigh(h) for h in hs]
+    _check_dense(model.n)
+    local = [
+        [(model.edges[ei], term_hamiltonian(model.edges[ei])) for ei in cls]
+        for cls in coloring.classes
+    ]
     u = np.eye(2**model.n, dtype=complex)
     for stage in expand(formula, m, t, model.profile):
-        w, v = eig[stage.k - 1]
-        u = ((v * np.exp(-1j * stage.tau * w)) @ v.conj().T) @ u
+        for e, h in local[stage.k - 1]:
+            u = _apply_local(expm_hermitian(h, -1j * stage.tau), (e.i, e.j), u)
     return u
 
 
@@ -221,15 +206,7 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     _check_state(n)
     if any(q >= n for q in gate.qubits):
         raise ValueError(f"gate on qubits {gate.qubits} does not fit n={n}")
-    batched = state.ndim == 2
-    shape = (2,) * n + ((state.shape[1],) if batched else ())
-    psi = state.reshape(shape)
-    qubits = list(gate.qubits)
-    k = len(qubits)
-    u = gate.unitary().reshape((2,) * (2 * k))
-    res = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), qubits))
-    res = np.moveaxis(res, list(range(k)), qubits)
-    return res.reshape(state.shape)
+    return _apply_local(gate.unitary(), gate.qubits, state)
 
 
 def run_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:

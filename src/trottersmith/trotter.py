@@ -169,16 +169,12 @@ def _check_k(num_classes: int) -> None:
 
 # --- error bounds and step counts ------------------------------------------
 
-def commutator_pair_bound(n: int, j: float) -> float:
-    """Upper bound on ||[H_k, H_l]|| between two classes: (3/4) n J^2."""
-    return 0.75 * n * j * j
-
-
 def first_order_error_bound(num_classes: int, n: int, j: float, t: float, m: int) -> float:
     """First-order Trotter error bound (3/16) K (K-1) t^2 n J^2 / m.
 
-    Follows from summing the pairwise class commutator bound over the
-    K(K-1)/2 class pairs at second order in t/m.
+    Follows from summing the pairwise class commutator bound
+    ||[H_k, H_l]|| <= (3/4) n J^2 over the K(K-1)/2 class pairs at second
+    order in t/m.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -202,7 +198,7 @@ def steps_for_accuracy(
 ) -> StepPlan:
     """Smallest step count whose error bound meets the accuracy target.
 
-    First order inverts the commutator bound:
+    First order inverts ``first_order_error_bound``:
         m >= (3/16) K (K-1) t^2 n J^2 / epsilon.
     Order 2q uses the scaling form with configurable constant c3:
         m >= c3 (K t)^{1 + 1/2q} n^{1/2q} / epsilon^{1/2q}.
@@ -212,7 +208,7 @@ def steps_for_accuracy(
     if t < 0:
         raise ValueError("t must be nonnegative")
     if order == 1:
-        raw = (3.0 / 16.0) * num_classes * (num_classes - 1) * t * t * n * j * j / epsilon
+        raw = first_order_error_bound(num_classes, n, j, t, 1) / epsilon
         bound = "first_order_explicit"
     elif order >= 2 and order % 2 == 0:
         inv = 1.0 / order  # 1/(2q)

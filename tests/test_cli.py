@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -292,6 +293,25 @@ class TestVerify:
         model = tmp_path / "chain3.json"
         run("lattice", "--kind", "chain", "--dims", "3", "--out", str(model))
         res = run("verify", "--model", str(model), "--m-grid", "0,4")
+        assert res.exit_code == 2
+
+    @pytest.mark.parametrize("dims,grid", [("3", "8"), ("3", "8,8"), ("2", "2,4")],
+                             ids=["one-m", "repeated-m", "zero-error"])
+    def test_slope_nan_without_warning(self, tmp_path, dims, grid):
+        # one distinct m has no slope; a one-edge model is exact, so log(0)
+        model = tmp_path / "chain.json"
+        run("lattice", "--kind", "chain", "--dims", dims, "--out", str(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run("verify", "--model", str(model), "--m-grid", grid,
+                      "--time", "0.5")
+        assert res.exit_code == 0, res.output
+        assert res.stderr.strip() == "slope=nan"
+
+    def test_jobs_must_be_positive(self, tmp_path):
+        model = tmp_path / "chain3.json"
+        run("lattice", "--kind", "chain", "--dims", "3", "--out", str(model))
+        res = run("verify", "--model", str(model), "--m-grid", "2,4", "--jobs", "0")
         assert res.exit_code == 2
 
 

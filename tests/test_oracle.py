@@ -17,9 +17,9 @@ from trottersmith import (
     from_edges,
 )
 from trottersmith.oracle import (
+    _apply_local,
     apply_gate,
     circuit_unitary,
-    embed_two_site,
     exact_evolution,
     formula_unitary,
     phase_distance,
@@ -32,8 +32,10 @@ from trottersmith.oracle import (
 
 from conftest import (
     I2,
+    PAULIS,
     SZ,
     dist_up_to_phase,
+    kron_chain,
     op_norm,
     random_unitary,
     ref_expm,
@@ -69,29 +71,20 @@ class TestTotalHamiltonian:
             total_hamiltonian(model)
 
 
-class TestEmbedTwoSite:
-    def test_matches_reference_on_noncontiguous_pair(self):
-        rng = np.random.default_rng(7)
+class TestApplyLocal:
+    def test_reversed_noncontiguous_pair_matches_kron_reference(self, rng):
+        # first tensor factor on qubit 3, second on qubit 1, n=4
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        got = embed_two_site(a, 1, 3, 4)
-        eye = np.eye(2, dtype=complex)
-        # reference: act on axes 1 and 3 of the 4-qubit tensor directly
-        full = np.kron(np.kron(eye, np.kron(eye, eye)), eye) * 0
-        t = a.reshape(2, 2, 2, 2)
-        psi = np.zeros((2,) * 4, dtype=complex)
+        basis = (I2,) + PAULIS
         ref = np.zeros((16, 16), dtype=complex)
-        for col in range(16):
-            psi[:] = 0
-            psi[np.unravel_index(col, (2,) * 4)] = 1.0
-            out = np.tensordot(t, psi, axes=([2, 3], [1, 3]))
-            out = np.moveaxis(out, [0, 1], [1, 3])
-            ref[:, col] = out.reshape(16)
-        assert np.allclose(got, ref, atol=1e-14)
-        del full
-
-    def test_bad_pair_rejected(self):
-        with pytest.raises(ValueError):
-            embed_two_site(np.eye(4), 0, 0, 3)
+        for p in basis:
+            for q in basis:
+                coeff = np.trace(np.kron(p, q).conj().T @ a) / 4
+                ref += coeff * kron_chain([I2, q, I2, p])
+        assert np.allclose(_apply_local(a, (3, 1), np.eye(16, dtype=complex)), ref,
+                           atol=1e-14)
+        state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        assert np.allclose(_apply_local(a, (3, 1), state), ref @ state, atol=1e-14)
 
 
 class TestEvolutions:
@@ -138,6 +131,17 @@ class TestReferenceEvolution:
         profile = TimeProfile("piecewise", (0.0, 0.0))
         model = build_lattice("chain", 3, profile=profile)
         assert np.allclose(reference_evolution(model, 2.0, 2), np.eye(8), atol=1e-12)
+
+    def test_nonuniform_table_matches_step_product(self):
+        factors = (0.5, 2.0, -1.0, 0.0, 1.3)
+        model = build_lattice("chain", 4, field=[0.3, 0.0, -0.7],
+                              profile=TimeProfile("piecewise", factors))
+        t, m_ref = 1.1, len(factors)
+        h = ref_model_hamiltonian(model)
+        u = np.eye(16, dtype=complex)
+        for f in factors:
+            u = ref_expm(h, -1j * (t / m_ref) * f) @ u
+        assert op_norm(reference_evolution(model, t, m_ref) - u) < 1e-12
 
 
 class TestSpectralNorm:
@@ -192,22 +196,27 @@ class TestTrotterError:
         assert 1.7 <= e32 / e64 <= 2.3
 
     def test_formula_unitary_matches_manual_product(self, heis_chain4):
-        col = color_model(heis_chain4)
-        f = formula_for_order(2, col.num_classes)
-        got = formula_unitary(heis_chain4, col, f, 2, 0.9)
         from conftest import ref_edge_hamiltonian
-
-        hs = [np.zeros((16, 16), dtype=complex) for _ in col.classes]
-        for k, cls in enumerate(col.classes):
-            for ei in cls:
-                e = heis_chain4.edges[ei]
-                hs[k] += ref_edge_hamiltonian(e.i, e.j, 4, e.coupling.matrix, e.h_i, e.h_j)
-        u = np.eye(16, dtype=complex)
         from trottersmith import expand
 
-        for s in expand(f, 2, 0.9):
-            u = ref_expm(hs[s.k - 1], -1j * s.tau) @ u
-        assert op_norm(got - u) < 1e-12
+        xyz_field_piecewise = build_lattice(
+            "chain", 5, coupling=CouplingTensor.diagonal(0.7, -1.2, 0.9),
+            field=[0.4, -0.3, 0.8], profile=TimeProfile("piecewise", (1.0, -0.6)))
+        for model in (heis_chain4, xyz_field_piecewise):
+            col = color_model(model)
+            f = formula_for_order(2, col.num_classes)
+            got = formula_unitary(model, col, f, 2, 0.9)
+            dim = 2**model.n
+            hs = [np.zeros((dim, dim), dtype=complex) for _ in col.classes]
+            for k, cls in enumerate(col.classes):
+                for ei in cls:
+                    e = model.edges[ei]
+                    hs[k] += ref_edge_hamiltonian(e.i, e.j, model.n, e.coupling.matrix,
+                                                  e.h_i, e.h_j)
+            u = np.eye(dim, dtype=complex)
+            for s in expand(f, 2, 0.9, model.profile):
+                u = ref_expm(hs[s.k - 1], -1j * s.tau) @ u
+            assert op_norm(got - u) < 1e-12
 
 
 class TestStatevector:

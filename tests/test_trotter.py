@@ -20,7 +20,7 @@ from trottersmith import (
     steps_for_accuracy,
     suzuki,
 )
-from trottersmith.trotter import commutator_pair_bound, suzuki_p
+from trottersmith.trotter import suzuki_p
 
 
 def stage_tuples(formula):
@@ -143,9 +143,6 @@ class TestErrorBound:
         b1 = first_order_error_bound(4, 16, 1.0, 2.0, 100)
         b2 = first_order_error_bound(4, 16, 1.0, 2.0, 200)
         assert b2 == pytest.approx(b1 / 2, rel=1e-15)
-
-    def test_pair_bound(self):
-        assert commutator_pair_bound(4, 1.0) == pytest.approx(3.0)
 
 
 class TestStepsForAccuracy:
