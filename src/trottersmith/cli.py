@@ -127,16 +127,14 @@ def color(model_path, out) -> None:
 @click.option("--order", type=int, default=1, show_default=True)
 @click.option("--epsilon", type=float, required=True)
 @click.option("--time", "t", type=float, required=True)
-@click.option("--c3", type=float, default=1.0, show_default=True,
-              help="Higher-order step-rule constant.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
-def plan(model_path, order, epsilon, t, c3, out) -> None:
+def plan(model_path, order, epsilon, t, out) -> None:
     """Choose the Trotter step count for an accuracy target."""
     model = _load_model(model_path)
     coloring = coloring_mod.color_model(model)
     step_plan = trotter.steps_for_accuracy(
-        order, coloring.num_classes, model.n, model.j_max, t, epsilon, c3=c3
+        order, coloring.num_classes, model.n, model.j_max, t, epsilon
     )
     doc = {
         "order": step_plan.order,
@@ -223,30 +221,22 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
     if n_sites is None or k_classes is None:
         raise ValueError("provide --model, or both --n and --classes")
     timing = resources.GateTimingModel(t_inf=t_inf, s=slope)
-
-    def one(order_i: int) -> resources.ResourceReport:
-        if order_i == 1:
-            return resources.estimate_first_order(
-                n_sites, k_classes, j_val, t, epsilon, timing=timing,
-                heisenberg=heisenberg, edges_per_sweep=edges_per_sweep,
-            )
-        return resources.estimate_higher_order(
-            order_i // 2, n_sites, k_classes, j_val, t, epsilon, timing=timing,
-            heisenberg=heisenberg, edges_per_sweep=edges_per_sweep,
+    orders = [int(p) for p in compare_orders.split(",") if p] if compare_orders else [order]
+    reports = [
+        resources.report_for_plan(
+            trotter.steps_for_accuracy(o, k_classes, n_sites, j_val, t, epsilon),
+            n_sites, timing=timing, heisenberg=heisenberg, edges_per_sweep=edges_per_sweep,
         )
-
+        for o in orders
+    ]
     if compare_orders:
-        orders = [int(p) for p in compare_orders.split(",") if p]
-        lines = ["order,m,N,T"]
-        for order_i in orders:
-            rep = one(order_i)
-            lines.append(
-                f"{order_i},{rep.m},{rep.interaction_gates},"
-                f"{format_float(rep.simulation_time)}"
-            )
+        lines = ["order,m,N,T"] + [
+            f"{rep.order},{rep.m},{rep.interaction_gates},{format_float(rep.simulation_time)}"
+            for rep in reports
+        ]
         _write_artifact("\n".join(lines) + "\n", out)
         return
-    rep = one(order)
+    rep = reports[0]
     doc = {
         "order": rep.order,
         "m": rep.m,

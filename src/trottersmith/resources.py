@@ -1,7 +1,9 @@
-"""Closed-form gate-count and simulation-time estimators.
+"""Gate-count and simulation-time estimates, and audits against circuits.
 
-First order on a regular K-colorable lattice needs N = m * n * K / 2
-interaction gates; with the error bound inverted for m this closes to
+Every estimate is ``report_for_plan(steps_for_accuracy(...), n, ...)``: the
+step rule picks m, and the report counts stages and gates per step.  First
+order on a regular K-colorable lattice needs N = m * n * K / 2 interaction
+gates; with the error bound inverted for m this closes to
 (3/32) K^2 (K-1) t^2 n^2 J^2 / epsilon.  Each color class runs in one
 parallel layer, so the simulation time is the stage count times the gate
 time.  Higher even orders report the unmerged stage count 2K * 5^(q-1)
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .circuits import Circuit, counts
-from .trotter import StepPlan, steps_for_accuracy
+from .trotter import HIGHER_ORDER_C3, StepPlan
 
 
 @dataclass(frozen=True)
@@ -66,55 +68,6 @@ def first_order_gate_closed_form(
     return (3.0 / 32.0) * k * k * (k - 1) * t * t * n * n * j * j / epsilon
 
 
-def estimate_first_order(
-    n: int,
-    num_classes: int,
-    j: float,
-    t: float,
-    epsilon: float,
-    timing: GateTimingModel = DEFAULT_TIMING,
-    heisenberg: bool = False,
-    edges_per_sweep: int | None = None,
-) -> ResourceReport:
-    """First-order cost in the fixed-gate regime (t_g = t_inf).
-
-    The gate count uses n*K/2 edges per sweep, exact for regular lattices
-    with every class full; pass ``edges_per_sweep`` (the model's actual
-    edge count) to correct for open boundaries.  The report's assumptions
-    carry the regular-lattice closed form for cross-checking.
-    CNOTs assume the 6-CNOT template, or 3 per gate when ``heisenberg``.
-    """
-    plan = steps_for_accuracy(1, num_classes, n, j, t, epsilon)
-    return report_for_plan(plan, n, timing=timing, heisenberg=heisenberg,
-                           edges_per_sweep=edges_per_sweep)
-
-
-def estimate_higher_order(
-    q: int,
-    n: int,
-    num_classes: int,
-    j: float,
-    t: float,
-    epsilon: float,
-    timing: GateTimingModel = DEFAULT_TIMING,
-    heisenberg: bool = False,
-    edges_per_sweep: int | None = None,
-    c3: float = 1.0,
-    c4: float = 1.0,
-) -> ResourceReport:
-    """Order-2q cost; counts the unmerged 2K*5^(q-1) stages per step.
-
-    c3 scales the step-count rule, c4 the gate count and time on top of
-    the explicit stage count; both default to 1 and are echoed in the
-    report's assumptions since their true values are configuration.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    plan = steps_for_accuracy(2 * q, num_classes, n, j, t, epsilon, c3=c3)
-    return report_for_plan(plan, n, timing=timing, heisenberg=heisenberg,
-                           edges_per_sweep=edges_per_sweep, c4=c4, c3=c3)
-
-
 def class_repetitions(order: int) -> int:
     """Times each class is exponentiated per step, before stage merging.
 
@@ -134,17 +87,21 @@ def report_for_plan(
     timing: GateTimingModel = DEFAULT_TIMING,
     heisenberg: bool = False,
     edges_per_sweep: int | None = None,
-    c4: float = 1.0,
-    **constants: float,
 ) -> ResourceReport:
-    """Predicted cost of running a given step plan on an n-site model."""
+    """Predicted cost of running a given step plan on an n-site model.
+
+    The gate count uses n*K/2 edges per sweep, exact for regular lattices
+    with every class full; pass ``edges_per_sweep`` (the model's actual
+    edge count) to correct for open boundaries.  CNOTs assume the 6-CNOT
+    template, or 3 per gate when ``heisenberg``.
+    """
     k = plan.num_classes
     reps = class_repetitions(plan.order)
     # one full sweep of every class covers nK/2 edges on a regular lattice
     per_sweep = edges_per_sweep if edges_per_sweep is not None else n * k / 2.0
-    gates = int(round(c4 * plan.m * reps * per_sweep))
+    gates = int(round(plan.m * reps * per_sweep))
     depth = plan.m * reps * k
-    sim_time = c4 * depth * timing.t_inf
+    sim_time = float(depth * timing.t_inf)
     assumptions = {
         "bound_used": plan.bound_used,
         "t": plan.t,
@@ -155,11 +112,13 @@ def report_for_plan(
         "timing": {"t_inf": timing.t_inf, "s": timing.s},
         "fixed_gate_regime": True,
         "template": "heisenberg-3cnot" if heisenberg else "general-6cnot",
-        "c4": c4,
+        # the stage count is explicit, so the gate count needs no prefactor
+        "c4": 1.0,
     }
     if edges_per_sweep is None and (n * k) % 2 == 0:
         assumptions["regular_lattice_gates"] = plan.m * reps * (n * k // 2)
-    assumptions.update(constants)
+    if plan.bound_used == "higher_order_scaling":
+        assumptions["c3"] = HIGHER_ORDER_C3
     return ResourceReport(
         order=plan.order,
         m=plan.m,

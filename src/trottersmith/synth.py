@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _H, Circuit, Gate, GateKind, _rotation
+from .circuits import _CX, _H, Circuit, Gate, GateKind, _rotation
 from .coloring import EdgeColoring
 from .model import ID2, PAULIS, EdgeTerm, SpinModel, term_hamiltonian
 from .trotter import ProductFormula, expand
@@ -49,9 +49,6 @@ _MAGIC = np.array(
     dtype=complex,
 ) / math.sqrt(2.0)
 
-_CX12 = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 _CX21 = np.array(
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
 )
@@ -255,11 +252,6 @@ def _canonicalize(g, left, right, k):
 def _kak_canonical(u: np.ndarray):
     g, left, k, right = _kak_standard(u)
     g, l1, l2, k, r1, r2 = _canonicalize(g, left, right, k)
-    core = _expm_herm(k[0] * _XX + k[1] * _YY + k[2] * _ZZ, 1j)
-    rec = np.exp(1j * g) * np.kron(l1, l2) @ core @ np.kron(r1, r2)
-    err = float(np.max(np.abs(rec - u)))
-    if err > KAK_RECONSTRUCTION_TOL:
-        raise RuntimeError(f"decomposition failed to reconstruct its input ({err:.2e})")
     if not (math.pi / 4.0 + 1e-9 >= k[0] >= k[1] >= abs(k[2]) - 1e-12):
         raise RuntimeError(f"interaction coefficients left the canonical cell: {k}")
     return g, l1, l2, k, r1, r2
@@ -362,19 +354,19 @@ def _one_cnot_dressing(u: np.ndarray):
     cu = kak_decompose(u)
     if not np.allclose(cu.angles, (math.pi, 0.0, 0.0), atol=1e-9):
         raise RuntimeError(f"operator is not CNOT-equivalent: {cu.angles}")
-    cc = kak_decompose(_CX12)
+    cc = kak_decompose(_CX)
     a1 = cu.v1 @ cc.v1.conj().T
     a2 = cu.v2 @ cc.v2.conj().T
     b1 = cc.u1.conj().T @ cu.u1
     b2 = cc.u2.conj().T @ cu.u2
-    rec = np.kron(a1, a2) @ _CX12 @ np.kron(b1, b2)
+    rec = np.kron(a1, a2) @ _CX @ np.kron(b1, b2)
     if np.max(np.abs(rec - u)) > 1e-9:
         raise RuntimeError("one-CNOT dressing failed to reconstruct")
     return a1, a2, b1, b2
 
 
 # bridge for the exchange template; its dressing is derived once at import
-_BRIDGE = _CX12 @ np.kron(ID2, _H) @ _CX21
+_BRIDGE = _CX @ np.kron(ID2, _H) @ _CX21
 _BR_A1, _BR_A2, _BR_B1, _BR_B2 = _one_cnot_dressing(_BRIDGE)
 
 
@@ -432,7 +424,7 @@ def synth_heisenberg(alpha: float) -> Circuit:
 
 # --- Trotter circuit assembly ----------------------------------------------
 
-MODES = ("decomposed", "scaled", "heisenberg")
+MODES = ("decomposed", "scaled")
 
 
 def _is_plain_exchange(term: EdgeTerm) -> bool:
@@ -465,8 +457,7 @@ def build_trotter_circuit(
     one-qubit gates, picking the 3-CNOT exchange template when a coupling
     is isotropic with no field share and the 6-CNOT template otherwise;
     fragments of the edges in a class run in parallel, aligned from the
-    stage's first layer.  ``heisenberg`` is ``decomposed`` plus a check
-    that every edge actually qualifies for the exchange template.
+    stage's first layer.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -474,12 +465,6 @@ def build_trotter_circuit(
         raise ValueError(
             f"formula has K={formula.num_classes} but coloring has {coloring.num_classes}"
         )
-    if mode == "heisenberg":
-        bad = [e.sites for e in model.edges if not _is_plain_exchange(e)]
-        if bad:
-            raise ValueError(
-                f"heisenberg mode needs isotropic field-free couplings; edge {bad[0]} is not"
-            )
     hterms = [term_hamiltonian(term) for term in model.edges]
     layers: list[tuple[Gate, ...]] = []
     for stage in expand(formula, m, t, model.profile):

@@ -20,6 +20,11 @@ from .model import CONSTANT_PROFILE, TimeProfile
 
 COEFF_SUM_TOL = 1e-12
 
+# Prefactor of the order-2q step rule in ``steps_for_accuracy``.  The paper
+# gives only the scaling of m and leaves this constant unspecified, so the
+# value is a heuristic convention, not a derived bound.
+HIGHER_ORDER_C3 = 1.0
+
 
 @dataclass(frozen=True)
 class Stage:
@@ -194,15 +199,19 @@ def steps_for_accuracy(
     j: float,
     t: float,
     epsilon: float,
-    c3: float = 1.0,
 ) -> StepPlan:
     """Smallest step count whose error bound meets the accuracy target.
 
     First order inverts ``first_order_error_bound``:
         m >= (3/16) K (K-1) t^2 n J^2 / epsilon.
-    Order 2q uses the scaling form with configurable constant c3:
-        m >= c3 (K t)^{1 + 1/2q} n^{1/2q} / epsilon^{1/2q}.
+    Order 2q uses the scaling form
+        m >= c3 (K t)^{1 + 1/2q} n^{1/2q} / epsilon^{1/2q}
+    with c3 = ``HIGHER_ORDER_C3``, a heuristic constant: the rule is not a
+    proven error bound.  Raises ValueError for K < 1 or n < 2.
     """
+    _check_k(num_classes)
+    if n < 2:
+        raise ValueError(f"need at least two sites, got n={n}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if t < 0:
@@ -212,7 +221,7 @@ def steps_for_accuracy(
         bound = "first_order_explicit"
     elif order >= 2 and order % 2 == 0:
         inv = 1.0 / order  # 1/(2q)
-        raw = c3 * (num_classes * t) ** (1.0 + inv) * n ** inv / epsilon ** inv
+        raw = HIGHER_ORDER_C3 * (num_classes * t) ** (1.0 + inv) * n ** inv / epsilon ** inv
         bound = "higher_order_scaling"
     else:
         raise ValueError(f"order must be 1 or an even integer >= 2, got {order}")

@@ -22,12 +22,12 @@ from trottersmith import (
     circuit_unitary,
     color_model,
     counts,
-    estimate_first_order,
     estimate_scaled,
     first_order,
     first_order_error_bound,
     formula_for_order,
     report_for_plan,
+    steps_for_accuracy,
     synth_general,
     synth_heisenberg,
 )
@@ -200,7 +200,7 @@ def test_criterion_6_resource_audit_square_lattice():
     assert audit(report_for_plan(plan, 16), scaled) == []
 
     decomposed = build_trotter_circuit(
-        model, coloring, formula, 10, 1.0, mode="heisenberg"
+        model, coloring, formula, 10, 1.0, mode="decomposed"
     )
     cx = counts(decomposed)["cx"]
     assert cx == 3 * 320 == 960
@@ -209,7 +209,7 @@ def test_criterion_6_resource_audit_square_lattice():
 
 
 def test_criterion_7_worked_estimate():
-    rep = estimate_first_order(n=4, num_classes=2, j=1.0, t=1.0, epsilon=0.01)
+    rep = report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, 1.0, 0.01), 4)
     assert rep.m == 150
     assert rep.interaction_gates == 600
     closed = first_order_gate_closed_form(2, 4, 1.0, 1.0, 0.01)
@@ -218,7 +218,7 @@ def test_criterion_7_worked_estimate():
     # the scaled-gate bound depends only on (K, s, t)
     bounds = set()
     for n, eps in [(4, 0.01), (8, 0.01), (4, 1e-4), (12, 1e-6)]:
-        estimate_first_order(n=n, num_classes=2, j=1.0, t=2.0, epsilon=eps)
+        report_for_plan(steps_for_accuracy(1, 2, n, 1.0, 2.0, eps), n)
         bounds.add(estimate_scaled(2, 0.5, 2.0))
     assert bounds == {2.0}
     print(f"m={rep.m} N={rep.interaction_gates} closed_form={closed} scaled_bound=2.0")

@@ -1,0 +1,30 @@
+"""The benchmark tracer still finds every pipeline function it hooks.
+
+``bench/tracing.py`` patches functions by module attribute name, so deleting
+or renaming one of them breaks ``bench/run.py --trace 1``; this suite fails
+first.
+"""
+from __future__ import annotations
+
+import importlib
+from pathlib import Path
+
+from trottersmith import circuits, resources
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_tracer_swaps_and_restores_every_hook(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    hooks = [(owner, attr) for owner, attr, *_ in tracing._PATCHES]
+    hooks.append((circuits.Gate, "__post_init__"))
+    before = [getattr(owner, attr) for owner, attr in hooks]
+    report_for_plan = resources.report_for_plan
+    with tracing.Tracer().installed(0):
+        assert resources.report_for_plan is not report_for_plan
+        for (owner, attr), fn in zip(hooks, before):
+            assert getattr(owner, attr) is not fn, attr
+    assert resources.report_for_plan is report_for_plan
+    for (owner, attr), fn in zip(hooks, before):
+        assert getattr(owner, attr) is fn, attr

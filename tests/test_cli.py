@@ -137,15 +137,27 @@ class TestPlan:
                   "--time", "1.0")
         assert res.exit_code == 2
 
+    def test_c3_is_not_an_option(self, chain4_file):
+        res = run("plan", "--model", str(chain4_file), "--order", "4",
+                  "--epsilon", "0.01", "--time", "1.0", "--c3", "2")
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+
 
 class TestSynth:
     def test_heisenberg_qasm_cx_count(self, chain4_file):
         res = run("synth", "--model", str(chain4_file), "--steps", "1",
-                  "--time", "1.0", "--mode", "heisenberg", "--emit", "qasm")
+                  "--time", "1.0", "--mode", "decomposed", "--emit", "qasm")
         assert res.exit_code == 0
         assert res.stdout.startswith("OPENQASM 3.0;")
         cx_lines = [ln for ln in res.stdout.splitlines() if ln.startswith("cx ")]
         assert len(cx_lines) == 9
+
+    def test_heisenberg_is_not_a_mode(self, chain4_file):
+        res = run("synth", "--model", str(chain4_file), "--steps", "1",
+                  "--time", "1.0", "--mode", "heisenberg")
+        assert res.exit_code == 2
+        assert "Invalid value for '--mode'" in res.output
 
     def test_json_circuit_round_trips(self, chain4_file, tmp_path):
         out = tmp_path / "circ.json"
@@ -234,6 +246,16 @@ class TestEstimate:
         res = run("estimate", "--epsilon", "0.01", "--time", "1.0")
         assert res.exit_code == 2
         assert "provide --model" in res.stderr
+
+    @pytest.mark.parametrize("flag,value", [("--classes", "0"), ("--n", "0"), ("--n", "1"),
+                                            ("--order", "3")])
+    def test_meaningless_input_exits_two(self, flag, value):
+        # each of these used to print a report (K=0: depth 0, time 0.0)
+        opts = {"--n": "4", "--classes": "2", "--order": "1", flag: value}
+        res = run("estimate", *[x for kv in opts.items() for x in kv],
+                  "--epsilon", "0.01", "--time", "1")
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.stderr
 
 
 class TestVerify:

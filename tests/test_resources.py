@@ -10,8 +10,6 @@ from trottersmith import (
     build_lattice,
     build_trotter_circuit,
     color_model,
-    estimate_first_order,
-    estimate_higher_order,
     estimate_scaled,
     first_order,
     formula_for_order,
@@ -49,7 +47,7 @@ class TestClassRepetitions:
 
 class TestFirstOrderEstimate:
     def test_worked_chain_example(self):
-        rep = estimate_first_order(n=4, num_classes=2, j=1.0, t=1.0, epsilon=0.01)
+        rep = report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, 1.0, 0.01), 4)
         assert rep.m == 150
         assert rep.interaction_gates == 600
         assert rep.depth == 300
@@ -57,9 +55,11 @@ class TestFirstOrderEstimate:
         assert rep.cnots == 6 * 600
         assert rep.assumptions["bound_used"] == "first_order_explicit"
         assert rep.assumptions["template"] == "general-6cnot"
+        assert "c3" not in rep.assumptions
 
     def test_heisenberg_template_halves_cnots(self):
-        rep = estimate_first_order(4, 2, 1.0, 1.0, 0.01, heisenberg=True)
+        rep = report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, 1.0, 0.01), 4,
+                              heisenberg=True)
         assert rep.cnots == 3 * 600 == 1800
         assert rep.assumptions["template"] == "heisenberg-3cnot"
 
@@ -67,29 +67,30 @@ class TestFirstOrderEstimate:
         assert first_order_gate_closed_form(2, 4, 1.0, 1.0, 0.01) == pytest.approx(600.0)
         # the ceiled estimate can only exceed the closed form
         for eps in (0.01, 0.007, 0.0031):
-            rep = estimate_first_order(4, 2, 1.0, 1.0, eps)
+            rep = report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, 1.0, eps), 4)
             assert rep.interaction_gates >= first_order_gate_closed_form(
                 2, 4, 1.0, 1.0, eps
             ) - 1e-9
 
     def test_halving_epsilon_doubles_gates(self):
-        a = estimate_first_order(4, 2, 1.0, 1.0, 0.01)
-        b = estimate_first_order(4, 2, 1.0, 1.0, 0.005)
+        a = report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, 1.0, 0.01), 4)
+        b = report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, 1.0, 0.005), 4)
         assert b.m == 2 * a.m
         assert b.interaction_gates == 2 * a.interaction_gates
 
     def test_edges_per_sweep_corrects_open_boundaries(self):
         # chain on 4 sites has 3 bonds, not n*K/2 = 4
-        rep = estimate_first_order(4, 2, 1.0, 1.0, 0.01, edges_per_sweep=3)
+        rep = report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, 1.0, 0.01), 4,
+                              edges_per_sweep=3)
         assert rep.interaction_gates == 150 * 3
         assert "regular_lattice_gates" not in rep.assumptions
-        full = estimate_first_order(4, 2, 1.0, 1.0, 0.01)
+        full = report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, 1.0, 0.01), 4)
         assert full.assumptions["regular_lattice_gates"] == 600
 
 
 class TestHigherOrderEstimate:
     def test_worked_fourth_order_example(self):
-        rep = estimate_higher_order(2, 4, 2, 1.0, 1.0, 0.01)
+        rep = report_for_plan(steps_for_accuracy(4, 2, 4, 1.0, 1.0, 0.01), 4)
         assert rep.order == 4
         assert rep.m == 11
         assert rep.interaction_gates == 11 * 10 * 4 == 440
@@ -97,43 +98,45 @@ class TestHigherOrderEstimate:
         assert rep.simulation_time == pytest.approx(220.0)
         assert rep.assumptions["bound_used"] == "higher_order_scaling"
         assert rep.assumptions["stages_per_step"] == 20
+        assert rep.assumptions["c3"] == rep.assumptions["c4"] == 1.0
 
     def test_q_validation(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            estimate_higher_order(0, 4, 2, 1.0, 1.0, 0.01)
-
-    def test_constants_echoed(self):
-        rep = estimate_higher_order(2, 4, 2, 1.0, 1.0, 0.01, c3=2.0, c4=3.0)
-        assert rep.assumptions["c3"] == 2.0
-        assert rep.assumptions["c4"] == 3.0
+        for order in (0, 3, -2):
+            with pytest.raises(ValueError, match="order must be 1 or an even integer"):
+                steps_for_accuracy(order, 2, 4, 1.0, 1.0, 0.01)
 
 
 class TestMonotonicity:
     def test_in_time(self):
-        reps = [estimate_first_order(4, 2, 1.0, t, 0.01) for t in (0.5, 1.0, 2.0, 4.0)]
+        reps = [report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, t, 0.01), 4)
+                for t in (0.5, 1.0, 2.0, 4.0)]
         for a, b in zip(reps, reps[1:]):
             assert b.interaction_gates >= a.interaction_gates
             assert b.simulation_time >= a.simulation_time
 
     def test_in_accuracy(self):
-        reps = [estimate_first_order(4, 2, 1.0, 1.0, e) for e in (0.1, 0.03, 0.01, 0.001)]
+        reps = [report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, 1.0, e), 4)
+                for e in (0.1, 0.03, 0.01, 0.001)]
         for a, b in zip(reps, reps[1:]):
             assert b.interaction_gates >= a.interaction_gates
             assert b.simulation_time >= a.simulation_time
 
     def test_in_system_size(self):
-        reps = [estimate_first_order(n, 2, 1.0, 1.0, 0.01) for n in (4, 6, 8, 12)]
+        reps = [report_for_plan(steps_for_accuracy(1, 2, n, 1.0, 1.0, 0.01), n)
+                for n in (4, 6, 8, 12)]
         for a, b in zip(reps, reps[1:]):
             assert b.interaction_gates >= a.interaction_gates
 
     def test_in_class_count(self):
-        reps = [estimate_first_order(8, k, 1.0, 1.0, 0.01) for k in (2, 3, 4)]
+        reps = [report_for_plan(steps_for_accuracy(1, k, 8, 1.0, 1.0, 0.01), 8)
+                for k in (2, 3, 4)]
         for a, b in zip(reps, reps[1:]):
             assert b.interaction_gates >= a.interaction_gates
             assert b.simulation_time >= a.simulation_time
 
     def test_higher_order_in_time(self):
-        reps = [estimate_higher_order(2, 4, 2, 1.0, t, 0.01) for t in (1.0, 2.0, 4.0)]
+        reps = [report_for_plan(steps_for_accuracy(4, 2, 4, 1.0, t, 0.01), 4)
+                for t in (1.0, 2.0, 4.0)]
         for a, b in zip(reps, reps[1:]):
             assert b.interaction_gates >= a.interaction_gates
 
@@ -198,7 +201,7 @@ class TestAudit:
         col = color_model(heis_chain4)
         plan = steps_for_accuracy(1, 2, 4, 1.0, 1.0, 0.75)
         circ = build_trotter_circuit(
-            heis_chain4, col, first_order(2), plan.m, 1.0, mode="heisenberg"
+            heis_chain4, col, first_order(2), plan.m, 1.0, mode="decomposed"
         )
         report = report_for_plan(plan, 4, heisenberg=True, edges_per_sweep=3)
         assert audit(report, circ) == []

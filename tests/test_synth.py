@@ -207,22 +207,17 @@ class TestBuildTrotterCircuit:
     def test_heisenberg_mode_cnots(self, heis_chain4):
         col = color_model(heis_chain4)
         circ = build_trotter_circuit(
-            heis_chain4, col, first_order(2), 1, 1.0, mode="heisenberg"
+            heis_chain4, col, first_order(2), 1, 1.0, mode="decomposed"
         )
         tally = counts(circ)
         assert tally["cx"] == 3 * 3
         assert tally["interaction"] == 0
 
-    def test_heisenberg_mode_rejects_fields(self):
-        model = build_lattice("chain", 4, field=[0.0, 0.0, 0.5])
-        col = color_model(model)
-        with pytest.raises(ValueError, match="heisenberg mode needs"):
-            build_trotter_circuit(model, col, first_order(2), 1, 1.0, mode="heisenberg")
-
     def test_mode_and_class_count_validation(self, heis_chain4):
         col = color_model(heis_chain4)
-        with pytest.raises(ValueError, match="mode must be one of"):
-            build_trotter_circuit(heis_chain4, col, first_order(2), 1, 1.0, mode="fast")
+        for mode in ("fast", "heisenberg"):
+            with pytest.raises(ValueError, match="mode must be one of"):
+                build_trotter_circuit(heis_chain4, col, first_order(2), 1, 1.0, mode=mode)
         with pytest.raises(ValueError, match="formula has K=3"):
             build_trotter_circuit(heis_chain4, col, first_order(3), 1, 1.0)
 
