@@ -90,7 +90,7 @@ class Gate:
             if m.shape != (dim, dim):
                 raise ValueError(f"{self.kind.value} matrix must be {dim}x{dim}, got {m.shape}")
             dev = float(np.max(np.abs(m.conj().T @ m - np.eye(dim))))
-            if dev > UNITARITY_TOL:
+            if not dev <= UNITARITY_TOL:  # NaN fails this too
                 raise ValueError(f"{self.kind.value} matrix deviates from unitary by {dev:.2e}")
             m = m.copy()
             m.flags.writeable = False

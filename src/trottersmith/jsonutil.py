@@ -23,6 +23,18 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _scalar(obj) -> str:
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
 def _write(obj, out: list[str], indent: int) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -41,12 +53,7 @@ def _write(obj, out: list[str], indent: int) -> None:
             out.append("[]")
             return
         if all(not isinstance(v, (dict, list, tuple)) for v in items):
-            out.append("[")
-            for idx, val in enumerate(items):
-                _write(val, out, indent)
-                if idx < len(items) - 1:
-                    out.append(", ")
-            out.append("]")
+            out.append("[" + ", ".join(map(_scalar, items)) + "]")
             return
         out.append("[\n")
         for idx, val in enumerate(items):
@@ -54,16 +61,8 @@ def _write(obj, out: list[str], indent: int) -> None:
             _write(val, out, indent + 1)
             out.append(",\n" if idx < len(items) - 1 else "\n")
         out.append(pad + "]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+        out.append(_scalar(obj))
 
 
 def dump_json(obj) -> str:

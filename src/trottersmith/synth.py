@@ -267,7 +267,7 @@ def kak_decompose(u: np.ndarray) -> CartanCoefficients:
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
-    if dev > KAK_UNITARITY_TOL:
+    if not dev <= KAK_UNITARITY_TOL:  # NaN fails this too
         raise ValueError(f"matrix deviates from unitary by {dev:.3e}")
     # decompose the adjoint: its canonical form has the conjugated locals
     # on the convenient sides and flips the core's sign convention to the
@@ -457,7 +457,8 @@ def build_trotter_circuit(
     one-qubit gates, picking the 3-CNOT exchange template when a coupling
     is isotropic with no field share and the 6-CNOT template otherwise;
     fragments of the edges in a class run in parallel, aligned from the
-    stage's first layer.
+    stage's first layer.  Each distinct (edge, stage duration) pair is
+    synthesized once per build, and later stages reuse its gates.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -466,6 +467,9 @@ def build_trotter_circuit(
             f"formula has K={formula.num_classes} but coloring has {coloring.num_classes}"
         )
     hterms = [term_hamiltonian(term) for term in model.edges]
+    # _synth_edge is deterministic in (term, tau) and Gates are immutable,
+    # so every stage that repeats an (edge, tau) shares one fragment
+    fragments: dict[tuple[int, float], Fragment] = {}
     layers: list[tuple[Gate, ...]] = []
     for stage in expand(formula, m, t, model.profile):
         cls = coloring.classes[stage.k - 1]
@@ -484,9 +488,12 @@ def build_trotter_circuit(
                 )
             layers.append(tuple(gates))
         else:
-            frags = [
-                _synth_edge(model.edges[ei], hterms[ei], stage.tau) for ei in cls
-            ]
+            frags = []
+            for ei in cls:
+                key = (ei, stage.tau)
+                if key not in fragments:
+                    fragments[key] = _synth_edge(model.edges[ei], hterms[ei], stage.tau)
+                frags.append(fragments[key])
             depth = max((len(f) for f in frags), default=0)
             for p in range(depth):
                 gates = [g for f in frags if p < len(f) for g in f[p]]

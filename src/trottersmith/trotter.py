@@ -245,6 +245,8 @@ def expand(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     dt = t / m
     out: list[ScheduledStage] = []
     for p in range(m):

@@ -126,3 +126,25 @@ def heis_chain6():
     from trottersmith import build_lattice
 
     return build_lattice("chain", (6,))
+
+
+@pytest.fixture
+def xyz_square44():
+    """(model, coloring, formula, m, t): 4x4 periodic XYZ square with a field,
+    order 2, m=5, whose every edge takes the 6-CNOT (KAK) template."""
+    from trottersmith import CouplingTensor, build_lattice, color_model, formula_for_order
+
+    model = build_lattice("square", (4, 4), "periodic",
+                          coupling=CouplingTensor.diagonal(1.0, 0.7, 0.4),
+                          field=(0.3, 0.0, 0.5))
+    col = color_model(model)
+    return model, col, formula_for_order(2, col.num_classes), 5, 1.0
+
+
+def edge_tau_slots(model, coloring, formula, m, t) -> tuple[set, int]:
+    """Distinct (edge index, tau) pairs of a schedule, and its edge-stage slot count."""
+    from trottersmith.trotter import expand
+
+    slots = [(ei, s.tau) for s in expand(formula, m, t, model.profile)
+             for ei in coloring.classes[s.k - 1]]
+    return set(slots), len(slots)

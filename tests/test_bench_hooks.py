@@ -9,7 +9,9 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
-from trottersmith import circuits, resources
+from trottersmith import circuits, resources, synth
+
+from conftest import edge_tau_slots
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -28,3 +30,13 @@ def test_tracer_swaps_and_restores_every_hook(monkeypatch):
     assert resources.report_for_plan is report_for_plan
     for (owner, attr), fn in zip(hooks, before):
         assert getattr(owner, attr) is fn, attr
+
+
+def test_traced_build_counts_each_decomposition(xyz_square44, monkeypatch):
+    # a memo that bound kak_decompose locally would bypass the hook and read 0
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracing").Tracer()
+    with tracer.installed(0):
+        synth.build_trotter_circuit(*xyz_square44)
+    pairs, _ = edge_tau_slots(*xyz_square44)
+    assert tracer.pass_metrics(0)["synth.kak_calls"] == len(pairs)

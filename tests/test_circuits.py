@@ -70,6 +70,11 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="takes no matrix"):
             Gate(GateKind.CX, (0, 1), matrix=CX)
 
+    def test_nan_matrix_rejected(self):
+        for kind, dim, qubits in ((GateKind.U1Q, 2, (0,)), (GateKind.UIJ, 4, (0, 1))):
+            with pytest.raises(ValueError, match="deviates from unitary by nan"):
+                Gate(kind, qubits, matrix=np.full((dim, dim), np.nan))
+
     def test_matrix_frozen(self):
         g = Gate(GateKind.U1Q, (0,), matrix=np.eye(2, dtype=complex))
         with pytest.raises(ValueError):
@@ -185,6 +190,15 @@ class TestJsonRoundTrip:
         obj["depth"] += 1
         with pytest.raises(ValueError, match="stored depth"):
             circuit_from_json(json.dumps(obj))
+
+    def test_nan_matrix_entry_rejected(self, rng):
+        # json.loads accepts the NaN token, so the gate check must refuse it
+        obj = json.loads(circuit_to_json(self._sample(rng)))
+        obj["layers"][1][0]["matrix"][0][0][0] = float("nan")
+        text = json.dumps(obj)
+        assert "NaN" in text
+        with pytest.raises(ValueError, match="deviates from unitary"):
+            circuit_from_json(text)
 
     @pytest.mark.parametrize("text", [
         "[]",

@@ -192,6 +192,16 @@ class TestSynth:
             assert "error:" in res.stderr
             assert "internal error" not in res.stderr
 
+    @pytest.mark.parametrize("mode", ["decomposed", "scaled"])
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_nonfinite_time_exits_two(self, chain4_file, mode, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run("synth", "--model", str(chain4_file), "--steps", "2",
+                      "--time", t, "--mode", mode)
+        assert res.exit_code == 2, res.output
+        assert "t must be finite" in res.stderr
+
     def test_supplied_coloring_is_used(self, chain4_file, tmp_path):
         col = tmp_path / "col.json"
         col.write_text(json.dumps({"n": 4, "classes": [[0], [1], [2]]}))

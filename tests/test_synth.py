@@ -21,10 +21,11 @@ from trottersmith import (
     from_edges,
     kak_decompose,
     second_order,
+    synth,
     synth_general,
     synth_heisenberg,
 )
-from trottersmith.oracle import formula_unitary
+from trottersmith.oracle import formula_unitary, run_circuit
 from trottersmith.synth import cartan_unitary, synth_exchange, synth_two_qubit
 
 from conftest import (
@@ -33,6 +34,7 @@ from conftest import (
     SY,
     SZ,
     dist_up_to_phase,
+    edge_tau_slots,
     fragment_unitary,
     op_norm,
     random_unitary,
@@ -99,6 +101,10 @@ class TestKakDecompose:
             kak_decompose(1.5 * np.eye(4))
         with pytest.raises(ValueError, match="4x4"):
             kak_decompose(np.eye(2))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="deviates from unitary by nan"):
+            kak_decompose(np.full((4, 4), np.nan))
 
 
 class TestSynthTwoQubit:
@@ -253,6 +259,30 @@ class TestBuildTrotterCircuit:
         href = ref_edge_hamiltonian(0, 1, 2, np.eye(3))
         # stored matrix is the evaluated exponential of the edge term
         assert op_norm(np.asarray(g0.matrix) - ref_expm(href, -1j * g0.tau)) < 1e-12
+
+    def test_each_edge_tau_synthesized_once(self, xyz_square44, monkeypatch):
+        real = synth.kak_decompose
+        calls = []
+
+        def counting(u):
+            calls.append(u)
+            return real(u)
+
+        monkeypatch.setattr(synth, "kak_decompose", counting)
+        build_trotter_circuit(*xyz_square44)
+        pairs, slots = edge_tau_slots(*xyz_square44)
+        assert len(calls) == len(pairs) < slots
+
+    def test_repeated_profile_factor_matches_formula_unitary(self):
+        # steps 0 and 2 share every tau, so the last step reuses the first's gates
+        profile = TimeProfile("piecewise", (0.5, 2.0, 0.5))
+        model = build_lattice("chain", 5, coupling=CouplingTensor.diagonal(1.0, 0.6, -0.3),
+                              field=(0.4, 0.0, 0.7), profile=profile)
+        col = color_model(model)
+        f = formula_for_order(2, col.num_classes)
+        circ = build_trotter_circuit(model, col, f, 3, 0.8)
+        played = run_circuit(np.eye(2**model.n, dtype=complex), circ)
+        assert op_norm(played - formula_unitary(model, col, f, 3, 0.8)) < 1e-10
 
 
 def counts(circ):
