@@ -104,7 +104,10 @@ class Gate:
         if self.tau is not None:
             if self.kind is not GateKind.UIJ:
                 raise ValueError("tau metadata is only valid on uij gates")
-            object.__setattr__(self, "tau", float(self.tau))
+            tau = float(self.tau)
+            if not math.isfinite(tau):
+                raise ValueError("uij tau must be finite")
+            object.__setattr__(self, "tau", tau)
 
     def unitary(self) -> np.ndarray:
         """The gate's matrix on its own qubits, first-listed qubit leftmost."""
@@ -213,19 +216,42 @@ def _gate_from_obj(obj: dict) -> Gate:
 
 
 def circuit_to_json(circuit: Circuit) -> str:
+    # one dict per distinct Gate object, which dump_json renders once
+    objs: dict[int, dict] = {}
+
+    def gate_obj(g: Gate) -> dict:
+        found = objs.get(id(g))
+        if found is None:
+            found = objs[id(g)] = _gate_to_obj(g)
+        return found
+
     obj = {
         "n": circuit.n,
         "depth": circuit.depth,
-        "layers": [[_gate_to_obj(g) for g in layer] for layer in circuit.layers],
+        "layers": [[gate_obj(g) for g in layer] for layer in circuit.layers],
     }
     return dump_json(obj)
 
 
 def circuit_from_json(text: str) -> Circuit:
+    """Parse and validate a circuit document; the trust boundary for circuits.
+
+    Identical gate documents load as one shared ``Gate``, so each distinct
+    document is built and validated once.  The key is ``repr`` of the parsed
+    object, which is exact: it tells -0.0 from 0.0, 1 from 1.0 and True from 1,
+    so sharing never changes a re-emitted byte.
+    """
     with json_document(text, "circuit") as obj:
-        layers = tuple(
-            tuple(_gate_from_obj(g) for g in layer) for layer in obj["layers"]
-        )
+        gates: dict[str, Gate] = {}
+
+        def gate(g) -> Gate:
+            key = repr(g)
+            found = gates.get(key)
+            if found is None:
+                found = gates[key] = _gate_from_obj(g)
+            return found
+
+        layers = tuple(tuple(gate(g) for g in layer) for layer in obj["layers"])
         circ = Circuit(n=int(obj["n"]), layers=layers)
         if "depth" in obj and int(obj["depth"]) != circ.depth:
             raise ValueError(f"stored depth {obj['depth']} != layer count {circ.depth}")

@@ -3,9 +3,11 @@
 The standard library serializer renders floats with ``repr``, which is
 shortest-round-trip but not a fixed digit count.  Artifacts here promise 17
 significant digits (always lossless for IEEE doubles) and byte-stable output
-for identical inputs, so we walk the structure ourselves.  Reading goes
-through :func:`json_document`, which turns every malformed document into a
-ValueError.
+for identical inputs, so we walk the structure ourselves.  A dict object that
+appears more than once in a document is rendered once per indent and its text
+reused, so a circuit whose gate slots share one gate dict costs one rendering
+per distinct gate.  Reading goes through :func:`json_document`, which turns
+every malformed document into a ValueError.
 """
 from __future__ import annotations
 
@@ -35,18 +37,28 @@ def _scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def _write(obj, out: list[str], indent: int) -> None:
+def _write(obj, out: list[str], indent: int, seen: dict) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        # a dict met again at the same indent reuses its first rendering
+        key = (id(obj), indent)
+        done = seen.get(key)
+        if done is not None:
+            if not isinstance(done, str):
+                done = seen[key] = "".join(out[done[0]:done[1]])
+            out.append(done)
+            return
+        start = len(out)
         out.append("{\n")
-        for idx, (key, val) in enumerate(obj.items()):
-            out.append(f'{pad}  {json.dumps(str(key))}: ')
-            _write(val, out, indent + 1)
+        for idx, (k, val) in enumerate(obj.items()):
+            out.append(f'{pad}  {json.dumps(str(k))}: ')
+            _write(val, out, indent + 1, seen)
             out.append(",\n" if idx < len(obj) - 1 else "\n")
         out.append(pad + "}")
+        seen[key] = (start, len(out))
     elif isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:
@@ -58,7 +70,7 @@ def _write(obj, out: list[str], indent: int) -> None:
         out.append("[\n")
         for idx, val in enumerate(items):
             out.append(pad + "  ")
-            _write(val, out, indent + 1)
+            _write(val, out, indent + 1, seen)
             out.append(",\n" if idx < len(items) - 1 else "\n")
         out.append(pad + "]")
     else:
@@ -68,7 +80,9 @@ def _write(obj, out: list[str], indent: int) -> None:
 def dump_json(obj) -> str:
     """Render a JSON document deterministically; trailing newline included."""
     out: list[str] = []
-    _write(obj, out, 0)
+    # (id, indent) -> span of ``out``, then its joined text once met again;
+    # every keyed dict stays alive through ``obj``, so no id is reused
+    _write(obj, out, 0, {})
     out.append("\n")
     return "".join(out)
 

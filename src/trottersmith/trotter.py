@@ -207,13 +207,18 @@ def steps_for_accuracy(
     Order 2q uses the scaling form
         m >= c3 (K t)^{1 + 1/2q} n^{1/2q} / epsilon^{1/2q}
     with c3 = ``HIGHER_ORDER_C3``, a heuristic constant: the rule is not a
-    proven error bound.  Raises ValueError for K < 1 or n < 2.
+    proven error bound.  Raises ValueError for K < 1, n < 2, or a t or
+    epsilon that is not finite or out of range.
     """
     _check_k(num_classes)
     if n < 2:
         raise ValueError(f"need at least two sites, got n={n}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError("t must be nonnegative")
     if order == 1:

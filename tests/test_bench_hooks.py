@@ -7,6 +7,7 @@ first.
 from __future__ import annotations
 
 import importlib
+import json
 from pathlib import Path
 
 from trottersmith import circuits, resources, synth
@@ -40,3 +41,16 @@ def test_traced_build_counts_each_decomposition(xyz_square44, monkeypatch):
         synth.build_trotter_circuit(*xyz_square44)
     pairs, _ = edge_tau_slots(*xyz_square44)
     assert tracer.pass_metrics(0)["synth.kak_calls"] == len(pairs)
+
+
+def test_traced_load_validates_each_distinct_gate_once(xyz_square44, monkeypatch):
+    # a loader that bypassed Gate.__post_init__ would read 0, one without
+    # sharing would read the slot count
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracing").Tracer()
+    text = circuits.circuit_to_json(synth.build_trotter_circuit(*xyz_square44))
+    docs = {json.dumps(g) for layer in json.loads(text)["layers"] for g in layer}
+    with tracer.installed(0):
+        circuits.circuit_from_json(text)
+    inits = tracer.pass_metrics(0)["circuits.gate_inits"]
+    assert inits == len(docs) > 0

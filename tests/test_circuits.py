@@ -1,6 +1,7 @@
 """Gate/circuit IR: validation, tallies, JSON round trips, QASM export."""
 from __future__ import annotations
 
+import copy
 import json
 import math
 
@@ -19,6 +20,8 @@ from trottersmith import (
     from_edges,
 )
 from trottersmith.circuits import _zyz
+from trottersmith.jsonutil import dump_json
+from trottersmith.synth import build_trotter_circuit
 
 from conftest import random_unitary
 
@@ -86,6 +89,11 @@ class TestGateValidation:
             Gate(GateKind.CX, (0, 1), edge=(0, 1))
         with pytest.raises(ValueError, match="tau metadata"):
             Gate(GateKind.RZ, (0,), angle=0.1, tau=0.5)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_tau_must_be_finite(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            Gate(GateKind.UIJ, (0, 1), matrix=CX, edge=(0, 1), tau=tau)
 
     def test_string_kind_coerced(self):
         assert Gate("h", (0,)).kind is GateKind.H
@@ -200,6 +208,38 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="deviates from unitary"):
             circuit_from_json(text)
 
+    def test_nan_tau_rejected(self, rng):
+        obj = json.loads(circuit_to_json(self._sample(rng)))
+        obj["layers"][2][0]["tau"] = float("nan")
+        text = json.dumps(obj)
+        assert "NaN" in text
+        with pytest.raises(ValueError, match="tau must be finite"):
+            circuit_from_json(text)
+
+    def test_signed_zeros_stay_apart(self):
+        # the load key must tell -0.0 from 0.0, or re-emitting changes bytes
+        neg = np.eye(2, dtype=complex)
+        neg[0, 1] = complex(-0.0, 0.0)
+        circ = Circuit(n=1, layers=(
+            (Gate(GateKind.U1Q, (0,), matrix=np.eye(2, dtype=complex)),),
+            (Gate(GateKind.U1Q, (0,), matrix=neg),),
+            (Gate(GateKind.RZ, (0,), angle=0.0),),
+            (Gate(GateKind.RZ, (0,), angle=-0.0),),
+        ))
+        text = circuit_to_json(circ)
+        assert "-0.0" in text
+        back = circuit_from_json(text)
+        assert circuit_to_json(back) == text
+        assert len({id(g) for g in back.all_gates()}) == 4
+
+    def test_identical_documents_share_one_gate(self, xyz_square44):
+        text = circuit_to_json(build_trotter_circuit(*xyz_square44))
+        docs = [json.dumps(g) for layer in json.loads(text)["layers"] for g in layer]
+        back = circuit_from_json(text)
+        assert len(docs) > len(set(docs))
+        assert len({id(g) for g in back.all_gates()}) == len(set(docs))
+        assert circuit_to_json(back) == text
+
     @pytest.mark.parametrize("text", [
         "[]",
         '{"n": 4, "layers": 5}',
@@ -210,6 +250,17 @@ class TestJsonRoundTrip:
     def test_malformed_documents_rejected(self, text):
         with pytest.raises(ValueError):
             circuit_from_json(text)
+
+
+def test_shared_dict_renders_like_unshared_copies():
+    # one dict object at two indents, and twice at one indent
+    shared = {"m": [[-0.0, 1.0], [0.5, 2]], "tag": "x", "inner": {"k": True}}
+    doc = {"a": shared, "b": [shared, [shared]], "c": {"d": shared}}
+    unshared = json.loads(json.dumps(doc))
+    assert unshared["a"] is not unshared["b"][0]
+    text = dump_json(doc)
+    assert text == dump_json(unshared) == dump_json(copy.deepcopy(doc))
+    assert json.loads(text) == unshared
 
 
 class TestZyz:

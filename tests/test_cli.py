@@ -137,6 +137,20 @@ class TestPlan:
                   "--time", "1.0")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("cmd,time,epsilon", [
+        ("plan", "nan", "0.01"),
+        ("plan", "inf", "0.01"),
+        ("plan", "1.0", "nan"),
+        ("synth", "nan", "0.01"),
+    ])
+    def test_nonfinite_time_or_epsilon_exits_two(self, chain4_file, cmd, time, epsilon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(cmd, "--model", str(chain4_file), "--epsilon", epsilon,
+                      "--time", time)
+        assert res.exit_code == 2, res.output
+        assert "finite" in res.stderr
+
     def test_c3_is_not_an_option(self, chain4_file):
         res = run("plan", "--model", str(chain4_file), "--order", "4",
                   "--epsilon", "0.01", "--time", "1.0", "--c3", "2")

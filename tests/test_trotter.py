@@ -168,6 +168,16 @@ class TestStepsForAccuracy:
         with pytest.raises(ValueError):
             steps_for_accuracy(1, 2, 4, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("t,epsilon,what", [
+        (math.nan, 0.01, "t must be finite"),
+        (math.inf, 0.01, "t must be finite"),
+        (1.0, math.nan, "epsilon must be finite"),
+        (1.0, math.inf, "epsilon must be finite"),
+    ])
+    def test_nonfinite_t_or_epsilon_rejected(self, t, epsilon, what):
+        with pytest.raises(ValueError, match=what):
+            steps_for_accuracy(2, 2, 4, 1.0, t, epsilon)
+
     def test_bound_meets_target(self):
         # the chosen m actually satisfies the first-order inequality
         for eps in (0.5, 0.01, 3e-4):
