@@ -207,24 +207,36 @@ class SpinModel:
         return [e.sites for e in self.edges]
 
 
-def term_hamiltonian(term: EdgeTerm) -> np.ndarray:
-    """Dense 4x4 Hamiltonian of one edge term, ordered (site i, site j).
+# constant 4x4 tables ordered (site i, site j): S^a x S^b, S^a x 1, 1 x S^a
+_SPINS = tuple(p / 2 for p in PAULIS)
+_SPIN_PAIRS = np.array([[np.kron(sa, sb) for sb in _SPINS] for sa in _SPINS])
+_SPIN_I = np.array([np.kron(s, ID2) for s in _SPINS])
+_SPIN_J = np.array([np.kron(ID2, s) for s in _SPINS])
 
-    Always Hermitian: the coupling tensor and field shares are real and the
-    S^a S^b products are built from Hermitian factors.
+
+def edge_hamiltonians(edges) -> np.ndarray:
+    """Dense 4x4 Hamiltonians of a sequence of edge terms, stacked (E, 4, 4).
+
+    One vectorized pass adds, for a = x, y, z in turn, the J^{ab} S^a S^b
+    products and then the h_i^a and h_j^a shares, so slice k depends only
+    on ``edges[k]``.  Hermitian, since every coefficient is real.
     """
-    spins = [p / 2 for p in PAULIS]
-    h4 = np.zeros((4, 4), dtype=complex)
-    jmat = term.coupling.matrix
+    edges = tuple(edges)
+    jmat = np.array([e.coupling.matrix for e in edges]).reshape(-1, 3, 3)
+    h_i = np.array([e.h_i for e in edges]).reshape(-1, 3)
+    h_j = np.array([e.h_j for e in edges]).reshape(-1, 3)
+    h4 = np.zeros((len(edges), 4, 4), dtype=complex)
     for a in range(3):
         for b in range(3):
-            if jmat[a, b] != 0.0:
-                h4 += jmat[a, b] * np.kron(spins[a], spins[b])
-        if term.h_i[a] != 0.0:
-            h4 += term.h_i[a] * np.kron(spins[a], ID2)
-        if term.h_j[a] != 0.0:
-            h4 += term.h_j[a] * np.kron(ID2, spins[a])
+            h4 += jmat[:, a, b, None, None] * _SPIN_PAIRS[a, b]
+        h4 += h_i[:, a, None, None] * _SPIN_I[a]
+        h4 += h_j[:, a, None, None] * _SPIN_J[a]
     return h4
+
+
+def term_hamiltonian(term: EdgeTerm) -> np.ndarray:
+    """Dense 4x4 Hamiltonian of one edge term; one slice of :func:`edge_hamiltonians`."""
+    return edge_hamiltonians((term,))[0]
 
 
 def assign_fields(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .coloring import EdgeColoring
-from .model import SpinModel, term_hamiltonian
+from .model import SpinModel, edge_hamiltonians
 from .trotter import ProductFormula, expand
 
 DEFAULT_ORACLE_LIMIT = 12
@@ -70,8 +70,8 @@ def total_hamiltonian(model: SpinModel) -> np.ndarray:
     _check_dense(model.n)
     eye = np.eye(2**model.n, dtype=complex)
     h = np.zeros_like(eye)
-    for term in model.edges:
-        h += _apply_local(term_hamiltonian(term), (term.i, term.j), eye)
+    for term, h4 in zip(model.edges, edge_hamiltonians(model.edges)):
+        h += _apply_local(h4, (term.i, term.j), eye)
     return h
 
 
@@ -152,10 +152,8 @@ def formula_unitary(
             f"formula has K={formula.num_classes} but coloring has {coloring.num_classes}"
         )
     _check_dense(model.n)
-    local = [
-        [(model.edges[ei], term_hamiltonian(model.edges[ei])) for ei in cls]
-        for cls in coloring.classes
-    ]
+    hterms = edge_hamiltonians(model.edges)
+    local = [[(model.edges[ei], hterms[ei]) for ei in cls] for cls in coloring.classes]
     u = np.eye(2**model.n, dtype=complex)
     for stage in expand(formula, m, t, model.profile):
         for e, h in local[stage.k - 1]:

@@ -12,6 +12,7 @@ simulation time collapses to K * s * t, independent of m, n, and epsilon.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .circuits import Circuit, counts
@@ -30,6 +31,10 @@ class GateTimingModel:
     s: float = 0.0
 
     def __post_init__(self):
+        for name in ("t_inf", "s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"timing parameter {name} must be finite, got {value}")
         if self.t_inf < 0 or self.s < 0:
             raise ValueError("timing parameters must be nonnegative")
         if self.t_inf == 0 and self.s == 0:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .circuits import _CX, _H, Circuit, Gate, GateKind, _rotation
 from .coloring import EdgeColoring
-from .model import ID2, PAULIS, EdgeTerm, SpinModel, term_hamiltonian
+from .model import ID2, PAULIS, EdgeTerm, SpinModel, edge_hamiltonians, term_hamiltonian
 from .trotter import ProductFormula, expand
 
 KAK_UNITARITY_TOL = 1e-10
@@ -55,8 +55,9 @@ _CX21 = np.array(
 
 
 def _expm_herm(h: np.ndarray, factor: complex = -1j) -> np.ndarray:
+    """exp(factor * h) for a Hermitian matrix or a stack (..., d, d) of them."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(factor * w)) @ v.conj().T
+    return (v * np.exp(factor * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def canonical_core_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -427,19 +428,14 @@ def synth_heisenberg(alpha: float) -> Circuit:
 MODES = ("decomposed", "scaled")
 
 
-def _is_plain_exchange(term: EdgeTerm) -> bool:
-    return (
-        term.coupling.isotropic
-        and not np.any(term.h_i)
-        and not np.any(term.h_j)
-    )
-
-
-def _synth_edge(term: EdgeTerm, hterm: np.ndarray, tau: float) -> Fragment:
-    if _is_plain_exchange(term):
-        return synth_exchange(tau * float(term.coupling.matrix[0, 0]), (term.i, term.j))
-    u = _expm_herm(hterm, -1j * tau)
-    return synth_two_qubit(u, (term.i, term.j))
+def _edge_fragment(term: EdgeTerm, u: np.ndarray, tau: float, mode: str) -> Fragment:
+    """Gates for u = exp(-i tau H_ij) on the term's own qubits."""
+    ij = (term.i, term.j)
+    if mode == "scaled":
+        return [[Gate(GateKind.UIJ, ij, matrix=u, edge=ij, tau=tau)]]
+    if term.coupling.isotropic and not np.any(term.h_i) and not np.any(term.h_j):
+        return synth_exchange(tau * float(term.coupling.matrix[0, 0]), ij)
+    return synth_two_qubit(u, ij)
 
 
 def build_trotter_circuit(
@@ -452,13 +448,16 @@ def build_trotter_circuit(
 ) -> Circuit:
     """Compile m product-formula steps into a layered circuit.
 
-    ``scaled`` keeps each edge exponential as one native uij gate, so every
-    stage is a single layer.  ``decomposed`` lowers each edge to CNOTs and
-    one-qubit gates, picking the 3-CNOT exchange template when a coupling
-    is isotropic with no field share and the 6-CNOT template otherwise;
-    fragments of the edges in a class run in parallel, aligned from the
-    stage's first layer.  Each distinct (edge, stage duration) pair is
-    synthesized once per build, and later stages reuse its gates.
+    Every edge Hamiltonian is built in one stacked pass, and each distinct
+    stage, a class k run for a signed duration tau, is exponentiated once
+    for all of its edges by one stacked eigendecomposition.  Each edge's
+    4x4 unitary then becomes a fragment: ``scaled`` keeps it as one native
+    uij gate, so every stage is a single layer; ``decomposed`` lowers it to
+    CNOTs and one-qubit gates, picking the 3-CNOT exchange template when a
+    coupling is isotropic with no field share and the 6-CNOT template
+    otherwise.  Fragments of the edges in a class run in parallel, aligned
+    from the stage's first layer, and later stages that repeat (k, tau)
+    reuse the same layers of the same gates.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -466,37 +465,20 @@ def build_trotter_circuit(
         raise ValueError(
             f"formula has K={formula.num_classes} but coloring has {coloring.num_classes}"
         )
-    hterms = [term_hamiltonian(term) for term in model.edges]
-    # _synth_edge is deterministic in (term, tau) and Gates are immutable,
-    # so every stage that repeats an (edge, tau) shares one fragment
-    fragments: dict[tuple[int, float], Fragment] = {}
+    hterms = edge_hamiltonians(model.edges)
+    # a stage's layers are deterministic in (k, tau) and Gates are immutable;
+    # the sign of a zero tau stays in the key because uij gates record it
+    stage_layers: dict[tuple[int, float, float], list[tuple[Gate, ...]]] = {}
     layers: list[tuple[Gate, ...]] = []
     for stage in expand(formula, m, t, model.profile):
-        cls = coloring.classes[stage.k - 1]
-        if mode == "scaled":
-            gates = []
-            for ei in cls:
-                term = model.edges[ei]
-                gates.append(
-                    Gate(
-                        GateKind.UIJ,
-                        (term.i, term.j),
-                        matrix=_expm_herm(hterms[ei], -1j * stage.tau),
-                        edge=(term.i, term.j),
-                        tau=stage.tau,
-                    )
-                )
-            layers.append(tuple(gates))
-        else:
-            frags = []
-            for ei in cls:
-                key = (ei, stage.tau)
-                if key not in fragments:
-                    fragments[key] = _synth_edge(model.edges[ei], hterms[ei], stage.tau)
-                frags.append(fragments[key])
-            depth = max((len(f) for f in frags), default=0)
-            for p in range(depth):
-                gates = [g for f in frags if p < len(f) for g in f[p]]
-                if gates:
-                    layers.append(tuple(gates))
+        key = (stage.k, stage.tau, math.copysign(1.0, stage.tau))
+        if key not in stage_layers:
+            cls = coloring.classes[stage.k - 1]
+            us = _expm_herm(hterms[list(cls)], -1j * stage.tau)
+            frags = [_edge_fragment(model.edges[ei], u, stage.tau, mode) for ei, u in zip(cls, us)]
+            stage_layers[key] = [
+                tuple(g for f in frags if p < len(f) for g in f[p])
+                for p in range(max(len(f) for f in frags))
+            ]
+        layers.extend(stage_layers[key])
     return Circuit(n=model.n, layers=tuple(layers))

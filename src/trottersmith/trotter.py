@@ -207,8 +207,8 @@ def steps_for_accuracy(
     Order 2q uses the scaling form
         m >= c3 (K t)^{1 + 1/2q} n^{1/2q} / epsilon^{1/2q}
     with c3 = ``HIGHER_ORDER_C3``, a heuristic constant: the rule is not a
-    proven error bound.  Raises ValueError for K < 1, n < 2, or a t or
-    epsilon that is not finite or out of range.
+    proven error bound.  Raises ValueError for K < 1, n < 2, a coupling j
+    that is not finite, or a t or epsilon that is not finite or out of range.
     """
     _check_k(num_classes)
     if n < 2:
@@ -221,6 +221,8 @@ def steps_for_accuracy(
         raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError("t must be nonnegative")
+    if not math.isfinite(j):
+        raise ValueError(f"coupling j must be finite, got {j}")
     if order == 1:
         raw = first_order_error_bound(num_classes, n, j, t, 1) / epsilon
         bound = "first_order_explicit"

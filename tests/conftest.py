@@ -6,6 +6,8 @@ its own embedding and exponentiation code.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -142,9 +144,11 @@ def xyz_square44():
 
 
 def edge_tau_slots(model, coloring, formula, m, t) -> tuple[set, int]:
-    """Distinct (edge index, tau) pairs of a schedule, and its edge-stage slot count."""
+    """Distinct (edge index, tau, sign of tau) keys of a schedule, and its
+    edge-stage slot count; the sign keeps tau = +0.0 and -0.0 apart."""
     from trottersmith.trotter import expand
 
-    slots = [(ei, s.tau) for s in expand(formula, m, t, model.profile)
+    slots = [(ei, s.tau, math.copysign(1.0, s.tau))
+             for s in expand(formula, m, t, model.profile)
              for ei in coloring.classes[s.k - 1]]
     return set(slots), len(slots)

@@ -10,12 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trottersmith import (
+    Circuit,
+    Gate,
+    GateKind,
     circuit_from_json,
+    circuit_to_json,
+    color_model,
     coloring_from_json,
     counts,
+    expand,
+    formula_for_order,
     model_from_json,
+    term_hamiltonian,
 )
 from trottersmith.cli import main
+
+from conftest import ref_expm
 
 
 def run(*args, **kwargs):
@@ -216,6 +226,28 @@ class TestSynth:
         assert res.exit_code == 2, res.output
         assert "t must be finite" in res.stderr
 
+    def test_zero_time_scaled_keeps_signed_zero_taus(self, tmp_path):
+        # order 4 at --time 0 schedules stages of tau = -0.0 (the Suzuki middle
+        # factor runs backwards); each must come out as built stage by stage
+        path = tmp_path / "xyz6.json"
+        run("lattice", "--kind", "chain", "--dims", "6", "--coupling", "1.0,0.7,0.4",
+            "--field", "0.3,0,0.5", "--out", str(path))
+        res = run("synth", "--model", str(path), "--mode", "scaled", "--order", "4",
+                  "--steps", "2", "--time", "0", "--emit", "json")
+        assert res.exit_code == 0, res.output
+        model = model_from_json(path.read_text())
+        col = color_model(model)
+        layers = [
+            tuple(
+                Gate(GateKind.UIJ, e.sites, matrix=ref_expm(term_hamiltonian(e), -1j * s.tau),
+                     edge=e.sites, tau=s.tau)
+                for e in (model.edges[ei] for ei in col.classes[s.k - 1])
+            )
+            for s in expand(formula_for_order(4, col.num_classes), 2, 0.0)
+        ]
+        assert res.stdout == circuit_to_json(Circuit(model.n, tuple(layers)))
+        assert res.stdout.count('"tau": -0.0') == 16
+
     def test_supplied_coloring_is_used(self, chain4_file, tmp_path):
         col = tmp_path / "col.json"
         col.write_text(json.dumps({"n": 4, "classes": [[0], [1], [2]]}))
@@ -265,6 +297,20 @@ class TestEstimate:
         assert lines[1] == "1,150,600,300.0"
         assert lines[2] == "2,57,456,228.0"
         assert lines[3] == "4,11,440,220.0"
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--coupling", "nan", "coupling j must be finite, got nan"),
+        ("--coupling", "inf", "coupling j must be finite, got inf"),
+        ("--t-inf", "nan", "t_inf must be finite, got nan"),
+        ("--slope", "inf", "s must be finite, got inf"),
+    ])
+    def test_nonfinite_coupling_or_timing_exits_two(self, flag, value, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run("estimate", "--n", "4", "--classes", "2", "--epsilon", "0.01",
+                      "--time", "1", flag, value)
+        assert res.exit_code == 2, res.output
+        assert message in res.stderr
 
     def test_needs_some_geometry(self):
         res = run("estimate", "--epsilon", "0.01", "--time", "1.0")

@@ -19,7 +19,8 @@ from trottersmith import (
     model_to_json,
     term_hamiltonian,
 )
-from trottersmith.model import assign_fields
+from trottersmith.model import assign_fields, edge_hamiltonians
+from trottersmith.synth import _expm_herm
 
 from conftest import I2, SX, SZ, op_norm, ref_edge_hamiltonian
 
@@ -94,6 +95,33 @@ class TestTermHamiltonian:
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
         loose = 2.25 * np.max(np.abs(jmat)) + np.linalg.norm(h_i) + np.linalg.norm(h_j)
         assert op_norm(h) <= loose + 1e-12
+
+
+# coefficients that hit exact zeros and negative entries often
+_coeff = st.one_of(st.just(0.0), st.just(-1.0), st.floats(-2, 2))
+_edge = st.tuples(st.lists(_coeff, min_size=9, max_size=9),
+                  st.lists(_coeff, min_size=3, max_size=3),
+                  st.lists(_coeff, min_size=3, max_size=3))
+
+
+class TestEdgeHamiltonians:
+    @given(st.lists(_edge, min_size=1, max_size=6),
+           st.sampled_from([0.7, -0.35, 0.0, -0.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_reference_and_single_edges(self, raw, tau):
+        edges = [EdgeTerm(0, 1, CouplingTensor(np.reshape(j, (3, 3))), h_i=hi, h_j=hj)
+                 for j, hi, hj in raw]
+        stack = edge_hamiltonians(edges)
+        assert stack.shape == (len(edges), 4, 4)
+        us = _expm_herm(stack, -1j * tau)
+        for k, e in enumerate(edges):
+            ref = ref_edge_hamiltonian(0, 1, 2, e.coupling.matrix, e.h_i, e.h_j)
+            assert np.max(np.abs(stack[k] - ref)) <= 1e-15
+            assert stack[k].tobytes() == term_hamiltonian(e).tobytes()
+            assert us[k].tobytes() == _expm_herm(stack[k], -1j * tau).tobytes()
+
+    def test_empty_sequence(self):
+        assert edge_hamiltonians(()).shape == (0, 4, 4)
 
 
 class TestBuildLattice:

@@ -1,6 +1,8 @@
 """Cost estimators, the closed-form gate count, and report audits."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from trottersmith import (
@@ -31,6 +33,12 @@ class TestTimingModel:
         with pytest.raises(ValueError, match="positive"):
             GateTimingModel(t_inf=0.0, s=0.0)
         GateTimingModel(t_inf=0.0, s=2.0)
+
+    @pytest.mark.parametrize("name", ["t_inf", "s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            GateTimingModel(**{name: value})
 
 
 class TestClassRepetitions:

@@ -284,6 +284,26 @@ class TestBuildTrotterCircuit:
         played = run_circuit(np.eye(2**model.n, dtype=complex), circ)
         assert op_norm(played - formula_unitary(model, col, f, 3, 0.8)) < 1e-10
 
+    def test_scaled_build_holds_one_gate_per_edge_signed_tau(self, xyz_square44):
+        model, col, f, m, t = xyz_square44
+        circ = build_trotter_circuit(model, col, f, m, t, mode="scaled")
+        gates = {id(g): g for layer in circ.layers for g in layer}
+        pairs, slots = edge_tau_slots(model, col, f, m, t)
+        assert len(gates) == len(pairs) < slots
+        keys = {(model.edge_pairs().index(g.edge), g.tau, math.copysign(1.0, g.tau))
+                for g in gates.values()}
+        assert keys == pairs
+
+    def test_scaled_profile_playback_matches_formula_unitary(self):
+        profile = TimeProfile("piecewise", (0.5, 2.0, 0.5))
+        model = build_lattice("chain", 5, coupling=CouplingTensor.diagonal(1.0, 0.6, -0.3),
+                              field=(0.4, 0.0, 0.7), profile=profile)
+        col = color_model(model)
+        f = formula_for_order(2, col.num_classes)
+        circ = build_trotter_circuit(model, col, f, 3, 0.8, mode="scaled")
+        played = run_circuit(np.eye(2**model.n, dtype=complex), circ)
+        assert op_norm(played - formula_unitary(model, col, f, 3, 0.8)) < 1e-12
+
 
 def counts(circ):
     from trottersmith import counts

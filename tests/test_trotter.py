@@ -178,6 +178,12 @@ class TestStepsForAccuracy:
         with pytest.raises(ValueError, match=what):
             steps_for_accuracy(2, 2, 4, 1.0, t, epsilon)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coupling_rejected(self, order, j):
+        with pytest.raises(ValueError, match=f"coupling j must be finite, got {j}"):
+            steps_for_accuracy(order, 2, 4, j, 1.0, 0.01)
+
     def test_bound_meets_target(self):
         # the chosen m actually satisfies the first-order inequality
         for eps in (0.5, 0.01, 3e-4):
