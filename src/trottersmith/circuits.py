@@ -11,6 +11,7 @@ exp(-i tau H_ij), stored evaluated so playback never re-exponentiates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
@@ -59,6 +60,18 @@ def _rotation(kind: GateKind, theta: float) -> np.ndarray:
     return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
 
 
+def _check_unitary(ms: np.ndarray, kind: GateKind) -> None:
+    """Raise ValueError unless a matrix, or each of a stack (E, d, d), is unitary.
+
+    One batched product checks a whole stack; the deviation reported is the
+    largest entry of |M^dagger M - 1| over the stack, and NaN fails too.
+    """
+    dim = ms.shape[-1]
+    dev = float(np.max(np.abs(np.swapaxes(ms.conj(), -1, -2) @ ms - np.eye(dim))))
+    if not dev <= UNITARITY_TOL:
+        raise ValueError(f"{kind.value} matrix deviates from unitary by {dev:.2e}")
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
     kind: GateKind
@@ -70,7 +83,7 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GateKind(self.kind))
-        qs = tuple(int(q) for q in self.qubits)
+        qs = tuple(operator.index(q) for q in self.qubits)
         object.__setattr__(self, "qubits", qs)
         if len(qs) != _ARITY[self.kind]:
             raise ValueError(f"{self.kind.value} takes {_ARITY[self.kind]} qubits, got {qs}")
@@ -89,9 +102,7 @@ class Gate:
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (dim, dim):
                 raise ValueError(f"{self.kind.value} matrix must be {dim}x{dim}, got {m.shape}")
-            dev = float(np.max(np.abs(m.conj().T @ m - np.eye(dim))))
-            if not dev <= UNITARITY_TOL:  # NaN fails this too
-                raise ValueError(f"{self.kind.value} matrix deviates from unitary by {dev:.2e}")
+            _check_unitary(m, self.kind)
             m = m.copy()
             m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
@@ -100,7 +111,8 @@ class Gate:
         if self.edge is not None:
             if self.kind is not GateKind.UIJ:
                 raise ValueError("edge metadata is only valid on uij gates")
-            object.__setattr__(self, "edge", (int(self.edge[0]), int(self.edge[1])))
+            edge = (operator.index(self.edge[0]), operator.index(self.edge[1]))
+            object.__setattr__(self, "edge", edge)
         if self.tau is not None:
             if self.kind is not GateKind.UIJ:
                 raise ValueError("tau metadata is only valid on uij gates")
@@ -118,6 +130,28 @@ class Gate:
         if self.kind in _ANGLE_KINDS:
             return _rotation(self.kind, self.angle)
         return self.matrix.copy()
+
+
+def _uij_gates(pairs, us: np.ndarray, tau: float) -> tuple[Gate, ...]:
+    """One uij gate per edge (i, j) with 0 <= i < j, all run for one tau.
+
+    The (E, 4, 4) stack ``us`` is copied and checked for unitarity once, as
+    a whole, with the message :class:`Gate` gives; the gates then hold
+    read-only views of the copy and skip the per-gate check.
+    """
+    us = np.array(us, dtype=complex)
+    _check_unitary(us, GateKind.UIJ)
+    tau = float(tau)
+    if not math.isfinite(tau):
+        raise ValueError("uij tau must be finite")
+    us.flags.writeable = False
+    gates = []
+    for (i, j), u in zip(pairs, us):
+        ij = (int(i), int(j))
+        g = object.__new__(Gate)
+        g.__dict__.update(kind=GateKind.UIJ, qubits=ij, angle=None, matrix=u, edge=ij, tau=tau)
+        gates.append(g)
+    return tuple(gates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +270,9 @@ def circuit_to_json(circuit: Circuit) -> str:
 def circuit_from_json(text: str) -> Circuit:
     """Parse and validate a circuit document; the trust boundary for circuits.
 
+    ``n``, ``depth``, gate qubits and edges must be JSON integers, and every
+    distinct gate document goes through :class:`Gate` and its full checks.
+
     Identical gate documents load as one shared ``Gate``, so each distinct
     document is built and validated once.  The key is ``repr`` of the parsed
     object, which is exact: it tells -0.0 from 0.0, 1 from 1.0 and True from 1,
@@ -252,8 +289,8 @@ def circuit_from_json(text: str) -> Circuit:
             return found
 
         layers = tuple(tuple(gate(g) for g in layer) for layer in obj["layers"])
-        circ = Circuit(n=int(obj["n"]), layers=layers)
-        if "depth" in obj and int(obj["depth"]) != circ.depth:
+        circ = Circuit(n=operator.index(obj["n"]), layers=layers)
+        if "depth" in obj and operator.index(obj["depth"]) != circ.depth:
             raise ValueError(f"stored depth {obj['depth']} != layer count {circ.depth}")
     return circ
 

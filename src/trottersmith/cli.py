@@ -204,20 +204,25 @@ def synth_cmd(model_path, coloring_path, order, steps, epsilon, t, mode, emit, o
 @click.option("--t-inf", type=float, default=1.0, show_default=True)
 @click.option("--slope", type=float, default=0.0, show_default=True,
               help="Scaled-gate slope s; adds the K*s*t bound to the report.")
-@click.option("--heisenberg", is_flag=True, help="Count 3 CNOTs per interaction gate.")
+@click.option("--heisenberg", is_flag=True,
+              help="Count 3 CNOTs per interaction gate (without --model, which counts "
+                   "each edge's own template).")
 @click.option("--compare-orders", default=None, help="e.g. 1,2,4: emit CSV of m,N,T.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, slope,
              heisenberg, compare_orders, out) -> None:
     """Closed-form resource estimates."""
-    edges_per_sweep = None
+    edge_cnots = None
     if model_path is not None:
+        if heisenberg:
+            raise ValueError("--heisenberg applies without --model; a model's edges "
+                             "are counted by their own templates")
         model = _load_model(model_path)
         n_sites = model.n
         k_classes = coloring_mod.color_model(model).num_classes
         j_val = model.j_max
-        edges_per_sweep = len(model.edges)
+        edge_cnots = [synth.template_cnots(e) for e in model.edges]
     if n_sites is None or k_classes is None:
         raise ValueError("provide --model, or both --n and --classes")
     timing = resources.GateTimingModel(t_inf=t_inf, s=slope)
@@ -225,7 +230,7 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
     reports = [
         resources.report_for_plan(
             trotter.steps_for_accuracy(o, k_classes, n_sites, j_val, t, epsilon),
-            n_sites, timing=timing, heisenberg=heisenberg, edges_per_sweep=edges_per_sweep,
+            n_sites, timing=timing, heisenberg=heisenberg, edge_cnots=edge_cnots,
         )
         for o in orders
     ]

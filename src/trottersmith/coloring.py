@@ -239,7 +239,7 @@ def coloring_to_json(coloring: EdgeColoring) -> str:
 def coloring_from_json(text: str) -> EdgeColoring:
     with json_document(text, "coloring") as doc:
         classes = tuple(tuple(operator.index(e) for e in c) for c in doc["classes"])
-        coloring = EdgeColoring(int(doc["n"]), classes)
-        if doc.get("K") is not None and int(doc["K"]) != coloring.num_classes:
+        coloring = EdgeColoring(operator.index(doc["n"]), classes)
+        if doc.get("K") is not None and operator.index(doc["K"]) != coloring.num_classes:
             raise ValueError("coloring document K does not match its class list")
     return coloring

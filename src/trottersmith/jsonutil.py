@@ -17,15 +17,17 @@ from contextlib import contextmanager
 
 
 def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if x - x != 0.0:  # NaN or infinite
         raise ValueError("non-finite float in JSON document")
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         # keep integral floats readable and unambiguous
         return f"{x:.1f}"
     return format(x, ".17g")
 
 
 def _scalar(obj) -> str:
+    if type(obj) is float:
+        return format_float(obj)
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, int):
@@ -37,8 +39,7 @@ def _scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def _write(obj, out: list[str], indent: int, seen: dict) -> None:
-    pad = "  " * indent
+def _write(obj, out: list[str], indent: int, seen: dict, keys: dict) -> None:
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -53,25 +54,38 @@ def _write(obj, out: list[str], indent: int, seen: dict) -> None:
             return
         start = len(out)
         out.append("{\n")
+        last = len(obj) - 1
         for idx, (k, val) in enumerate(obj.items()):
-            out.append(f'{pad}  {json.dumps(str(k))}: ')
-            _write(val, out, indent + 1, seen)
-            out.append(",\n" if idx < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+            # str keys render once per indent; 1, True and 1.0 compare equal
+            # but render apart, so other keys render every time
+            cacheable = type(k) is str
+            line = keys.get((k, indent)) if cacheable else None
+            if line is None:
+                line = f'{"  " * indent}  {json.dumps(str(k))}: '
+                if cacheable:
+                    keys[k, indent] = line
+            out.append(line)
+            _write(val, out, indent + 1, seen, keys)
+            out.append(",\n" if idx < last else "\n")
+        out.append("  " * indent + "}")
         seen[key] = (start, len(out))
     elif isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
+        if not obj:
             out.append("[]")
             return
-        if all(not isinstance(v, (dict, list, tuple)) for v in items):
-            out.append("[" + ", ".join(map(_scalar, items)) + "]")
+        try:
+            # a list of scalars fits on one line; any container raises here
+            out.append("[" + ", ".join(map(_scalar, obj)) + "]")
             return
+        except TypeError:
+            pass
+        pad = "  " * indent
+        last = len(obj) - 1
         out.append("[\n")
-        for idx, val in enumerate(items):
+        for idx, val in enumerate(obj):
             out.append(pad + "  ")
-            _write(val, out, indent + 1, seen)
-            out.append(",\n" if idx < len(items) - 1 else "\n")
+            _write(val, out, indent + 1, seen, keys)
+            out.append(",\n" if idx < last else "\n")
         out.append(pad + "]")
     else:
         out.append(_scalar(obj))
@@ -80,9 +94,10 @@ def _write(obj, out: list[str], indent: int, seen: dict) -> None:
 def dump_json(obj) -> str:
     """Render a JSON document deterministically; trailing newline included."""
     out: list[str] = []
-    # (id, indent) -> span of ``out``, then its joined text once met again;
-    # every keyed dict stays alive through ``obj``, so no id is reused
-    _write(obj, out, 0, {})
+    # seen: (id, indent) -> span of ``out``, then its joined text once met
+    # again; every keyed dict stays alive through ``obj``, so no id is reused.
+    # keys: (str key, indent) -> its rendered "key": prefix
+    _write(obj, out, 0, {}, {})
     out.append("\n")
     return "".join(out)
 
@@ -92,8 +107,9 @@ def json_document(text: str, what: str):
     """Parse ``text`` as a JSON object and yield it to the caller's reader.
 
     Malformed input of any shape (not JSON, not an object, a missing field,
-    a field of the wrong type) surfaces as ValueError, so the CLI reports it
-    as bad input rather than an internal failure.
+    a field of the wrong type, an integer too large for a float) surfaces as
+    ValueError, so the CLI reports it as bad input rather than an internal
+    failure.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -102,5 +118,5 @@ def json_document(text: str, what: str):
         yield doc
     except KeyError as exc:
         raise ValueError(f"{what} document is missing field {exc}") from exc
-    except (TypeError, AttributeError, IndexError) as exc:
+    except (TypeError, AttributeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed {what} document: {exc}") from exc

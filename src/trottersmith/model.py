@@ -15,6 +15,8 @@ it into internally commuting classes.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
@@ -43,14 +45,32 @@ class Boundary(str, Enum):
     PERIODIC = "periodic"
 
 
-def _as_readonly(a: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
-    arr = np.array(a, dtype=float, copy=True)
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+def _readonly_stack(rows, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Stack E array-likes with one ``np.array`` call; check shape and finiteness."""
+    arr = np.array(rows, dtype=float) if len(rows) else np.empty((0, *shape))
+    if arr.shape[1:] != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape[1:]}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} entries must be finite")
-    arr.setflags(write=False)
+    arr.flags.writeable = False
     return arr
+
+
+def _validated_edges(pairs, couplings, h_i, h_j):
+    """Check E edge terms at once; return read-only (E, 3, 3), (E, 3), (E, 3) stacks.
+
+    ``pairs`` holds the (i, j) endpoints; ``couplings``, ``h_i`` and ``h_j``
+    hold one array-like per edge, and ``couplings`` may be None when the
+    tensors are checked already.  The checks run in the order a
+    one-edge document meets them (coupling shape and finiteness,
+    0 <= i < j, then each field share), so :class:`CouplingTensor`,
+    :class:`EdgeTerm` and a stack of one raise the same message.
+    """
+    jmat = None if couplings is None else _readonly_stack(couplings, (3, 3), "coupling tensor")
+    for a, b in pairs:
+        if not (0 <= a < b):
+            raise ValueError(f"edge must satisfy 0 <= i < j, got ({a}, {b})")
+    return jmat, _readonly_stack(h_i, (3,), "h_i"), _readonly_stack(h_j, (3,), "h_j")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +80,14 @@ class CouplingTensor:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_readonly(self.matrix, (3, 3), "coupling tensor"))
+        matrix = _readonly_stack([self.matrix], (3, 3), "coupling tensor")[0]
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def heisenberg(cls, j: float = 1.0) -> "CouplingTensor":
+        if not math.isfinite(j):
+            raise ValueError(f"coupling j must be finite, got {j}")
+        # j * identity keeps the -0.0 off-diagonals of a negative j
         return cls(j * np.eye(3))
 
     @classmethod
@@ -97,18 +121,34 @@ class EdgeTerm:
     h_j: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if not (0 <= self.i < self.j):
-            raise ValueError(f"edge must satisfy 0 <= i < j, got ({self.i}, {self.j})")
-        if not isinstance(self.coupling, CouplingTensor):
-            raise TypeError(
-                f"coupling must be a CouplingTensor, got {type(self.coupling).__name__}"
-            )
-        object.__setattr__(self, "h_i", _as_readonly(self.h_i, (3,), "h_i"))
-        object.__setattr__(self, "h_j", _as_readonly(self.h_j, (3,), "h_j"))
+        _, h_i, h_j = _validated_edges([(self.i, self.j)], None, [self.h_i], [self.h_j])
+        _check_couplings((self.coupling,))
+        object.__setattr__(self, "h_i", h_i[0])
+        object.__setattr__(self, "h_j", h_j[0])
 
     @property
     def sites(self) -> tuple[int, int]:
         return (self.i, self.j)
+
+
+def _check_couplings(couplings) -> None:
+    for c in couplings:
+        if not isinstance(c, CouplingTensor):
+            raise TypeError(f"coupling must be a CouplingTensor, got {type(c).__name__}")
+
+
+def _edge_terms(pairs, couplings, h_i, h_j) -> tuple[EdgeTerm, ...]:
+    """EdgeTerms over stacks that :func:`_validated_edges` has checked.
+
+    Each term gets read-only row views of the stacks and skips the
+    per-edge checks, which the stacks have passed once already.
+    """
+    terms = []
+    for (i, j), c, hi, hj in zip(pairs, couplings, h_i, h_j):
+        term = object.__new__(EdgeTerm)
+        term.__dict__.update(i=i, j=j, coupling=c, h_i=hi, h_j=hj)
+        terms.append(term)
+    return tuple(terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,11 +218,12 @@ class SpinModel:
         object.__setattr__(self, "edges", tuple(self.edges))
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
+            pair = (e.i, e.j)
             if e.j >= self.n:
                 raise ValueError(f"edge ({e.i}, {e.j}) out of range for n={self.n}")
-            if e.sites in seen:
+            if pair in seen:
                 raise ValueError(f"duplicate edge ({e.i}, {e.j})")
-            seen.add(e.sites)
+            seen.add(pair)
         if not self.edges:
             raise ValueError("model has no edges")
 
@@ -261,6 +302,12 @@ def assign_fields(
     Raises:
         ValueError: if a site with a nonzero field touches no edge.
     """
+    h_i, h_j = _field_shares(n, pairs, site_fields)
+    return {idx: (h_i[idx], h_j[idx]) for idx in range(len(pairs))}
+
+
+def _field_shares(n: int, pairs, site_fields) -> tuple[np.ndarray, np.ndarray]:
+    """The shares of :func:`assign_fields` as (E, 3) stacks of h_i and h_j."""
     site_fields = np.asarray(site_fields, dtype=float)
     if site_fields.shape != (n, 3):
         raise ValueError(f"site_fields must have shape ({n}, 3), got {site_fields.shape}")
@@ -270,22 +317,25 @@ def assign_fields(
     for idx, (i, j) in enumerate(pairs):
         first_low.setdefault(i, idx)
         first_high.setdefault(j, idx)
-    owner: dict[int, int] = {}
+    low_edges, low_sites, high_edges, high_sites = [], [], [], []
     for s in range(n):
-        idx = first_low.get(s, first_high.get(s))
+        idx = first_low.get(s)
         if idx is not None:
-            owner[s] = idx
+            low_edges.append(idx)
+            low_sites.append(s)
+            continue
+        idx = first_high.get(s)
+        if idx is not None:
+            high_edges.append(idx)
+            high_sites.append(s)
         elif np.any(site_fields[s] != 0.0):
             raise ValueError(f"site {s} has a nonzero field but touches no edge")
-    shares = {idx: (np.zeros(3), np.zeros(3)) for idx in range(len(pairs))}
-    for s, idx in owner.items():
-        i, j = pairs[idx]
-        hi, hj = shares[idx]
-        if s == i:
-            shares[idx] = (hi + site_fields[s], hj)
-        else:
-            shares[idx] = (hi, hj + site_fields[s])
-    return shares
+    # an edge houses at most one site per endpoint; 0.0 + h turns -0.0 into 0.0
+    h_i = np.zeros((len(pairs), 3))
+    h_j = np.zeros((len(pairs), 3))
+    h_i[low_edges] += site_fields[low_sites]
+    h_j[high_edges] += site_fields[high_sites]
+    return h_i, h_j
 
 
 def _norm_pair(i: int, j: int) -> tuple[int, int]:
@@ -359,6 +409,14 @@ def _parse_dims(kind: LatticeKind, dims) -> tuple[int, ...]:
     return dims
 
 
+def _folded_edges(n: int, pairs, couplings, site_fields) -> tuple[EdgeTerm, ...]:
+    """Edge terms of sorted pairs with the site fields folded in, checked as stacks."""
+    h_i, h_j = _field_shares(n, pairs, site_fields)
+    _check_couplings(couplings)
+    _, h_i, h_j = _validated_edges(pairs, None, h_i, h_j)
+    return _edge_terms(pairs, couplings, h_i, h_j)
+
+
 def build_lattice(
     kind: LatticeKind | str,
     dims,
@@ -399,11 +457,7 @@ def build_lattice(
     site_fields = np.zeros((n, 3))
     if field is not None:
         site_fields[:] = np.asarray(field, dtype=float)
-    shares = assign_fields(n, pairs, site_fields)
-    edges = tuple(
-        EdgeTerm(i, j, coupling, shares[idx][0], shares[idx][1])
-        for idx, (i, j) in enumerate(pairs)
-    )
+    edges = _folded_edges(n, pairs, [coupling] * len(pairs), site_fields)
     return SpinModel(n=n, edges=edges, lattice=kind, boundary=boundary, profile=profile)
 
 
@@ -422,11 +476,7 @@ def from_edges(
         by_pair[pair] = J
     pairs = sorted(by_pair)
     fields = np.zeros((n, 3)) if site_fields is None else np.asarray(site_fields, dtype=float)
-    shares = assign_fields(n, pairs, fields)
-    edges = tuple(
-        EdgeTerm(i, j, by_pair[(i, j)], shares[idx][0], shares[idx][1])
-        for idx, (i, j) in enumerate(pairs)
-    )
+    edges = _folded_edges(n, pairs, [by_pair[p] for p in pairs], fields)
     return SpinModel(n=n, edges=edges, lattice=LatticeKind.CUSTOM, boundary=Boundary.OPEN,
                      profile=profile)
 
@@ -435,19 +485,18 @@ def from_edges(
 
 def model_to_json(model: SpinModel) -> str:
     """Serialize a model losslessly (floats rendered with 17 significant digits)."""
+    edges = model.edges
+    # .tolist() yields the same Python floats as float() on each entry
+    jmat = np.array([e.coupling.matrix for e in edges]).tolist()
+    h_i = np.array([e.h_i for e in edges]).tolist()
+    h_j = np.array([e.h_j for e in edges]).tolist()
     doc = {
         "n": model.n,
         "lattice": model.lattice.value,
         "boundary": model.boundary.value,
         "edges": [
-            {
-                "i": e.i,
-                "j": e.j,
-                "J": [[float(v) for v in row] for row in e.coupling.matrix],
-                "hi": [float(v) for v in e.h_i],
-                "hj": [float(v) for v in e.h_j],
-            }
-            for e in model.edges
+            {"i": e.i, "j": e.j, "J": jmat[k], "hi": h_i[k], "hj": h_j[k]}
+            for k, e in enumerate(edges)
         ],
         "profile": (
             {"kind": "constant"}
@@ -458,7 +507,18 @@ def model_to_json(model: SpinModel) -> str:
     return dump_json(doc)
 
 
+_NO_FIELD = (0.0, 0.0, 0.0)
+
+
 def model_from_json(text: str) -> SpinModel:
+    """Parse and validate a model document; the trust boundary for models.
+
+    Integer fields (``n``, each edge's ``i`` and ``j``) must be JSON
+    integers.  Each of the couplings, ``hi`` and ``hj`` is read into one
+    (E, 3, 3) or (E, 3) stack and checked once as a whole, with the messages
+    of the one-edge constructors, and every edge term gets read-only row
+    views of the stacks.
+    """
     with json_document(text, "model") as doc:
         prof_doc = doc.get("profile", {"kind": "constant"})
         profile = (
@@ -466,19 +526,22 @@ def model_from_json(text: str) -> SpinModel:
             if prof_doc["kind"] == "constant"
             else TimeProfile("piecewise", tuple(prof_doc["factors"]))
         )
-        edges = tuple(
-            EdgeTerm(
-                int(e["i"]),
-                int(e["j"]),
-                CouplingTensor(np.array(e["J"], dtype=float)),
-                np.array(e.get("hi", [0, 0, 0]), dtype=float),
-                np.array(e.get("hj", [0, 0, 0]), dtype=float),
-            )
-            for e in doc["edges"]
+        docs = doc["edges"]
+        pairs = [(operator.index(e["i"]), operator.index(e["j"])) for e in docs]
+        jmat, h_i, h_j = _validated_edges(
+            pairs,
+            [e["J"] for e in docs],
+            [e.get("hi", _NO_FIELD) for e in docs],
+            [e.get("hj", _NO_FIELD) for e in docs],
         )
+        couplings = []
+        for row in jmat:
+            c = object.__new__(CouplingTensor)
+            c.__dict__["matrix"] = row
+            couplings.append(c)
         return SpinModel(
-            n=int(doc["n"]),
-            edges=edges,
+            n=operator.index(doc["n"]),
+            edges=_edge_terms(pairs, couplings, h_i, h_j),
             lattice=LatticeKind(doc.get("lattice", "custom")),
             boundary=Boundary(doc.get("boundary", "open")),
             profile=profile,

@@ -13,6 +13,7 @@ simulation time collapses to K * s * t, independent of m, n, and epsilon.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .circuits import Circuit, counts
@@ -92,19 +93,38 @@ def report_for_plan(
     timing: GateTimingModel = DEFAULT_TIMING,
     heisenberg: bool = False,
     edges_per_sweep: int | None = None,
+    edge_cnots: Sequence[int] | None = None,
 ) -> ResourceReport:
     """Predicted cost of running a given step plan on an n-site model.
 
     The gate count uses n*K/2 edges per sweep, exact for regular lattices
     with every class full; pass ``edges_per_sweep`` (the model's actual
     edge count) to correct for open boundaries.  CNOTs assume the 6-CNOT
-    template, or 3 per gate when ``heisenberg``.
+    template, or 3 per gate when ``heisenberg``.  ``edge_cnots`` gives the
+    CNOTs of each edge's own template instead (see
+    :func:`trottersmith.synth.template_cnots`), which is exact for models
+    that mix templates; its length is the edge count per sweep.
     """
     k = plan.num_classes
     reps = class_repetitions(plan.order)
+    template = "heisenberg-3cnot" if heisenberg else "general-6cnot"
+    if edge_cnots is not None:
+        edge_cnots = list(edge_cnots)
+        if heisenberg:
+            raise ValueError("pass heisenberg or edge_cnots, not both")
+        if edges_per_sweep is not None and edges_per_sweep != len(edge_cnots):
+            raise ValueError(
+                f"edges_per_sweep={edges_per_sweep} but edge_cnots has {len(edge_cnots)} edges"
+            )
+        edges_per_sweep = len(edge_cnots)
+        template = "per-edge"
     # one full sweep of every class covers nK/2 edges on a regular lattice
     per_sweep = edges_per_sweep if edges_per_sweep is not None else n * k / 2.0
     gates = int(round(plan.m * reps * per_sweep))
+    if edge_cnots is not None:
+        cnots = plan.m * reps * sum(edge_cnots)
+    else:
+        cnots = (3 if heisenberg else 6) * gates
     depth = plan.m * reps * k
     sim_time = float(depth * timing.t_inf)
     assumptions = {
@@ -116,7 +136,7 @@ def report_for_plan(
         "stages_per_step": reps * k,
         "timing": {"t_inf": timing.t_inf, "s": timing.s},
         "fixed_gate_regime": True,
-        "template": "heisenberg-3cnot" if heisenberg else "general-6cnot",
+        "template": template,
         # the stage count is explicit, so the gate count needs no prefactor
         "c4": 1.0,
     }
@@ -128,7 +148,7 @@ def report_for_plan(
         order=plan.order,
         m=plan.m,
         interaction_gates=gates,
-        cnots=(3 if heisenberg else 6) * gates,
+        cnots=cnots,
         depth=depth,
         simulation_time=sim_time,
         assumptions=assumptions,

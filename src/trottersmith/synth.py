@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _CX, _H, Circuit, Gate, GateKind, _rotation
+from .circuits import _CX, _H, Circuit, Gate, GateKind, _rotation, _uij_gates
 from .coloring import EdgeColoring
 from .model import ID2, PAULIS, EdgeTerm, SpinModel, edge_hamiltonians, term_hamiltonian
 from .trotter import ProductFormula, expand
@@ -428,12 +428,21 @@ def synth_heisenberg(alpha: float) -> Circuit:
 MODES = ("decomposed", "scaled")
 
 
-def _edge_fragment(term: EdgeTerm, u: np.ndarray, tau: float, mode: str) -> Fragment:
-    """Gates for u = exp(-i tau H_ij) on the term's own qubits."""
+def _plain_exchange(term: EdgeTerm) -> bool:
+    """True when decomposed mode lowers the term with the 3-CNOT exchange
+    template: an isotropic coupling and no field share."""
+    return term.coupling.isotropic and not np.any(term.h_i) and not np.any(term.h_j)
+
+
+def template_cnots(term: EdgeTerm) -> int:
+    """CNOTs of the template ``decomposed`` mode picks for a term: 3 or 6."""
+    return 3 if _plain_exchange(term) else 6
+
+
+def _edge_fragment(term: EdgeTerm, u: np.ndarray, tau: float) -> Fragment:
+    """CNOTs and one-qubit gates for u = exp(-i tau H_ij) on the term's own qubits."""
     ij = (term.i, term.j)
-    if mode == "scaled":
-        return [[Gate(GateKind.UIJ, ij, matrix=u, edge=ij, tau=tau)]]
-    if term.coupling.isotropic and not np.any(term.h_i) and not np.any(term.h_j):
+    if _plain_exchange(term):
         return synth_exchange(tau * float(term.coupling.matrix[0, 0]), ij)
     return synth_two_qubit(u, ij)
 
@@ -450,14 +459,16 @@ def build_trotter_circuit(
 
     Every edge Hamiltonian is built in one stacked pass, and each distinct
     stage, a class k run for a signed duration tau, is exponentiated once
-    for all of its edges by one stacked eigendecomposition.  Each edge's
-    4x4 unitary then becomes a fragment: ``scaled`` keeps it as one native
-    uij gate, so every stage is a single layer; ``decomposed`` lowers it to
-    CNOTs and one-qubit gates, picking the 3-CNOT exchange template when a
-    coupling is isotropic with no field share and the 6-CNOT template
-    otherwise.  Fragments of the edges in a class run in parallel, aligned
-    from the stage's first layer, and later stages that repeat (k, tau)
-    reuse the same layers of the same gates.
+    for all of its edges by one stacked eigendecomposition.  ``scaled``
+    keeps each edge's 4x4 unitary as one native uij gate, so every stage is
+    a single layer, and checks the stage's whole stack for unitarity once
+    instead of gate by gate.  ``decomposed`` lowers each unitary to a
+    fragment of CNOTs and one-qubit gates, picking the 3-CNOT exchange
+    template when a coupling is isotropic with no field share and the
+    6-CNOT template otherwise (:func:`template_cnots`); fragments of the
+    edges in a class run in parallel, aligned from the stage's first layer.
+    Later stages that repeat (k, tau) reuse the same layers of the same
+    gates.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -475,10 +486,15 @@ def build_trotter_circuit(
         if key not in stage_layers:
             cls = coloring.classes[stage.k - 1]
             us = _expm_herm(hterms[list(cls)], -1j * stage.tau)
-            frags = [_edge_fragment(model.edges[ei], u, stage.tau, mode) for ei, u in zip(cls, us)]
-            stage_layers[key] = [
-                tuple(g for f in frags if p < len(f) for g in f[p])
-                for p in range(max(len(f) for f in frags))
-            ]
+            if mode == "scaled":
+                pairs = [model.edges[ei].sites for ei in cls]
+                stage_layers[key] = [_uij_gates(pairs, us, stage.tau)]
+            else:
+                frags = [_edge_fragment(model.edges[ei], u, stage.tau)
+                         for ei, u in zip(cls, us)]
+                stage_layers[key] = [
+                    tuple(g for f in frags if p < len(f) for g in f[p])
+                    for p in range(max(len(f) for f in frags))
+                ]
         layers.extend(stage_layers[key])
     return Circuit(n=model.n, layers=tuple(layers))

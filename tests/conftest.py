@@ -6,6 +6,7 @@ its own embedding and exponentiation code.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -152,3 +153,65 @@ def edge_tau_slots(model, coloring, formula, m, t) -> tuple[set, int]:
              for s in expand(formula, m, t, model.profile)
              for ei in coloring.classes[s.k - 1]]
     return set(slots), len(slots)
+
+
+def ref_format_float(x: float) -> str:
+    """The writer's float format, written the plain way: 17 significant
+    digits, integral values below 1e16 with one decimal."""
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError("non-finite float in JSON document")
+    if x == int(x) and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return format(x, ".17g")
+
+
+def _ref_scalar(obj) -> str:
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return ref_format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _ref_write(obj, out: list[str], indent: int) -> None:
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for idx, (k, val) in enumerate(obj.items()):
+            out.append(f'{pad}  {json.dumps(str(k))}: ')
+            _ref_write(val, out, indent + 1)
+            out.append(",\n" if idx < len(obj) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        items = list(obj)
+        if not items:
+            out.append("[]")
+            return
+        if all(not isinstance(v, (dict, list, tuple)) for v in items):
+            out.append("[" + ", ".join(map(_ref_scalar, items)) + "]")
+            return
+        out.append("[\n")
+        for idx, val in enumerate(items):
+            out.append(pad + "  ")
+            _ref_write(val, out, indent + 1)
+            out.append(",\n" if idx < len(items) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        out.append(_ref_scalar(obj))
+
+
+def ref_dump_json(obj) -> str:
+    """Reference rendering of the artifact JSON format: two-space indents,
+    scalar-only lists on one line, every object rendered in full each time
+    it appears."""
+    out: list[str] = []
+    _ref_write(obj, out, 0)
+    out.append("\n")
+    return "".join(out)

@@ -19,7 +19,7 @@ from trottersmith import (
     counts,
     from_edges,
 )
-from trottersmith.circuits import _zyz
+from trottersmith.circuits import _uij_gates, _zyz
 from trottersmith.jsonutil import dump_json
 from trottersmith.synth import build_trotter_circuit
 
@@ -250,6 +250,46 @@ class TestJsonRoundTrip:
     def test_malformed_documents_rejected(self, text):
         with pytest.raises(ValueError):
             circuit_from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 1e400, "layers": []}',
+        '{"n": 2.5, "layers": []}',
+        '{"n": 2, "depth": 1e400, "layers": []}',
+        '{"n": 2, "depth": 0.0, "layers": []}',
+        '{"n": 2, "layers": [[{"kind": "cx", "qubits": [0.7, 1]}]]}',
+        '{"n": 2, "layers": [[{"kind": "h", "qubits": [1e400]}]]}',
+    ])
+    def test_integer_fields_must_be_integers(self, text):
+        # these used to truncate (2.5 -> 2, [0.7, 1] -> (0, 1)) or overflow
+        with pytest.raises(ValueError, match="cannot be interpreted as an integer"):
+            circuit_from_json(text)
+
+
+class TestStageGates:
+    def test_stack_check_fails_like_a_gate(self, rng):
+        good = random_unitary(4, rng)
+        for bad in (1.001 * good, np.full((4, 4), np.nan, dtype=complex)):
+            with pytest.raises(ValueError) as single:
+                Gate(GateKind.UIJ, (0, 1), matrix=bad, edge=(0, 1), tau=0.5)
+            with pytest.raises(ValueError) as stacked:
+                _uij_gates([(0, 1), (2, 3)], np.array([good, bad]), 0.5)
+            assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_tau_must_be_finite(self, rng, tau):
+        with pytest.raises(ValueError, match="uij tau must be finite"):
+            _uij_gates([(0, 1)], np.array([random_unitary(4, rng)]), tau)
+
+    def test_gates_own_a_read_only_copy(self, rng):
+        us = np.array([random_unitary(4, rng), random_unitary(4, rng)])
+        gates = _uij_gates([(0, 1), (2, 3)], us, -0.0)
+        us[0, 0, 0] = 7.0
+        assert gates[0].matrix[0, 0] != 7.0
+        with pytest.raises(ValueError):
+            gates[1].matrix[0, 0] = 0.0
+        text = circuit_to_json(Circuit(n=4, layers=(gates,)))
+        assert '"tau": -0.0' in text
+        assert circuit_to_json(circuit_from_json(text)) == text
 
 
 def test_shared_dict_renders_like_unshared_copies():

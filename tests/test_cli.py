@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trottersmith import (
@@ -87,6 +87,20 @@ class TestLattice:
         assert res.exit_code == 2
         assert "error:" in res.stderr
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_nonfinite_isotropic_coupling_exits_two(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run("lattice", "--kind", "chain", "--dims", "3", "--coupling", value)
+        assert res.exit_code == 2, res.output
+        assert f"coupling j must be finite, got {value}" in res.stderr
+
+    def test_negative_isotropic_coupling_keeps_signed_zeros(self):
+        res = run("lattice", "--kind", "chain", "--dims", "3", "--coupling", "-1")
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["edges"][0]["J"] == [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+        assert '[-1.0, -0.0, -0.0]' in res.stdout
+
     def test_malformed_coupling(self):
         res = run("lattice", "--kind", "chain", "--dims", "4", "--coupling", "1,2")
         assert res.exit_code == 2
@@ -113,6 +127,19 @@ class TestColor:
             assert res.exit_code == 2, text
             assert "error:" in res.stderr
             assert "internal error" not in res.stderr
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 1e400, "edges": []},
+        {"n": 3.7, "edges": [{"i": 0, "j": 1, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]},
+        {"n": 3, "edges": [{"i": 0.5, "j": 1.9, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]},
+        {"n": 3, "edges": [{"i": 0, "j": 1, "J": [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]}]},
+    ], ids=["n-overflow", "n-float", "i-j-float", "J-huge-int"])
+    def test_model_with_non_integer_fields_exits_two(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        res = run("color", "--model", str(path))
+        assert res.exit_code == 2, res.output
+        assert "malformed model document" in res.stderr
 
     def test_odd_periodic_square_4x3(self, tmp_path):
         model_path = tmp_path / "square43.json"
@@ -248,6 +275,19 @@ class TestSynth:
         assert res.stdout == circuit_to_json(Circuit(model.n, tuple(layers)))
         assert res.stdout.count('"tau": -0.0') == 16
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 1e400, "K": 2, "classes": [[0, 2], [1]]},
+        {"n": 4.9, "K": 2, "classes": [[0, 2], [1]]},
+        {"n": 4, "K": 2.5, "classes": [[0, 2], [1]]},
+    ], ids=["n-overflow", "n-float", "K-float"])
+    def test_coloring_with_non_integer_fields_exits_two(self, chain4_file, tmp_path, doc):
+        path = tmp_path / "coloring.json"
+        path.write_text(json.dumps(doc))
+        res = run("synth", "--model", str(chain4_file), "--coloring", str(path),
+                  "--steps", "1", "--time", "1.0")
+        assert res.exit_code == 2, res.output
+        assert "malformed coloring document" in res.stderr
+
     def test_supplied_coloring_is_used(self, chain4_file, tmp_path):
         col = tmp_path / "col.json"
         col.write_text(json.dumps({"n": 4, "classes": [[0], [1], [2]]}))
@@ -274,6 +314,24 @@ class TestEstimate:
                   "--time", "1.0")
         doc = json.loads(res.stdout)
         assert doc["interaction_gates"] == 150 * 3
+
+    def test_model_counts_each_edge_template(self, tmp_path):
+        # 4 plain-exchange edges (3 CNOTs) and 8 with a field share (6 CNOTs)
+        path = tmp_path / "square33.json"
+        run("lattice", "--kind", "square", "--dims", "3x3", "--field", "0.5,0,0.3",
+            "--out", str(path))
+        res = run("estimate", "--model", str(path), "--epsilon", "0.01", "--time", "1.0")
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        assert doc["interaction_gates"] == 12 * doc["m"]
+        assert doc["cnots"] == 60 * doc["m"]
+        assert doc["assumptions"]["template"] == "per-edge"
+
+    def test_heisenberg_flag_rejected_with_model(self, chain4_file):
+        res = run("estimate", "--model", str(chain4_file), "--epsilon", "0.01",
+                  "--time", "1.0", "--heisenberg")
+        assert res.exit_code == 2
+        assert "--heisenberg applies without --model" in res.stderr
 
     def test_heisenberg_flag(self):
         res = run("estimate", "--n", "4", "--classes", "2", "--epsilon", "0.01",
@@ -433,6 +491,11 @@ _json_values = st.recursive(
 
 class TestLoaderContract:
     @given(_json_values)
+    @example({"n": float("inf"), "K": 1, "edges": [], "classes": [], "layers": []})
+    @example({"n": 3.7, "edges": [{"i": 0.5, "j": 1.9, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]})
+    @example({"n": 2, "depth": float("inf"), "layers": [[{"kind": "cx", "qubits": [0.7, 1]}]]})
+    @example({"n": 2, "K": float("inf"), "classes": [[0]]})
+    @example({"n": 2, "edges": [{"i": 0, "j": 1, "J": [[10**400] * 3] * 3}]})
     @settings(max_examples=150, deadline=None)
     def test_loaders_raise_only_value_error(self, doc):
         # any document either loads or is rejected as bad input (exit 2)

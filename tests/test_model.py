@@ -1,9 +1,12 @@
 """Model layer: coupling tensors, field folding, lattices, serialization."""
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trottersmith import (
@@ -278,3 +281,134 @@ class TestJson:
     def test_missing_field_is_value_error(self):
         with pytest.raises(ValueError, match="missing"):
             model_from_json('{"n": 2}')
+
+
+# one bad ingredient each: (i, j, J, hi, hj)
+_J = [[1.0, 0.0, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 0.4]]
+_H0 = [0.0, 0.0, 0.0]
+_BAD_EDGES = {
+    "nan-J": (0, 1, [[math.nan, 0, 0], [0, 1, 0], [0, 0, 1]], _H0, _H0),
+    "inf-J": (0, 1, [[1, 0, 0], [0, 1, 0], [0, 0, -math.inf]], _H0, _H0),
+    "nan-hi": (0, 1, _J, [0.0, math.nan, 0.0], _H0),
+    "inf-hi": (0, 1, _J, [math.inf, 0.0, 0.0], _H0),
+    "nan-hj": (0, 1, _J, _H0, [0.0, 0.0, math.nan]),
+    "inf-hj": (0, 1, _J, _H0, [0.0, -math.inf, 0.0]),
+    "J-shape": (0, 1, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], _H0, _H0),
+    "hi-shape": (0, 1, _J, [0.0, 1.0], _H0),
+    "hj-shape": (0, 1, _J, _H0, [[0.0, 0.0, 1.0]]),
+    "ragged-J": (0, 1, [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], _H0, _H0),
+    "i-equals-j": (1, 1, _J, _H0, _H0),
+    "i-above-j": (2, 1, _J, _H0, _H0),
+    "negative-i": (-1, 1, _J, _H0, _H0),
+}
+# a stack of many rows reports these with the one-edge message; shape faults
+# among well-shaped rows make the stack ragged, which numpy reports itself
+_SAME_MESSAGE_IN_A_STACK = ("nan-J", "inf-J", "nan-hi", "inf-hi", "nan-hj", "inf-hj",
+                            "i-equals-j", "i-above-j", "negative-i")
+
+
+def _message(fn) -> str:
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+def _edge_doc(i, j, jmat, hi, hj) -> dict:
+    return {"i": i, "j": j, "J": jmat, "hi": hi, "hj": hj}
+
+
+class TestStackedChecks:
+    @pytest.mark.parametrize("case", sorted(_BAD_EDGES))
+    def test_one_edge_document_fails_like_the_constructor(self, case):
+        i, j, jmat, hi, hj = _BAD_EDGES[case]
+        direct = _message(lambda: EdgeTerm(i, j, CouplingTensor(jmat), h_i=hi, h_j=hj))
+        text = json.dumps({"n": 3, "edges": [_edge_doc(i, j, jmat, hi, hj)]})
+        assert _message(lambda: model_from_json(text)) == direct
+
+    @pytest.mark.parametrize("case", sorted(_BAD_EDGES))
+    def test_bad_edge_inside_a_large_document_is_rejected(self, case):
+        i, j, jmat, hi, hj = _BAD_EDGES[case]
+        edges = [_edge_doc(k, k + 1, _J, [0.1, 0.0, -0.2], _H0) for k in range(1000)]
+        edges[500] = _edge_doc(i, j, jmat, hi, hj)
+        text = json.dumps({"n": 1001, "edges": edges})
+        got = _message(lambda: model_from_json(text))
+        if case in _SAME_MESSAGE_IN_A_STACK:
+            direct = _message(lambda: EdgeTerm(i, j, CouplingTensor(jmat), h_i=hi, h_j=hj))
+            assert got == direct
+
+    def test_duplicate_and_out_of_range_edges_in_a_document(self):
+        two = [_edge_doc(0, 1, _J, _H0, _H0), _edge_doc(1, 2, _J, _H0, _H0)]
+        dup = json.dumps({"n": 3, "edges": two + [_edge_doc(0, 1, _J, _H0, _H0)]})
+        with pytest.raises(ValueError, match="duplicate edge"):
+            model_from_json(dup)
+        with pytest.raises(ValueError, match="out of range"):
+            model_from_json(json.dumps({"n": 2, "edges": two}))
+
+    def test_loaded_arrays_are_read_only(self):
+        model = model_from_json(model_to_json(build_lattice("chain", 3, field=(0.1, 0, 0))))
+        for e in model.edges:
+            for arr in (e.coupling.matrix, e.h_i, e.h_j):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+
+
+def _ref_fold(n, pairs, fields):
+    """Field shares by the folding rule, one site at a time: a site's field
+    goes to the first sorted edge it is the lower end of, else to the first
+    edge it touches at all."""
+    h_i = [np.zeros(3) for _ in pairs]
+    h_j = [np.zeros(3) for _ in pairs]
+    for s in range(n):
+        low = [k for k, (a, _) in enumerate(pairs) if a == s]
+        touch = [k for k, pair in enumerate(pairs) if s in pair]
+        if low:
+            h_i[low[0]] = h_i[low[0]] + fields[s]
+        elif touch:
+            h_j[touch[0]] = h_j[touch[0]] + fields[s]
+    return h_i, h_j
+
+
+# signed zeros, subnormals, integral floats at and above 1e16 and plain values
+_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e16, -1e16, 2.0**60, 1.5e17,
+                     -3.0, 0.1]),
+    st.floats(-1e20, 1e20),
+)
+_tensor = st.one_of(
+    st.lists(_value, min_size=9, max_size=9).map(lambda v: CouplingTensor(np.reshape(v, (3, 3)))),
+    st.floats(-5, -0.01).map(CouplingTensor.heisenberg),  # negative isotropic: -0.0 off-diagonals
+)
+
+
+class TestJsonRoundTripProperty:
+    @given(st.data())
+    @example(None)
+    @settings(max_examples=80, deadline=None)
+    def test_text_is_a_fixed_point_and_values_are_bit_exact(self, data):
+        if data is None:  # a fixed case: negative isotropic J and -0.0 fields
+            n, pairs = 3, [(0, 1), (1, 2)]
+            tensors = [CouplingTensor.heisenberg(-1.0), CouplingTensor.heisenberg(-2.5)]
+            fields = np.array([[-0.0, 5e-324, 1e16], [0.0, -0.0, 0.0], [2.0**60, -0.0, 0.1]])
+        else:
+            n = data.draw(st.integers(2, 6))
+            all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            pairs = sorted(data.draw(st.lists(st.sampled_from(all_pairs), min_size=1,
+                                              max_size=len(all_pairs), unique=True)))
+            tensors = data.draw(st.lists(_tensor, min_size=len(pairs), max_size=len(pairs)))
+            touched = {s for pair in pairs for s in pair}
+            fields = np.array([data.draw(st.lists(_value, min_size=3, max_size=3))
+                               if s in touched else [0.0, 0.0, 0.0] for s in range(n)])
+        model = from_edges(n, [(a, b, c) for (a, b), c in zip(pairs, tensors)], fields)
+        ref_hi, ref_hj = _ref_fold(n, pairs, fields)
+        for e, c, hi, hj in zip(model.edges, tensors, ref_hi, ref_hj):
+            assert e.coupling is c
+            assert e.h_i.tobytes() == hi.tobytes()
+            assert e.h_j.tobytes() == hj.tobytes()
+        text = model_to_json(model)
+        back = model_from_json(text)
+        assert model_to_json(back) == text
+        assert back.edge_pairs() == model.edge_pairs()
+        for a, b in zip(model.edges, back.edges):
+            assert a.coupling.matrix.tobytes() == b.coupling.matrix.tobytes()
+            assert a.h_i.tobytes() == b.h_i.tobytes()
+            assert a.h_j.tobytes() == b.h_j.tobytes()

@@ -8,6 +8,7 @@ import pytest
 from trottersmith import (
     GateTimingModel,
     ResourceReport,
+    StepPlan,
     audit,
     build_lattice,
     build_trotter_circuit,
@@ -19,6 +20,7 @@ from trottersmith import (
     steps_for_accuracy,
 )
 from trottersmith.resources import class_repetitions, first_order_gate_closed_form
+from trottersmith.synth import template_cnots
 
 
 class TestTimingModel:
@@ -244,3 +246,44 @@ class TestAudit:
         )
         issues = audit(bad, circ)
         assert any("interaction gates" in msg for msg in issues)
+
+
+class TestPerEdgeCnots:
+    @pytest.fixture
+    def mixed(self):
+        # open 3x3 Heisenberg square with a field: 4 plain-exchange edges
+        # (3 CNOTs) and 8 edges with a field share (6 CNOTs)
+        model = build_lattice("square", (3, 3), field=(0.5, 0.0, 0.3))
+        col = color_model(model)
+        plan = StepPlan(m=2, order=1, bound_used="user", num_classes=col.num_classes, t=1.0)
+        circ = build_trotter_circuit(model, col, first_order(col.num_classes), 2, 1.0)
+        return model, plan, circ
+
+    def test_mixed_templates_audit_clean(self, mixed):
+        model, plan, circ = mixed
+        edge_cnots = [template_cnots(e) for e in model.edges]
+        report = report_for_plan(plan, model.n, edge_cnots=edge_cnots)
+        assert report.cnots == 120
+        assert report.interaction_gates == 2 * len(model.edges)
+        assert report.assumptions["template"] == "per-edge"
+        assert audit(report, circ) == []
+        # one template for every edge over- or under-counts, and audit says so
+        for heisenberg in (False, True):
+            uniform = report_for_plan(plan, model.n, heisenberg=heisenberg,
+                                      edges_per_sweep=len(model.edges))
+            assert uniform.cnots == (72 if heisenberg else 144)
+            assert audit(uniform, circ) != []
+
+    def test_uniform_counts_unchanged(self, mixed):
+        model, plan, _ = mixed
+        six = [6] * len(model.edges)
+        a = report_for_plan(plan, model.n, edges_per_sweep=len(model.edges))
+        b = report_for_plan(plan, model.n, edge_cnots=six)
+        assert (a.interaction_gates, a.cnots, a.depth) == (b.interaction_gates, b.cnots, b.depth)
+
+    def test_conflicting_inputs_rejected(self, mixed):
+        model, plan, _ = mixed
+        with pytest.raises(ValueError, match="not both"):
+            report_for_plan(plan, model.n, heisenberg=True, edge_cnots=[3] * 12)
+        with pytest.raises(ValueError, match="edges_per_sweep=11"):
+            report_for_plan(plan, model.n, edges_per_sweep=11, edge_cnots=[3] * 12)

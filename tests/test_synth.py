@@ -9,6 +9,7 @@ import pytest
 from trottersmith import (
     CouplingTensor,
     EdgeTerm,
+    Gate,
     GateKind,
     TimeProfile,
     build_lattice,
@@ -303,6 +304,45 @@ class TestBuildTrotterCircuit:
         circ = build_trotter_circuit(model, col, f, 3, 0.8, mode="scaled")
         played = run_circuit(np.eye(2**model.n, dtype=complex), circ)
         assert op_norm(played - formula_unitary(model, col, f, 3, 0.8)) < 1e-12
+
+    @pytest.mark.parametrize("spoil,message", [
+        (lambda us: 1.001 * us, "uij matrix deviates from unitary by 2.00e-03"),
+        (lambda us: np.where(np.arange(len(us))[:, None, None] == len(us) - 1, np.nan, us),
+         "uij matrix deviates from unitary by nan"),
+    ])
+    def test_scaled_build_rejects_a_non_unitary_stage(self, xyz_square44, monkeypatch,
+                                                      spoil, message):
+        # the stage is checked as one stack; the last edge alone spoils the NaN case
+        real = synth._expm_herm
+        monkeypatch.setattr(synth, "_expm_herm", lambda h, factor: spoil(real(h, factor)))
+        model, col, f, m, t = xyz_square44
+        with pytest.raises(ValueError) as info:
+            build_trotter_circuit(model, col, f, m, t, mode="scaled")
+        assert str(info.value) == message
+
+    def test_scaled_gates_equal_fully_checked_gates(self, xyz_square44):
+        model, col, f, m, t = xyz_square44
+        circ = build_trotter_circuit(model, col, f, m, t, mode="scaled")
+        for g in circ.all_gates():
+            full = Gate(g.kind, g.qubits, matrix=g.matrix, edge=g.edge, tau=g.tau)
+            assert (full.kind, full.qubits, full.angle, full.edge, full.tau) == \
+                (g.kind, g.qubits, g.angle, g.edge, g.tau)
+            assert full.matrix.tobytes() == g.matrix.tobytes()
+            assert type(g.qubits[0]) is int and type(g.tau) is float
+            with pytest.raises(ValueError):
+                g.matrix[0, 0] = 0.0
+
+
+class TestTemplateCnots:
+    def test_mixed_template_model_count_is_exact(self):
+        # open 3x3 Heisenberg square with a field: 8 edges carry a field share
+        model = build_lattice("square", (3, 3), coupling=CouplingTensor.heisenberg(),
+                              field=(0.5, 0.0, 0.3))
+        per_edge = [synth.template_cnots(e) for e in model.edges]
+        assert sorted(per_edge) == [3] * 4 + [6] * 8
+        col = color_model(model)
+        circ = build_trotter_circuit(model, col, first_order(col.num_classes), 2, 1.0)
+        assert counts(circ)["cx"] == 2 * sum(per_edge) == 120
 
 
 def counts(circ):
