@@ -7,6 +7,10 @@ exp(-i theta P / 2) for the matching Pauli P, and cx lists the control
 first.  Two gate kinds carry explicit matrices: ``u1q`` for an arbitrary
 single-qubit unitary and ``uij`` for a native two-qubit interaction
 exp(-i tau H_ij), stored evaluated so playback never re-exponentiates.
+
+The JSON document is ``{"n", "depth", "gates", "layers"}``: ``gates`` holds
+each distinct gate document once, in order of first use, and each layer is a
+list of indices into it, so size and load checks scale with distinct gates.
 """
 from __future__ import annotations
 
@@ -182,15 +186,8 @@ class Circuit:
         for layer in self.layers:
             yield from layer
 
-    def gate_count(self, kind: GateKind | None = None) -> int:
-        if kind is None:
-            return sum(len(layer) for layer in self.layers)
-        kind = GateKind(kind)
-        return sum(1 for g in self.all_gates() if g.kind is kind)
-
-    @property
-    def cx_count(self) -> int:
-        return self.gate_count(GateKind.CX)
+    def gate_count(self) -> int:
+        return sum(len(layer) for layer in self.layers)
 
     def interaction_edges(self) -> tuple[tuple[int, int], ...]:
         """Distinct (i, j) pairs touched by uij gates, sorted."""
@@ -250,45 +247,44 @@ def _gate_from_obj(obj: dict) -> Gate:
 
 
 def circuit_to_json(circuit: Circuit) -> str:
-    # one dict per distinct Gate object, which dump_json renders once
-    objs: dict[int, dict] = {}
+    """Serialize a circuit; table entries are keyed on ``repr`` of the gate
+    document, which tells -0.0 from 0.0, so the bytes depend on gate content
+    and not on which ``Gate`` objects are shared."""
+    gates: list[dict] = []
+    by_doc: dict[str, int] = {}
+    by_id: dict[int, int] = {}
 
-    def gate_obj(g: Gate) -> dict:
-        found = objs.get(id(g))
-        if found is None:
-            found = objs[id(g)] = _gate_to_obj(g)
-        return found
+    def index(g: Gate) -> int:
+        k = by_id.get(id(g))
+        if k is None:
+            obj = _gate_to_obj(g)
+            k = by_id[id(g)] = by_doc.setdefault(repr(obj), len(gates))
+            if k == len(gates):
+                gates.append(obj)
+        return k
 
-    obj = {
-        "n": circuit.n,
-        "depth": circuit.depth,
-        "layers": [[gate_obj(g) for g in layer] for layer in circuit.layers],
-    }
-    return dump_json(obj)
+    layers = [[index(g) for g in layer] for layer in circuit.layers]
+    return dump_json({"n": circuit.n, "depth": circuit.depth, "gates": gates, "layers": layers})
 
 
 def circuit_from_json(text: str) -> Circuit:
     """Parse and validate a circuit document; the trust boundary for circuits.
 
-    ``n``, ``depth``, gate qubits and edges must be JSON integers, and every
-    distinct gate document goes through :class:`Gate` and its full checks.
-
-    Identical gate documents load as one shared ``Gate``, so each distinct
-    document is built and validated once.  The key is ``repr`` of the parsed
-    object, which is exact: it tells -0.0 from 0.0, 1 from 1.0 and True from 1,
-    so sharing never changes a re-emitted byte.
+    ``n``, ``depth``, gate qubits and edges and every layer entry must be
+    JSON integers.  Each table entry goes through :class:`Gate` and its full
+    checks once, and every slot that indexes it shares that ``Gate``.  An
+    index outside ``0 <= k < len(gates)`` is rejected.
     """
     with json_document(text, "circuit") as obj:
-        gates: dict[str, Gate] = {}
+        gates = [_gate_from_obj(g) for g in obj["gates"]]
 
-        def gate(g) -> Gate:
-            key = repr(g)
-            found = gates.get(key)
-            if found is None:
-                found = gates[key] = _gate_from_obj(g)
-            return found
+        def gate(k) -> Gate:
+            k = operator.index(k)
+            if not 0 <= k < len(gates):
+                raise ValueError(f"gate index {k} out of range for a table of {len(gates)}")
+            return gates[k]
 
-        layers = tuple(tuple(gate(g) for g in layer) for layer in obj["layers"])
+        layers = tuple(tuple(gate(k) for k in layer) for layer in obj["layers"])
         circ = Circuit(n=operator.index(obj["n"]), layers=layers)
         if "depth" in obj and operator.index(obj["depth"]) != circ.depth:
             raise ValueError(f"stored depth {obj['depth']} != layer count {circ.depth}")

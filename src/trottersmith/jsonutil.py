@@ -3,11 +3,9 @@
 The standard library serializer renders floats with ``repr``, which is
 shortest-round-trip but not a fixed digit count.  Artifacts here promise 17
 significant digits (always lossless for IEEE doubles) and byte-stable output
-for identical inputs, so we walk the structure ourselves.  A dict object that
-appears more than once in a document is rendered once per indent and its text
-reused, so a circuit whose gate slots share one gate dict costs one rendering
-per distinct gate.  Reading goes through :func:`json_document`, which turns
-every malformed document into a ValueError.
+for identical inputs, so we walk the structure ourselves.  Reading goes
+through :func:`json_document`, which turns every malformed document into a
+ValueError.
 """
 from __future__ import annotations
 
@@ -39,20 +37,11 @@ def _scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def _write(obj, out: list[str], indent: int, seen: dict, keys: dict) -> None:
+def _write(obj, out: list[str], indent: int, keys: dict) -> None:
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        # a dict met again at the same indent reuses its first rendering
-        key = (id(obj), indent)
-        done = seen.get(key)
-        if done is not None:
-            if not isinstance(done, str):
-                done = seen[key] = "".join(out[done[0]:done[1]])
-            out.append(done)
-            return
-        start = len(out)
         out.append("{\n")
         last = len(obj) - 1
         for idx, (k, val) in enumerate(obj.items()):
@@ -65,10 +54,9 @@ def _write(obj, out: list[str], indent: int, seen: dict, keys: dict) -> None:
                 if cacheable:
                     keys[k, indent] = line
             out.append(line)
-            _write(val, out, indent + 1, seen, keys)
+            _write(val, out, indent + 1, keys)
             out.append(",\n" if idx < last else "\n")
         out.append("  " * indent + "}")
-        seen[key] = (start, len(out))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -84,7 +72,7 @@ def _write(obj, out: list[str], indent: int, seen: dict, keys: dict) -> None:
         out.append("[\n")
         for idx, val in enumerate(obj):
             out.append(pad + "  ")
-            _write(val, out, indent + 1, seen, keys)
+            _write(val, out, indent + 1, keys)
             out.append(",\n" if idx < last else "\n")
         out.append(pad + "]")
     else:
@@ -94,10 +82,8 @@ def _write(obj, out: list[str], indent: int, seen: dict, keys: dict) -> None:
 def dump_json(obj) -> str:
     """Render a JSON document deterministically; trailing newline included."""
     out: list[str] = []
-    # seen: (id, indent) -> span of ``out``, then its joined text once met
-    # again; every keyed dict stays alive through ``obj``, so no id is reused.
     # keys: (str key, indent) -> its rendered "key": prefix
-    _write(obj, out, 0, {}, {})
+    _write(obj, out, 0, {})
     out.append("\n")
     return "".join(out)
 

@@ -57,9 +57,9 @@ def _readonly_stack(rows, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def _validated_edges(pairs, couplings, h_i, h_j):
-    """Check E edge terms at once; return read-only (E, 3, 3), (E, 3), (E, 3) stacks.
+    """Check E edge terms at once; return int pairs and read-only (E, 3, 3), (E, 3), (E, 3) stacks.
 
-    ``pairs`` holds the (i, j) endpoints; ``couplings``, ``h_i`` and ``h_j``
+    ``pairs`` holds the integer (i, j) endpoints; ``couplings``, ``h_i`` and ``h_j``
     hold one array-like per edge, and ``couplings`` may be None when the
     tensors are checked already.  The checks run in the order a
     one-edge document meets them (coupling shape and finiteness,
@@ -67,10 +67,11 @@ def _validated_edges(pairs, couplings, h_i, h_j):
     :class:`EdgeTerm` and a stack of one raise the same message.
     """
     jmat = None if couplings is None else _readonly_stack(couplings, (3, 3), "coupling tensor")
+    pairs = [(operator.index(a), operator.index(b)) for a, b in pairs]
     for a, b in pairs:
         if not (0 <= a < b):
             raise ValueError(f"edge must satisfy 0 <= i < j, got ({a}, {b})")
-    return jmat, _readonly_stack(h_i, (3,), "h_i"), _readonly_stack(h_j, (3,), "h_j")
+    return pairs, jmat, _readonly_stack(h_i, (3,), "h_i"), _readonly_stack(h_j, (3,), "h_j")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +122,10 @@ class EdgeTerm:
     h_j: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        _, h_i, h_j = _validated_edges([(self.i, self.j)], None, [self.h_i], [self.h_j])
+        [(i, j)], _, h_i, h_j = _validated_edges([(self.i, self.j)], None, [self.h_i], [self.h_j])
         _check_couplings((self.coupling,))
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
         object.__setattr__(self, "h_i", h_i[0])
         object.__setattr__(self, "h_j", h_j[0])
 
@@ -413,7 +416,7 @@ def _folded_edges(n: int, pairs, couplings, site_fields) -> tuple[EdgeTerm, ...]
     """Edge terms of sorted pairs with the site fields folded in, checked as stacks."""
     h_i, h_j = _field_shares(n, pairs, site_fields)
     _check_couplings(couplings)
-    _, h_i, h_j = _validated_edges(pairs, None, h_i, h_j)
+    pairs, _, h_i, h_j = _validated_edges(pairs, None, h_i, h_j)
     return _edge_terms(pairs, couplings, h_i, h_j)
 
 
@@ -527,9 +530,8 @@ def model_from_json(text: str) -> SpinModel:
             else TimeProfile("piecewise", tuple(prof_doc["factors"]))
         )
         docs = doc["edges"]
-        pairs = [(operator.index(e["i"]), operator.index(e["j"])) for e in docs]
-        jmat, h_i, h_j = _validated_edges(
-            pairs,
+        pairs, jmat, h_i, h_j = _validated_edges(
+            [(e["i"], e["j"]) for e in docs],
             [e["J"] for e in docs],
             [e.get("hi", _NO_FIELD) for e in docs],
             [e.get("hj", _NO_FIELD) for e in docs],

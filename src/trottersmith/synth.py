@@ -435,7 +435,10 @@ def _plain_exchange(term: EdgeTerm) -> bool:
 
 
 def template_cnots(term: EdgeTerm) -> int:
-    """CNOTs of the template ``decomposed`` mode picks for a term: 3 or 6."""
+    """CNOTs ``decomposed`` mode emits for a term: 3 or 6 by its template,
+    or 0 when its coupling tensor is all zero and its exponential is local."""
+    if not np.any(term.coupling.matrix):
+        return 0
     return 3 if _plain_exchange(term) else 6
 
 

@@ -13,11 +13,15 @@ from trottersmith import (
     CouplingTensor,
     Gate,
     GateKind,
+    build_lattice,
     circuit_from_json,
     circuit_to_json,
     circuit_to_qasm3,
+    color_model,
     counts,
+    formula_for_order,
     from_edges,
+    run_circuit,
 )
 from trottersmith.circuits import _uij_gates, _zyz
 from trottersmith.jsonutil import dump_json
@@ -130,8 +134,8 @@ class TestCircuitValidation:
         )
         assert circ.depth == 2
         assert circ.gate_count() == 3
-        assert circ.cx_count == 1
-        assert circ.gate_count(GateKind.H) == 2
+        assert counts(circ)["cx"] == 1
+        assert counts(circ)["by_kind"]["h"] == 2
 
 
 def test_counts_tally():
@@ -202,7 +206,7 @@ class TestJsonRoundTrip:
     def test_nan_matrix_entry_rejected(self, rng):
         # json.loads accepts the NaN token, so the gate check must refuse it
         obj = json.loads(circuit_to_json(self._sample(rng)))
-        obj["layers"][1][0]["matrix"][0][0][0] = float("nan")
+        obj["gates"][obj["layers"][1][0]]["matrix"][0][0][0] = float("nan")
         text = json.dumps(obj)
         assert "NaN" in text
         with pytest.raises(ValueError, match="deviates from unitary"):
@@ -210,14 +214,14 @@ class TestJsonRoundTrip:
 
     def test_nan_tau_rejected(self, rng):
         obj = json.loads(circuit_to_json(self._sample(rng)))
-        obj["layers"][2][0]["tau"] = float("nan")
+        obj["gates"][obj["layers"][2][0]]["tau"] = float("nan")
         text = json.dumps(obj)
         assert "NaN" in text
         with pytest.raises(ValueError, match="tau must be finite"):
             circuit_from_json(text)
 
     def test_signed_zeros_stay_apart(self):
-        # the load key must tell -0.0 from 0.0, or re-emitting changes bytes
+        # the table key must tell -0.0 from 0.0, or re-emitting changes bytes
         neg = np.eye(2, dtype=complex)
         neg[0, 1] = complex(-0.0, 0.0)
         circ = Circuit(n=1, layers=(
@@ -228,41 +232,91 @@ class TestJsonRoundTrip:
         ))
         text = circuit_to_json(circ)
         assert "-0.0" in text
+        assert len(json.loads(text)["gates"]) == 4
         back = circuit_from_json(text)
         assert circuit_to_json(back) == text
         assert len({id(g) for g in back.all_gates()}) == 4
 
     def test_identical_documents_share_one_gate(self, xyz_square44):
         text = circuit_to_json(build_trotter_circuit(*xyz_square44))
-        docs = [json.dumps(g) for layer in json.loads(text)["layers"] for g in layer]
+        doc = json.loads(text)
+        table = [json.dumps(g) for g in doc["gates"]]
+        slots = [table[k] for layer in doc["layers"] for k in layer]
         back = circuit_from_json(text)
-        assert len(docs) > len(set(docs))
-        assert len({id(g) for g in back.all_gates()}) == len(set(docs))
+        assert len(slots) > len(set(slots)) == len(table)
+        assert len({id(g) for g in back.all_gates()}) == len(table)
         assert circuit_to_json(back) == text
+
+    def test_repeated_table_entry_loads_apart_and_emits_once(self):
+        h = {"kind": "h", "qubits": [0]}
+        text = json.dumps({"n": 1, "depth": 2, "gates": [h, h], "layers": [[0], [1]]})
+        back = circuit_from_json(text)
+        assert back.layers[0][0] is not back.layers[1][0]
+        doc = json.loads(circuit_to_json(back))
+        assert doc["gates"] == [h]
+        assert doc["layers"] == [[0], [0]]
 
     @pytest.mark.parametrize("text", [
         "[]",
+        # documents without a gate table, as written before the table existed
         '{"n": 4, "layers": 5}',
         '{"n": 4, "layers": [[{"qubits": [0]}]]}',
         '{"n": 4, "layers": [[{"kind": "h", "qubits": 0}]]}',
         '{"n": [4], "layers": []}',
+        # the same faults in the table layout
+        '{"n": 4, "gates": [], "layers": 5}',
+        '{"n": 4, "gates": [{"qubits": [0]}], "layers": [[0]]}',
+        '{"n": 4, "gates": [{"kind": "h", "qubits": 0}], "layers": [[0]]}',
+        '{"n": [4], "gates": [], "layers": []}',
     ])
     def test_malformed_documents_rejected(self, text):
         with pytest.raises(ValueError):
             circuit_from_json(text)
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 1, "layers": [[{"kind": "h", "qubits": [0]}]]},
+        {"n": 1, "gates": [], "layers": [[{"kind": "h", "qubits": [0]}]]},
+    ], ids=["no-table", "gates-in-layers"])
+    def test_old_layout_rejected(self, doc):
+        with pytest.raises(ValueError, match="malformed circuit document|missing field 'gates'"):
+            circuit_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_index_out_of_table_rejected(self, k):
+        text = json.dumps({"n": 2, "gates": [{"kind": "h", "qubits": [0]},
+                                             {"kind": "h", "qubits": [1]}],
+                           "layers": [[0], [k]]})
+        with pytest.raises(ValueError, match=f"gate index {k} out of range for a table of 2"):
+            circuit_from_json(text)
+
     @pytest.mark.parametrize("text", [
-        '{"n": 1e400, "layers": []}',
-        '{"n": 2.5, "layers": []}',
-        '{"n": 2, "depth": 1e400, "layers": []}',
-        '{"n": 2, "depth": 0.0, "layers": []}',
-        '{"n": 2, "layers": [[{"kind": "cx", "qubits": [0.7, 1]}]]}',
-        '{"n": 2, "layers": [[{"kind": "h", "qubits": [1e400]}]]}',
+        '{"n": 1e400, "layers": [], "gates": []}',
+        '{"n": 2.5, "layers": [], "gates": []}',
+        '{"n": 2, "depth": 1e400, "layers": [], "gates": []}',
+        '{"n": 2, "depth": 0.0, "layers": [], "gates": []}',
+        '{"n": 2, "layers": [[0]], "gates": [{"kind": "cx", "qubits": [0.7, 1]}]}',
+        '{"n": 2, "layers": [[0]], "gates": [{"kind": "h", "qubits": [1e400]}]}',
+        '{"n": 2, "layers": [[0.5]], "gates": [{"kind": "h", "qubits": [0]}]}',
+        '{"n": 2, "layers": [["0"]], "gates": [{"kind": "h", "qubits": [0]}]}',
     ])
     def test_integer_fields_must_be_integers(self, text):
         # these used to truncate (2.5 -> 2, [0.7, 1] -> (0, 1)) or overflow
         with pytest.raises(ValueError, match="cannot be interpreted as an integer"):
             circuit_from_json(text)
+
+    @pytest.mark.parametrize("mode", ["decomposed", "scaled"])
+    def test_loaded_circuit_matches_built(self, rng, mode):
+        model = build_lattice("chain", 6, coupling=CouplingTensor.diagonal(1.0, 0.7, 0.4),
+                              field=(0.3, 0.0, 0.5))
+        col = color_model(model)
+        built = build_trotter_circuit(model, col, formula_for_order(2, col.num_classes), 3,
+                                      1.0, mode=mode)
+        text = circuit_to_json(built)
+        back = circuit_from_json(text)
+        assert circuit_to_json(back) == text
+        assert counts(back) == counts(built)
+        states = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
+        assert np.max(np.abs(run_circuit(states, back) - run_circuit(states, built))) <= 1e-12
 
 
 class TestStageGates:

@@ -1,7 +1,9 @@
 """Console pipeline: artifacts, summaries, exit codes, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import warnings
 
 import pytest
@@ -273,7 +275,8 @@ class TestSynth:
             for s in expand(formula_for_order(4, col.num_classes), 2, 0.0)
         ]
         assert res.stdout == circuit_to_json(Circuit(model.n, tuple(layers)))
-        assert res.stdout.count('"tau": -0.0') == 16
+        taus = [g.tau for g in circuit_from_json(res.stdout).all_gates()]
+        assert sum(1 for tau in taus if tau == 0.0 and math.copysign(1.0, tau) < 0) == 16
 
     @pytest.mark.parametrize("doc", [
         {"n": 1e400, "K": 2, "classes": [[0, 2], [1]]},
@@ -296,6 +299,23 @@ class TestSynth:
                   "--mode", "scaled")
         assert res.exit_code == 0
         assert "depth=3" in res.stderr
+
+    # chain-4 XYZ (1, 0.7, 0.4) with field (0.3, 0, 0.5), order 2, m=2, t=1;
+    # a digest changes only through a deliberate change of an artifact format
+    @pytest.mark.parametrize("mode, emit, digest", [
+        ("decomposed", "json", "289e90b23ab33d484b7693c5104fa675e0d4244f03488b8fa19442d7224204fd"),
+        ("decomposed", "qasm", "ca18bef39776e1b5a8bb5aae3328ad267a3015408a2aa8d68983ab926be65124"),
+        ("scaled", "json", "2ef90abaf689076086aad04d8460bbbee031a06cc91775269adf167843ea58b5"),
+        ("scaled", "qasm", "6be6a7e5177ff96c625df3a2e7e5adb14717b8326b20ad1d4ecdc9f94410a4d3"),
+    ])
+    def test_golden_artifact_bytes(self, tmp_path, mode, emit, digest):
+        model, out = tmp_path / "xyz4.json", tmp_path / f"circuit.{emit}"
+        run("lattice", "--kind", "chain", "--dims", "4", "--coupling", "1.0,0.7,0.4",
+            "--field", "0.3,0,0.5", "--out", str(model))
+        res = run("synth", "--model", str(model), "--order", "2", "--steps", "2",
+                  "--time", "1", "--mode", mode, "--emit", emit, "--out", str(out))
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestEstimate:
@@ -482,8 +502,8 @@ _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=False)
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(["n", "K", "classes", "edges", "layers", "i", "j",
-                                       "J", "kind", "qubits", "profile", "depth"]),
+    | st.dictionaries(st.sampled_from(["n", "K", "classes", "edges", "gates", "layers", "i",
+                                       "j", "J", "kind", "qubits", "profile", "depth"]),
                       inner, max_size=5),
     max_leaves=12,
 )
@@ -493,7 +513,9 @@ class TestLoaderContract:
     @given(_json_values)
     @example({"n": float("inf"), "K": 1, "edges": [], "classes": [], "layers": []})
     @example({"n": 3.7, "edges": [{"i": 0.5, "j": 1.9, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]})
-    @example({"n": 2, "depth": float("inf"), "layers": [[{"kind": "cx", "qubits": [0.7, 1]}]]})
+    @example({"n": 2, "depth": float("inf"), "gates": [{"kind": "cx", "qubits": [0.7, 1]}],
+              "layers": [[0]]})
+    @example({"n": 2, "gates": [{"kind": "h", "qubits": [0]}], "layers": [[-1, 1, 0.5]]})
     @example({"n": 2, "K": float("inf"), "classes": [[0]]})
     @example({"n": 2, "edges": [{"i": 0, "j": 1, "J": [[10**400] * 3] * 3}]})
     @settings(max_examples=150, deadline=None)

@@ -63,6 +63,17 @@ class TestEdgeTerm:
         with pytest.raises(ValueError):
             EdgeTerm(1, 1, CouplingTensor.heisenberg())
 
+    def test_endpoints_must_be_integers(self):
+        # float endpoints used to pass here and fail later inside color_model
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            EdgeTerm(0.0, 1.0, CouplingTensor.heisenberg())
+        term = EdgeTerm(np.int64(0), np.int32(2), CouplingTensor.heisenberg())
+        assert type(term.i) is int and type(term.j) is int
+        model = from_edges(3, [(np.int64(2), np.int64(1), CouplingTensor.heisenberg())])
+        assert [type(v) for v in model.edges[0].sites] == [int, int]
+        assert model_to_json(model) == model_to_json(
+            from_edges(3, [(1, 2, CouplingTensor.heisenberg())]))
+
     def test_requires_coupling_tensor(self):
         with pytest.raises(TypeError):
             EdgeTerm(0, 1, (1.0, 1.0, 1.0))

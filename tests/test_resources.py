@@ -6,6 +6,7 @@ import math
 import pytest
 
 from trottersmith import (
+    CouplingTensor,
     GateTimingModel,
     ResourceReport,
     StepPlan,
@@ -13,9 +14,11 @@ from trottersmith import (
     build_lattice,
     build_trotter_circuit,
     color_model,
+    counts,
     estimate_scaled,
     first_order,
     formula_for_order,
+    from_edges,
     report_for_plan,
     steps_for_accuracy,
 )
@@ -273,6 +276,19 @@ class TestPerEdgeCnots:
                                       edges_per_sweep=len(model.edges))
             assert uniform.cnots == (72 if heisenberg else 144)
             assert audit(uniform, circ) != []
+
+    @pytest.mark.parametrize("model, cx", [
+        (build_lattice("chain", 4, coupling=CouplingTensor.heisenberg(0.0), field=(0, 0, 1)), 0),
+        (from_edges(3, [(0, 1, CouplingTensor.heisenberg(0.0)),
+                        (1, 2, CouplingTensor.heisenberg(1.0))]), 6),
+    ], ids=["pure-field-chain", "one-zero-bond"])
+    def test_zero_coupling_edges_cost_no_cnots(self, model, cx):
+        col = color_model(model)
+        plan = StepPlan(m=2, order=1, bound_used="user", num_classes=col.num_classes, t=1.0)
+        circ = build_trotter_circuit(model, col, first_order(col.num_classes), 2, 1.0)
+        report = report_for_plan(plan, model.n, edge_cnots=[template_cnots(e) for e in model.edges])
+        assert report.cnots == counts(circ)["cx"] == cx
+        assert audit(report, circ) == []
 
     def test_uniform_counts_unchanged(self, mixed):
         model, plan, _ = mixed
