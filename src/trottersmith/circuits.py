@@ -15,14 +15,13 @@ list of indices into it, so size and load checks scale with distinct gates.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
 import numpy as np
 
-from .jsonutil import dump_json, format_float, json_document
+from .jsonutil import dump_json, format_float, json_document, json_int
 
 UNITARITY_TOL = 1e-12
 
@@ -87,7 +86,7 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GateKind(self.kind))
-        qs = tuple(operator.index(q) for q in self.qubits)
+        qs = tuple(json_int(q) for q in self.qubits)
         object.__setattr__(self, "qubits", qs)
         if len(qs) != _ARITY[self.kind]:
             raise ValueError(f"{self.kind.value} takes {_ARITY[self.kind]} qubits, got {qs}")
@@ -115,7 +114,7 @@ class Gate:
         if self.edge is not None:
             if self.kind is not GateKind.UIJ:
                 raise ValueError("edge metadata is only valid on uij gates")
-            edge = (operator.index(self.edge[0]), operator.index(self.edge[1]))
+            edge = (json_int(self.edge[0]), json_int(self.edge[1]))
             object.__setattr__(self, "edge", edge)
         if self.tau is not None:
             if self.kind is not GateKind.UIJ:
@@ -279,14 +278,14 @@ def circuit_from_json(text: str) -> Circuit:
         gates = [_gate_from_obj(g) for g in obj["gates"]]
 
         def gate(k) -> Gate:
-            k = operator.index(k)
+            k = json_int(k)
             if not 0 <= k < len(gates):
                 raise ValueError(f"gate index {k} out of range for a table of {len(gates)}")
             return gates[k]
 
         layers = tuple(tuple(gate(k) for k in layer) for layer in obj["layers"])
-        circ = Circuit(n=operator.index(obj["n"]), layers=layers)
-        if "depth" in obj and operator.index(obj["depth"]) != circ.depth:
+        circ = Circuit(n=json_int(obj["n"]), layers=layers)
+        if "depth" in obj and json_int(obj["depth"]) != circ.depth:
             raise ValueError(f"stored depth {obj['depth']} != layer count {circ.depth}")
     return circ
 

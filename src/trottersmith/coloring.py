@@ -10,10 +10,9 @@ most max-degree + 1 (Misra-Gries).
 from __future__ import annotations
 
 import logging
-import operator
 from dataclasses import dataclass
 
-from .jsonutil import dump_json, json_document
+from .jsonutil import dump_json, json_document, json_int
 from .model import SpinModel
 
 logger = logging.getLogger(__name__)
@@ -38,14 +37,6 @@ class EdgeColoring:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    def class_of(self) -> dict[int, int]:
-        """Edge index -> 0-based class index."""
-        out: dict[int, int] = {}
-        for k, cls in enumerate(self.classes):
-            for e in cls:
-                out[e] = k
-        return out
 
 
 def validate(model: SpinModel, coloring: EdgeColoring) -> None:
@@ -238,8 +229,8 @@ def coloring_to_json(coloring: EdgeColoring) -> str:
 
 def coloring_from_json(text: str) -> EdgeColoring:
     with json_document(text, "coloring") as doc:
-        classes = tuple(tuple(operator.index(e) for e in c) for c in doc["classes"])
-        coloring = EdgeColoring(operator.index(doc["n"]), classes)
-        if doc.get("K") is not None and operator.index(doc["K"]) != coloring.num_classes:
+        classes = tuple(tuple(json_int(e) for e in c) for c in doc["classes"])
+        coloring = EdgeColoring(json_int(doc["n"]), classes)
+        if doc.get("K") is not None and json_int(doc["K"]) != coloring.num_classes:
             raise ValueError("coloring document K does not match its class list")
     return coloring

@@ -5,12 +5,13 @@ shortest-round-trip but not a fixed digit count.  Artifacts here promise 17
 significant digits (always lossless for IEEE doubles) and byte-stable output
 for identical inputs, so we walk the structure ourselves.  Reading goes
 through :func:`json_document`, which turns every malformed document into a
-ValueError.
+ValueError, and integer fields go through :func:`json_int`.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 from contextlib import contextmanager
 
 
@@ -86,6 +87,18 @@ def dump_json(obj) -> str:
     _write(obj, out, 0, {})
     out.append("\n")
     return "".join(out)
+
+
+def json_int(value) -> int:
+    """``value`` as an int, through ``operator.index``, but never a bool.
+
+    ``operator.index`` takes JSON ``true`` and ``false`` as 1 and 0; here they
+    raise TypeError, as floats and strings do, which a loader reports as a
+    malformed document.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 @contextmanager

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 import numpy as np
 
-from .jsonutil import dump_json, json_document
+from .jsonutil import dump_json, json_document, json_int
 
 ISOTROPY_TOL = 1e-12
 
@@ -67,7 +66,7 @@ def _validated_edges(pairs, couplings, h_i, h_j):
     :class:`EdgeTerm` and a stack of one raise the same message.
     """
     jmat = None if couplings is None else _readonly_stack(couplings, (3, 3), "coupling tensor")
-    pairs = [(operator.index(a), operator.index(b)) for a, b in pairs]
+    pairs = [(json_int(a), json_int(b)) for a, b in pairs]
     for a, b in pairs:
         if not (0 <= a < b):
             raise ValueError(f"edge must satisfy 0 <= i < j, got ({a}, {b})")
@@ -542,7 +541,7 @@ def model_from_json(text: str) -> SpinModel:
             c.__dict__["matrix"] = row
             couplings.append(c)
         return SpinModel(
-            n=operator.index(doc["n"]),
+            n=json_int(doc["n"]),
             edges=_edge_terms(pairs, couplings, h_i, h_j),
             lattice=LatticeKind(doc.get("lattice", "custom")),
             boundary=Boundary(doc.get("boundary", "open")),

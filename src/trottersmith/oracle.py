@@ -224,15 +224,3 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     _check_dense(circuit.n)
     return run_circuit(np.eye(2**circuit.n, dtype=complex), circuit)
 
-
-def phase_distance(u: np.ndarray, target: np.ndarray, seed: int = NORM_SEED) -> float:
-    """||u - e^{i phi} target|| in spectral norm at phi = arg tr(target^H u).
-
-    That phase minimizes the Frobenius distance, not the spectral one, so the
-    result is an upper bound on the minimum over phi of the spectral distance.
-    """
-    u = np.asarray(u, dtype=complex)
-    target = np.asarray(target, dtype=complex)
-    tr = np.trace(target.conj().T @ u)
-    phase = tr / abs(tr) if abs(tr) > 0 else 1.0
-    return spectral_norm(u - phase * target, seed=seed)

@@ -103,7 +103,9 @@ def report_for_plan(
     template, or 3 per gate when ``heisenberg``.  ``edge_cnots`` gives the
     CNOTs of each edge's own template instead (see
     :func:`trottersmith.synth.template_cnots`), which is exact for models
-    that mix templates; its length is the edge count per sweep.
+    that mix templates; its length is the edge count per sweep.  A plan
+    with t = 0 costs no CNOTs: every stage then runs for tau = 0, and
+    decomposed synthesis emits no CNOT for an identity.
     """
     k = plan.num_classes
     reps = class_repetitions(plan.order)
@@ -121,7 +123,9 @@ def report_for_plan(
     # one full sweep of every class covers nK/2 edges on a regular lattice
     per_sweep = edges_per_sweep if edges_per_sweep is not None else n * k / 2.0
     gates = int(round(plan.m * reps * per_sweep))
-    if edge_cnots is not None:
+    if plan.t == 0:
+        cnots = 0
+    elif edge_cnots is not None:
         cnots = plan.m * reps * sum(edge_cnots)
     else:
         cnots = (3 if heisenberg else 6) * gates

@@ -11,12 +11,12 @@ where the interaction core is diagonal and the local factors become real
 orthogonal, so extracting them reduces to simultaneously diagonalizing the
 commuting real and imaginary parts of a complex symmetric matrix.
 
-Two templates consume the result: a six-CNOT circuit for an arbitrary
-interaction core, and a three-CNOT circuit for the isotropic exchange
-exp(-i alpha S.S).  The latter is built around the bridge
-CX(a,b) (I x H) CX(b,a), which is itself CNOT-equivalent; its one-CNOT
-dressing is computed here at import time from the module's own
-decomposition, so the template contains no hand-tuned constants.
+Two templates lower a two-qubit exponential to CNOTs.  A general term is
+decomposed and its core runs on a six-CNOT circuit, wrapped in the
+decomposition's one-qubit locals.  A field-free isotropic term,
+exp(-i alpha S.S), already is the core at angles (alpha, alpha, alpha), so
+it goes straight to the closed-form three-CNOT core circuit of Vatan &
+Williams, exact with its global phase and with no decomposition at all.
 """
 from __future__ import annotations
 
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _CX, _H, Circuit, Gate, GateKind, _rotation, _uij_gates
+from .circuits import _H, Circuit, Gate, GateKind, _rotation, _uij_gates
 from .coloring import EdgeColoring
-from .model import ID2, PAULIS, EdgeTerm, SpinModel, edge_hamiltonians, term_hamiltonian
+from .model import PAULIS, EdgeTerm, SpinModel, edge_hamiltonians, term_hamiltonian
 from .trotter import ProductFormula, expand
 
 KAK_UNITARITY_TOL = 1e-10
@@ -48,10 +48,6 @@ _MAGIC = np.array(
     ],
     dtype=complex,
 ) / math.sqrt(2.0)
-
-_CX21 = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)
 
 
 def _expm_herm(h: np.ndarray, factor: complex = -1j) -> np.ndarray:
@@ -321,6 +317,29 @@ def _core_template(alpha: float, beta: float, gamma: float, a: int, b: int) -> F
     ]
 
 
+def _core_3cnot(alpha: float, beta: float, gamma: float, a: int, b: int) -> Fragment:
+    """Three-CNOT realization of canonical_core_unitary on qubits (a, b).
+
+    The fixed circuit of Vatan & Williams, PRA 69, 032315 (2004), Fig. 6,
+    exact for any angles with the global phase included.  All three
+    angles below 1e-12 yield an empty fragment (the core is the identity).
+    """
+    if all(abs(x) < ZERO_ANGLE_TOL for x in (alpha, beta, gamma)):
+        return []
+    half = math.pi / 2.0
+    return [
+        [Gate(GateKind.CX, (b, a))],
+        [
+            Gate(GateKind.RZ, (a,), angle=gamma / 2.0 + half),
+            Gate(GateKind.U1Q, (b,), matrix=_rotation(GateKind.RY, alpha / 2.0 + half) @ _S),
+        ],
+        [Gate(GateKind.CX, (a, b))],
+        [Gate(GateKind.RY, (b,), angle=-beta / 2.0 - half)],
+        [Gate(GateKind.CX, (b, a))],
+        [Gate(GateKind.RZ, (a,), angle=-half)],
+    ]
+
+
 def synth_two_qubit(u: np.ndarray, qubits: tuple[int, int] = (0, 1)) -> Fragment:
     """Synthesize an arbitrary two-qubit unitary with at most 6 CNOTs.
 
@@ -346,58 +365,6 @@ def synth_two_qubit(u: np.ndarray, qubits: tuple[int, int] = (0, 1)) -> Fragment
     return frag
 
 
-def _one_cnot_dressing(u: np.ndarray):
-    """Locals (a1, a2, b1, b2) with u = (a1 x a2) CX (b1 x b2).
-
-    Valid exactly when u lies in the CNOT equivalence class; both u and
-    CX are put in canonical form and the cores cancelled against each other.
-    """
-    cu = kak_decompose(u)
-    if not np.allclose(cu.angles, (math.pi, 0.0, 0.0), atol=1e-9):
-        raise RuntimeError(f"operator is not CNOT-equivalent: {cu.angles}")
-    cc = kak_decompose(_CX)
-    a1 = cu.v1 @ cc.v1.conj().T
-    a2 = cu.v2 @ cc.v2.conj().T
-    b1 = cc.u1.conj().T @ cu.u1
-    b2 = cc.u2.conj().T @ cu.u2
-    rec = np.kron(a1, a2) @ _CX @ np.kron(b1, b2)
-    if np.max(np.abs(rec - u)) > 1e-9:
-        raise RuntimeError("one-CNOT dressing failed to reconstruct")
-    return a1, a2, b1, b2
-
-
-# bridge for the exchange template; its dressing is derived once at import
-_BRIDGE = _CX @ np.kron(ID2, _H) @ _CX21
-_BR_A1, _BR_A2, _BR_B1, _BR_B2 = _one_cnot_dressing(_BRIDGE)
-
-
-def synth_exchange(alpha: float, qubits: tuple[int, int] = (0, 1)) -> Fragment:
-    """exp(-i alpha S.S) on (a, b) with exactly 3 CNOTs, phase included.
-
-    alpha below 1e-12 yields an empty fragment (the gate is the identity).
-    """
-    a, b = qubits
-    if abs(alpha) < ZERO_ANGLE_TOL:
-        return []
-    return [
-        [
-            Gate(GateKind.U1Q, (a,), matrix=_BR_B1),
-            Gate(GateKind.U1Q, (b,), matrix=_BR_B2),
-        ],
-        [Gate(GateKind.CX, (a, b))],
-        [
-            Gate(GateKind.U1Q, (a,), matrix=_BR_A1),
-            Gate(GateKind.U1Q, (b,), matrix=_rotation(GateKind.RZ, -alpha / 2.0) @ _BR_A2),
-        ],
-        [Gate(GateKind.CX, (a, b))],
-        [
-            Gate(GateKind.RZ, (a,), angle=alpha / 2.0),
-            Gate(GateKind.U1Q, (b,), matrix=_H @ _rotation(GateKind.RZ, alpha / 2.0)),
-        ],
-        [Gate(GateKind.CX, (b, a))],
-    ]
-
-
 def _fragment_circuit(frag: Fragment, n: int = 2) -> Circuit:
     return Circuit(n=n, layers=tuple(tuple(layer) for layer in frag))
 
@@ -417,10 +384,10 @@ def synth_general(term: EdgeTerm, tau: float) -> Circuit:
 
 
 def synth_heisenberg(alpha: float) -> Circuit:
-    """Two-qubit circuit for exp(-i alpha S.S) via the three-CNOT template."""
+    """Two-qubit circuit for exp(-i alpha S.S) via the three-CNOT core circuit."""
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    return _fragment_circuit(synth_exchange(alpha, (0, 1)))
+    return _fragment_circuit(_core_3cnot(alpha, alpha, alpha, 0, 1))
 
 
 # --- Trotter circuit assembly ----------------------------------------------
@@ -444,10 +411,10 @@ def template_cnots(term: EdgeTerm) -> int:
 
 def _edge_fragment(term: EdgeTerm, u: np.ndarray, tau: float) -> Fragment:
     """CNOTs and one-qubit gates for u = exp(-i tau H_ij) on the term's own qubits."""
-    ij = (term.i, term.j)
     if _plain_exchange(term):
-        return synth_exchange(tau * float(term.coupling.matrix[0, 0]), ij)
-    return synth_two_qubit(u, ij)
+        alpha = tau * float(term.coupling.matrix[0, 0])
+        return _core_3cnot(alpha, alpha, alpha, term.i, term.j)
+    return synth_two_qubit(u, (term.i, term.j))
 
 
 def build_trotter_circuit(
@@ -466,9 +433,9 @@ def build_trotter_circuit(
     keeps each edge's 4x4 unitary as one native uij gate, so every stage is
     a single layer, and checks the stage's whole stack for unitarity once
     instead of gate by gate.  ``decomposed`` lowers each unitary to a
-    fragment of CNOTs and one-qubit gates, picking the 3-CNOT exchange
-    template when a coupling is isotropic with no field share and the
-    6-CNOT template otherwise (:func:`template_cnots`); fragments of the
+    fragment of CNOTs and one-qubit gates, picking the 3-CNOT core circuit
+    when a coupling is isotropic with no field share and the 6-CNOT KAK
+    template otherwise (:func:`template_cnots`); fragments of the
     edges in a class run in parallel, aligned from the stage's first layer.
     Later stages that repeat (k, tau) reuse the same layers of the same
     gates.

@@ -300,18 +300,31 @@ class TestSynth:
         assert res.exit_code == 0
         assert "depth=3" in res.stderr
 
-    # chain-4 XYZ (1, 0.7, 0.4) with field (0.3, 0, 0.5), order 2, m=2, t=1;
-    # a digest changes only through a deliberate change of an artifact format
-    @pytest.mark.parametrize("mode, emit, digest", [
-        ("decomposed", "json", "289e90b23ab33d484b7693c5104fa675e0d4244f03488b8fa19442d7224204fd"),
-        ("decomposed", "qasm", "ca18bef39776e1b5a8bb5aae3328ad267a3015408a2aa8d68983ab926be65124"),
-        ("scaled", "json", "2ef90abaf689076086aad04d8460bbbee031a06cc91775269adf167843ea58b5"),
-        ("scaled", "qasm", "6be6a7e5177ff96c625df3a2e7e5adb14717b8326b20ad1d4ecdc9f94410a4d3"),
+    # chain-4, order 2, m=2, t=1: XYZ (1, 0.7, 0.4) with field (0.3, 0, 0.5),
+    # and a field-free Heisenberg chain that runs on the 3-CNOT core circuit;
+    # a digest changes only through a deliberate change of an artifact
+    @pytest.mark.parametrize("heisenberg, mode, emit, digest", [
+        pytest.param(heisenberg, mode, emit, digest,
+                     id=f"{'heisenberg-' if heisenberg else ''}{mode}-{emit}-{digest}")
+        for heisenberg, mode, emit, digest in [
+            (False, "decomposed", "json",
+             "289e90b23ab33d484b7693c5104fa675e0d4244f03488b8fa19442d7224204fd"),
+            (False, "decomposed", "qasm",
+             "ca18bef39776e1b5a8bb5aae3328ad267a3015408a2aa8d68983ab926be65124"),
+            (False, "scaled", "json",
+             "2ef90abaf689076086aad04d8460bbbee031a06cc91775269adf167843ea58b5"),
+            (False, "scaled", "qasm",
+             "6be6a7e5177ff96c625df3a2e7e5adb14717b8326b20ad1d4ecdc9f94410a4d3"),
+            (True, "decomposed", "json",
+             "ebb64d69ed39dfdab28a0440f381835bb6a37dc62fd2d3306d1579d911bbdcb0"),
+            (True, "decomposed", "qasm",
+             "9e1ed531eeaa8ed7a40a45593ad8af00b565e0541034968a81e4700ebb6262bc"),
+        ]
     ])
-    def test_golden_artifact_bytes(self, tmp_path, mode, emit, digest):
-        model, out = tmp_path / "xyz4.json", tmp_path / f"circuit.{emit}"
-        run("lattice", "--kind", "chain", "--dims", "4", "--coupling", "1.0,0.7,0.4",
-            "--field", "0.3,0,0.5", "--out", str(model))
+    def test_golden_artifact_bytes(self, tmp_path, heisenberg, mode, emit, digest):
+        model, out = tmp_path / "chain4.json", tmp_path / f"circuit.{emit}"
+        args = () if heisenberg else ("--coupling", "1.0,0.7,0.4", "--field", "0.3,0,0.5")
+        run("lattice", "--kind", "chain", "--dims", "4", *args, "--out", str(model))
         res = run("synth", "--model", str(model), "--order", "2", "--steps", "2",
                   "--time", "1", "--mode", mode, "--emit", emit, "--out", str(out))
         assert res.exit_code == 0, res.output
@@ -518,6 +531,8 @@ class TestLoaderContract:
     @example({"n": 2, "gates": [{"kind": "h", "qubits": [0]}], "layers": [[-1, 1, 0.5]]})
     @example({"n": 2, "K": float("inf"), "classes": [[0]]})
     @example({"n": 2, "edges": [{"i": 0, "j": 1, "J": [[10**400] * 3] * 3}]})
+    @example({"n": True, "K": True, "classes": [[False]], "gates": [{"kind": "h",
+              "qubits": [True]}], "layers": [[True]]})
     @settings(max_examples=150, deadline=None)
     def test_loaders_raise_only_value_error(self, doc):
         # any document either loads or is rejected as bad input (exit 2)
@@ -527,3 +542,29 @@ class TestLoaderContract:
                 loader(text)
             except ValueError:
                 pass
+
+    @pytest.mark.parametrize("what, doc", [
+        ("circuit", {"n": 2, "gates": [{"kind": "h", "qubits": [0]},
+                                       {"kind": "h", "qubits": [1]}], "layers": [[True]]}),
+        ("circuit", {"n": 2, "gates": [{"kind": "h", "qubits": [True]}], "layers": [[0]]}),
+        ("model", {"n": 2, "edges": [{"i": False, "j": True, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}),
+        ("coloring", {"n": True, "K": True, "classes": [[False]]}),
+    ], ids=["layer-index", "gate-qubit", "edge-endpoints", "coloring-n-k-classes"])
+    def test_booleans_are_not_integers(self, tmp_path, chain4_file, what, doc):
+        # operator.index alone reads JSON true/false as 1/0
+        text = json.dumps(doc)
+        loader = {"circuit": circuit_from_json, "model": model_from_json,
+                  "coloring": coloring_from_json}[what]
+        with pytest.raises(ValueError, match=f"malformed {what} document: expected an integer"):
+            loader(text)
+        if what == "circuit":
+            return  # no command reads a circuit
+        path = tmp_path / f"{what}.json"
+        path.write_text(text)
+        if what == "model":
+            res = run("color", "--model", str(path))
+        else:
+            res = run("synth", "--model", str(chain4_file), "--coloring", str(path),
+                      "--steps", "1", "--time", "1.0")
+        assert res.exit_code == 2, res.output
+        assert "expected an integer, got" in res.stderr

@@ -22,7 +22,6 @@ from trottersmith.oracle import (
     circuit_unitary,
     exact_evolution,
     formula_unitary,
-    phase_distance,
     reference_evolution,
     run_circuit,
     spectral_norm,
@@ -34,7 +33,6 @@ from conftest import (
     I2,
     PAULIS,
     SZ,
-    dist_up_to_phase,
     kron_chain,
     op_norm,
     random_unitary,
@@ -292,13 +290,3 @@ class TestStatevector:
         cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
         assert np.allclose(circuit_unitary(circ), cx, atol=1e-15)
 
-
-class TestPhaseDistance:
-    def test_pure_phase_is_zero(self, rng):
-        u = random_unitary(8, rng)
-        assert phase_distance(np.exp(1j * 1.234) * u, u) < 1e-10
-
-    def test_agrees_with_reference(self, rng):
-        u = random_unitary(4, rng)
-        v = random_unitary(4, rng)
-        assert phase_distance(u, v) == pytest.approx(dist_up_to_phase(u, v), abs=1e-8)

@@ -290,6 +290,23 @@ class TestPerEdgeCnots:
         assert report.cnots == counts(circ)["cx"] == cx
         assert audit(report, circ) == []
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("field", [None, (0.3, 0.0, 0.5)], ids=["no-field", "field"])
+    def test_zero_time_costs_no_cnots(self, order, field):
+        # every stage runs for tau = 0; the scaled circuit still holds its
+        # tau = 0 uij gates, so interaction gates and depth are unchanged
+        model = build_lattice("chain", 4, field=field)
+        col = color_model(model)
+        plan = StepPlan(m=2, order=order, bound_used="user", num_classes=col.num_classes, t=0.0)
+        formula = formula_for_order(order, col.num_classes)
+        report = report_for_plan(plan, model.n, edge_cnots=[template_cnots(e) for e in model.edges])
+        assert report.cnots == 0
+        assert report.interaction_gates == plan.m * class_repetitions(order) * len(model.edges)
+        for mode in ("decomposed", "scaled"):
+            circ = build_trotter_circuit(model, col, formula, 2, 0.0, mode=mode)
+            assert counts(circ)["cx"] == 0
+            assert audit(report, circ) == []
+
     def test_uniform_counts_unchanged(self, mixed):
         model, plan, _ = mixed
         six = [6] * len(model.edges)

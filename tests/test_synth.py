@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +30,8 @@ from trottersmith import (
     synth_heisenberg,
 )
 from trottersmith.oracle import formula_unitary, run_circuit
-from trottersmith.synth import cartan_unitary, synth_exchange, synth_two_qubit
+from trottersmith.synth import _core_3cnot, canonical_core_unitary, cartan_unitary, \
+    synth_two_qubit
 
 from conftest import (
     CX01,
@@ -168,8 +172,8 @@ class TestSynthGeneral:
 
 class TestSynthExchange:
     def test_zero_angle_elided(self):
-        assert synth_exchange(0.0) == []
         circ = synth_heisenberg(0.0)
+        assert circ.layers == ()
         assert circ.gate_count() == 0
         assert np.allclose(circ2_unitary(circ), np.eye(4), atol=1e-15)
 
@@ -188,6 +192,40 @@ class TestSynthExchange:
     def test_nonfinite_alpha(self):
         with pytest.raises(ValueError, match="finite"):
             synth_heisenberg(float("inf"))
+
+
+class TestCore3Cnot:
+    def test_random_angles_exact_with_phase(self, rng):
+        for alpha, beta, gamma in rng.uniform(-4 * math.pi, 4 * math.pi, (200, 3)):
+            target = canonical_core_unitary(alpha, beta, gamma)
+            # the core is symmetric under exchanging the qubits, so both
+            # orientations realise the same matrix
+            for a, b in ((0, 1), (1, 0)):
+                frag = _core_3cnot(alpha, beta, gamma, a, b)
+                assert frag_cx_count(frag) == 3
+                assert len(frag) == 6
+                assert op_norm(fragment_unitary(frag) - target) < 1e-12
+
+    def test_zero_angles_give_empty_fragment(self):
+        assert _core_3cnot(0.0, 0.0, 0.0, 0, 1) == []
+        assert frag_cx_count(_core_3cnot(0.0, 0.0, 1e-3, 0, 1)) == 3
+
+    def test_import_runs_no_decomposition(self):
+        # the core circuit is closed-form: nothing is decomposed at import
+        probe = (
+            "import sys\n"
+            "calls = []\n"
+            "sys.setprofile(lambda f, e, a: calls.append(1) if e == 'call'"
+            " and f.f_code.co_name == 'kak_decompose' else None)\n"
+            "import trottersmith.synth\n"
+            "sys.setprofile(None)\n"
+            "print(len(calls))\n"
+        )
+        src = os.path.dirname(os.path.dirname(synth.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestBuildTrotterCircuit:
