@@ -284,6 +284,10 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
 def verify(ctx, model_path, order, t, m_grid, jobs, out) -> None:
     """Measure Trotter error against the dense oracle over a step grid.
 
+    A piecewise-profile model is measured against its step-sampled
+    reference evolution, so the grid must be exactly the profile's table
+    length.
+
     Writes CSV with header m,error,bound,order (bound only for order 1)
     and reports the fitted log-log slope of error versus m, or nan unless
     the grid has at least two distinct m and every error is positive.
@@ -295,7 +299,16 @@ def verify(ctx, model_path, order, t, m_grid, jobs, out) -> None:
     ms = [int(p) for p in m_grid.split(",") if p]
     if not ms or any(m < 1 for m in ms):
         raise ValueError(f"bad --m-grid {m_grid!r}")
-    reference = oracle.exact_evolution(model, t)
+    if model.profile.is_constant:
+        reference = oracle.exact_evolution(model, t)
+    else:
+        steps = len(model.profile.factors)
+        if ms != [steps]:
+            raise ValueError(
+                f"a piecewise profile fixes m to its table length {steps}; "
+                f"pass --m-grid {steps}"
+            )
+        reference = oracle.reference_evolution(model, t, steps)
 
     def measure(m: int) -> float:
         return oracle.trotter_error(
@@ -313,6 +326,9 @@ def verify(ctx, model_path, order, t, m_grid, jobs, out) -> None:
             bound = trotter.first_order_error_bound(
                 coloring.num_classes, model.n, model.j_max, t, m
             )
+            if not model.profile.is_constant:
+                # step p runs H scaled by f_p; the bound is quadratic in step length
+                bound *= sum(f * f for f in model.profile.factors) / m
             bound_txt = format_float(bound)
         else:
             bound_txt = ""

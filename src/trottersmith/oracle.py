@@ -4,10 +4,13 @@ Everything here is exact up to floating point and deliberately small-scale:
 dense operators are capped at DEFAULT_ORACLE_LIMIT qubits (overridable through
 the TROTTERSMITH_ORACLE_LIMIT environment variable) and statevector playback
 at STATEVECTOR_LIMIT.  One kernel, ``_apply_local``, puts every local operator
-onto the n qubits: edge terms into H, the product formula's 4x4 edge
-exponentials into the running unitary edge by edge, and gates into a
-statevector.  These routines are the measuring stick the compiled circuits
-are judged against, so they share no code with the synthesis path.
+onto the n qubits with a single matmul: edge terms into H, the product
+formula's 4x4 edge exponentials into the running unitary (each distinct
+stage exponentiated once), and fused gate blocks into a statevector.
+Playback first multiplies a circuit's gates into blocks on at most two
+qubits, so a compiled edge fragment costs one contraction, not one per gate.
+These routines are the measuring stick the compiled circuits are judged
+against, so they share no code with the synthesis path.
 """
 from __future__ import annotations
 
@@ -27,6 +30,8 @@ NORM_SEED = 0xC0FFEE
 NORM_MAX_ITERS = 1000
 NORM_RTOL = 1e-10
 NORM_BLOCK = 8
+
+_I2 = np.eye(2, dtype=complex)
 
 
 def _oracle_limit() -> int:
@@ -48,21 +53,24 @@ def _apply_local(op: np.ndarray, qubits: tuple[int, ...], block: np.ndarray) -> 
 
     The array is viewed with one axis per qubit (site 0 leftmost, any column
     axis last), the operator's first tensor factor acts on ``qubits[0]``, and
-    only the 2^k x 2^k matrix is contracted in.
+    only the 2^k x 2^k matrix is contracted in: the target axes are moved to
+    the front and one matmul does the contraction.
     """
     n = int(block.shape[0]).bit_length() - 1
     k = len(qubits)
-    psi = block.reshape((2,) * n + block.shape[1:])
-    res = np.tensordot(
-        op.reshape((2,) * (2 * k)), psi, axes=(list(range(k, 2 * k)), list(qubits))
-    )
-    return np.moveaxis(res, list(range(k)), list(qubits)).reshape(block.shape)
+    front = range(k)
+    psi = np.moveaxis(block.reshape((2,) * n + block.shape[1:]), qubits, front)
+    res = (op @ psi.reshape(2**k, -1)).reshape(psi.shape)
+    return np.moveaxis(res, front, qubits).reshape(block.shape)
 
 
 def expm_hermitian(h: np.ndarray, factor: complex = -1j) -> np.ndarray:
-    """exp(factor * h) for Hermitian h, via the spectral decomposition."""
+    """exp(factor * h) for Hermitian h, or each of a stack (..., d, d).
+
+    Computed via the spectral decomposition.
+    """
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(factor * w)) @ v.conj().T
+    return (v * np.exp(factor * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def total_hamiltonian(model: SpinModel) -> np.ndarray:
@@ -94,7 +102,10 @@ def reference_evolution(model: SpinModel, t: float, m_ref: int) -> np.ndarray:
     """
     if m_ref < 1:
         raise ValueError("m_ref must be >= 1")
-    total = sum(model.profile.factor_at_fraction(p / m_ref) for p in range(m_ref))
+    factors = model.profile.factors or (1.0,)
+    # step p starts in table entry p * L // m_ref; the float p / m_ref * L can
+    # round just below an integer and pick the entry before it
+    total = sum(factors[p * len(factors) // m_ref] for p in range(m_ref))
     return expm_hermitian(total_hamiltonian(model), -1j * t * (total / m_ref))
 
 
@@ -115,13 +126,14 @@ def spectral_norm(
     if a.ndim != 2:
         raise ValueError("spectral_norm expects a matrix")
     dim = a.shape[1]
+    a_h = a.conj().T
     block = min(NORM_BLOCK, dim)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
     v, _ = np.linalg.qr(v)
     lam = 0.0
     for _ in range(max_iters):
-        w = a.conj().T @ (a @ v)
+        w = a_h @ (a @ v)
         if not np.any(w):
             return 0.0
         ritz = v.conj().T @ w
@@ -145,7 +157,9 @@ def formula_unitary(
     """Dense product-formula unitary; the first scheduled stage acts first.
 
     A class's edges are disjoint, so each stage is applied edge by edge as
-    4x4 exponentials contracted into the running unitary's columns.
+    4x4 exponentials contracted into the running unitary's columns.  Each
+    distinct (class, tau) stage is exponentiated once, by one stacked
+    ``eigh`` over the class's edge terms.
     """
     if formula.num_classes != coloring.num_classes:
         raise ValueError(
@@ -153,11 +167,17 @@ def formula_unitary(
         )
     _check_dense(model.n)
     hterms = edge_hamiltonians(model.edges)
-    local = [[(model.edges[ei], hterms[ei]) for ei in cls] for cls in coloring.classes]
+    pairs = [[model.edges[ei].sites for ei in cls] for cls in coloring.classes]
+    terms = [hterms[list(cls)] for cls in coloring.classes]
+    stage_ops: dict[tuple[int, float], np.ndarray] = {}
     u = np.eye(2**model.n, dtype=complex)
     for stage in expand(formula, m, t, model.profile):
-        for e, h in local[stage.k - 1]:
-            u = _apply_local(expm_hermitian(h, -1j * stage.tau), (e.i, e.j), u)
+        key = (stage.k, stage.tau)
+        ops = stage_ops.get(key)
+        if ops is None:
+            ops = stage_ops[key] = expm_hermitian(terms[stage.k - 1], -1j * stage.tau)
+        for pair, op in zip(pairs[stage.k - 1], ops):
+            u = _apply_local(op, pair, u)
     return u
 
 
@@ -207,15 +227,74 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     return _apply_local(gate.unitary(), gate.qubits, state)
 
 
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b for two 2x2 matrices, without the overhead of ``np.kron``."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
+def _swap_factors(u: np.ndarray) -> np.ndarray:
+    """A 4x4 operator with its two tensor factors exchanged."""
+    return u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+
+
 def run_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Play a circuit on a statevector (or batch of column statevectors)."""
+    """Play a circuit on a statevector (or batch of column statevectors).
+
+    The layers are walked once and fused into blocks on at most two qubits:
+    one-qubit gates fold into the open block on their qubit, and two-qubit
+    gates on the same pair, in either order, multiply into one 4x4 block.
+    A block is applied only when a gate on another pair needs one of its
+    qubits, or at the end.  Open blocks act on disjoint qubits, so they
+    commute and the order they are applied in does not matter.
+    """
     state = np.asarray(state, dtype=complex)
     dim = 2**circuit.n
     if state.shape[0] != dim:
         raise ValueError(f"state has dimension {state.shape[0]}, circuit needs {dim}")
-    for layer in circuit.layers:
-        for g in layer:
-            state = apply_gate(state, g)
+    _check_state(circuit.n)
+    unitaries: dict[Gate, np.ndarray] = {}
+    open_blocks: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+
+    def flush(q: int) -> None:
+        nonlocal state
+        qubits, op = open_blocks[q]
+        for p in qubits:
+            del open_blocks[p]
+        state = _apply_local(op, qubits, state)
+
+    for g in circuit.all_gates():
+        u = unitaries.get(g)
+        if u is None:
+            u = unitaries[g] = g.unitary()
+        if len(g.qubits) == 1:
+            (q,) = g.qubits
+            block = open_blocks.get(q)
+            if block is None:
+                block = (g.qubits, u)
+            elif len(block[0]) == 1:
+                block = (block[0], u @ block[1])
+            else:
+                qubits, op = block
+                lifted = _kron2(u, _I2) if q == qubits[0] else _kron2(_I2, u)
+                block = (qubits, lifted @ op)
+        else:
+            a, b = g.qubits
+            block_a, block_b = open_blocks.get(a), open_blocks.get(b)
+            if block_a is not None and block_a is block_b:
+                qubits, op = block_a
+                block = (qubits, (u if qubits == (a, b) else _swap_factors(u)) @ op)
+            else:
+                ops = []
+                for q, side in ((a, block_a), (b, block_b)):
+                    if side is not None and len(side[0]) == 2:
+                        flush(q)
+                        side = None
+                    ops.append(_I2 if side is None else side[1])
+                block = ((a, b), u @ _kron2(ops[0], ops[1]))
+        for q in block[0]:
+            open_blocks[q] = block
+    while open_blocks:
+        flush(next(iter(open_blocks)))
     return state
 
 

@@ -15,6 +15,8 @@ from trottersmith import (
     Circuit,
     Gate,
     GateKind,
+    TimeProfile,
+    build_lattice,
     circuit_from_json,
     circuit_to_json,
     color_model,
@@ -23,9 +25,11 @@ from trottersmith import (
     expand,
     formula_for_order,
     model_from_json,
+    model_to_json,
     term_hamiltonian,
 )
 from trottersmith.cli import main
+from trottersmith.oracle import formula_unitary, reference_evolution, spectral_norm
 
 from conftest import ref_expm
 
@@ -490,6 +494,35 @@ class TestVerify:
                       "--time", "0.5")
         assert res.exit_code == 0, res.output
         assert res.stderr.strip() == "slope=nan"
+
+    def test_piecewise_profile_measured_against_reference(self, tmp_path):
+        model = build_lattice("chain", 4, profile=TimeProfile("piecewise", (1.0, 0.5)))
+        path = tmp_path / "pw.json"
+        path.write_text(model_to_json(model))
+        res = run("verify", "--model", str(path), "--m-grid", "2")
+        assert res.exit_code == 0, res.output
+        m, err, bound, order = res.stdout.splitlines()[1].split(",")
+        col = color_model(model)
+        f = formula_for_order(1, col.num_classes)
+        want = spectral_norm(formula_unitary(model, col, f, 2, 1.0)
+                             - reference_evolution(model, 1.0, 2))
+        assert (m, order) == ("2", "1")
+        assert float(err) == pytest.approx(want, rel=1e-12)
+        assert want > 1e-3
+        # (3/16) K(K-1) t^2 n J^2 / m with K=2, n=4, J=t=1, m=2, scaled by
+        # the mean squared profile factor
+        assert float(bound) == pytest.approx(
+            (3 / 16) * 2 * 4 / 2 * (1.0**2 + 0.5**2) / 2, rel=1e-12)
+        assert float(bound) >= float(err)
+
+    @pytest.mark.parametrize("grid", ["4", "2,4", "2,2"])
+    def test_piecewise_grid_must_be_table_length(self, tmp_path, grid):
+        model = build_lattice("chain", 4, profile=TimeProfile("piecewise", (1.0, 0.5)))
+        path = tmp_path / "pw.json"
+        path.write_text(model_to_json(model))
+        res = run("verify", "--model", str(path), "--m-grid", grid)
+        assert res.exit_code == 2, res.output
+        assert "table length 2" in res.stderr
 
     def test_jobs_must_be_positive(self, tmp_path):
         model = tmp_path / "chain3.json"

@@ -1,6 +1,8 @@
 """Dense oracle: Hamiltonians, evolutions, norms, statevector playback."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from trottersmith import (
     GateKind,
     TimeProfile,
     build_lattice,
+    build_trotter_circuit,
     color_model,
+    expand,
     first_order,
     formula_for_order,
     from_edges,
@@ -21,6 +25,7 @@ from trottersmith.oracle import (
     apply_gate,
     circuit_unitary,
     exact_evolution,
+    expm_hermitian,
     formula_unitary,
     reference_evolution,
     run_circuit,
@@ -69,20 +74,39 @@ class TestTotalHamiltonian:
             total_hamiltonian(model)
 
 
+def _kron_reference(a: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """2^n embedding of a with its first factor on qubits[0], by Pauli expansion."""
+    basis = (I2,) + PAULIS
+    ref = np.zeros((2**n, 2**n), dtype=complex)
+    for paulis in itertools.product(basis, repeat=len(qubits)):
+        coeff = np.trace(kron_chain(paulis).conj().T @ a) / 2 ** len(qubits)
+        factors = [I2] * n
+        for q, p in zip(qubits, paulis):
+            factors[q] = p
+        ref += coeff * kron_chain(factors)
+    return ref
+
+
 class TestApplyLocal:
-    def test_reversed_noncontiguous_pair_matches_kron_reference(self, rng):
-        # first tensor factor on qubit 3, second on qubit 1, n=4
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        basis = (I2,) + PAULIS
-        ref = np.zeros((16, 16), dtype=complex)
-        for p in basis:
-            for q in basis:
-                coeff = np.trace(np.kron(p, q).conj().T @ a) / 4
-                ref += coeff * kron_chain([I2, q, I2, p])
-        assert np.allclose(_apply_local(a, (3, 1), np.eye(16, dtype=complex)), ref,
-                           atol=1e-14)
-        state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.allclose(_apply_local(a, (3, 1), state), ref @ state, atol=1e-14)
+    def test_every_ordered_pair_matches_kron_reference(self, rng):
+        n = 5
+        state = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        batch = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
+        for qubits in itertools.permutations(range(n), 2):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            ref = _kron_reference(a, qubits, n)
+            assert np.allclose(_apply_local(a, qubits, np.eye(2**n, dtype=complex)), ref,
+                               atol=1e-14)
+            assert np.allclose(_apply_local(a, qubits, state), ref @ state, atol=1e-14)
+            assert np.allclose(_apply_local(a, qubits, batch), ref @ batch, atol=1e-14)
+
+    def test_one_qubit_operator_on_every_site(self, rng):
+        n = 4
+        batch = rng.standard_normal((2**n, 2)) + 1j * rng.standard_normal((2**n, 2))
+        for q in range(n):
+            a = random_unitary(2, rng)
+            assert np.allclose(_apply_local(a, (q,), batch),
+                               _kron_reference(a, (q,), n) @ batch, atol=1e-14)
 
 
 class TestEvolutions:
@@ -142,6 +166,15 @@ class TestReferenceEvolution:
         assert op_norm(reference_evolution(model, t, m_ref) - u) < 1e-12
 
 
+    def test_table_length_grid_uses_every_entry_once(self):
+        # p / 22 * 22 rounds below p for p = 15, which once picked entry 14 twice
+        factors = tuple(1.0 + 0.1 * p for p in range(22))
+        model = build_lattice("chain", 3, profile=TimeProfile("piecewise", factors))
+        h = ref_model_hamiltonian(model)
+        want = ref_expm(h, -1j * 0.8 * sum(factors) / len(factors))
+        assert op_norm(reference_evolution(model, 0.8, len(factors)) - want) < 1e-12
+
+
 class TestSpectralNorm:
     def test_identity(self):
         assert spectral_norm(np.eye(8)) == pytest.approx(1.0, abs=1e-10)
@@ -195,7 +228,6 @@ class TestTrotterError:
 
     def test_formula_unitary_matches_manual_product(self, heis_chain4):
         from conftest import ref_edge_hamiltonian
-        from trottersmith import expand
 
         xyz_field_piecewise = build_lattice(
             "chain", 5, coupling=CouplingTensor.diagonal(0.7, -1.2, 0.9),
@@ -216,6 +248,66 @@ class TestTrotterError:
                 u = ref_expm(hs[s.k - 1], -1j * s.tau) @ u
             assert op_norm(got - u) < 1e-12
 
+    def test_each_distinct_stage_exponentiated_once(self, heis_chain4, monkeypatch):
+        import trottersmith.oracle as oracle_mod
+
+        col = color_model(heis_chain4)
+        f = formula_for_order(2, col.num_classes)
+        stages = list(expand(f, 32, 1.0, heis_chain4.profile))
+        calls = []
+        real = oracle_mod.expm_hermitian
+
+        def counting(h, factor=-1j):
+            calls.append(h.shape)
+            return real(h, factor)
+
+        monkeypatch.setattr(oracle_mod, "expm_hermitian", counting)
+        formula_unitary(heis_chain4, col, f, 32, 1.0)
+        assert len(stages) == 65
+        assert len(calls) == len({(s.k, s.tau) for s in stages}) == 3
+        assert all(shape[1:] == (4, 4) for shape in calls)
+
+    def test_stacked_exponential_matches_each_matrix(self, rng):
+        z = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        hs = z + np.swapaxes(z.conj(), -1, -2)
+        stacked = expm_hermitian(hs, -0.7j)
+        for h, u in zip(hs, stacked):
+            assert np.max(np.abs(u - ref_expm(h, -0.7j))) < 1e-13
+            assert np.array_equal(u, expm_hermitian(h, -0.7j))
+
+
+def _random_circuit(rng: np.random.Generator, n: int, depth: int) -> Circuit:
+    """Seeded layers of random gates of every kind on disjoint qubits."""
+    one = (GateKind.H, GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.U1Q)
+    layers = []
+    for _ in range(depth):
+        free = [int(q) for q in rng.permutation(n)]
+        layer = []
+        while free:
+            if len(free) >= 2 and rng.random() < 0.5:
+                a, b = free.pop(), free.pop()
+                if rng.random() < 0.5:
+                    layer.append(Gate(GateKind.CX, (a, b)))
+                else:
+                    layer.append(Gate(GateKind.UIJ, (a, b), matrix=random_unitary(4, rng)))
+            else:
+                kind = one[int(rng.integers(len(one)))]
+                q = free.pop()
+                if kind is GateKind.U1Q:
+                    layer.append(Gate(kind, (q,), matrix=random_unitary(2, rng)))
+                elif kind is GateKind.H:
+                    layer.append(Gate(kind, (q,)))
+                else:
+                    layer.append(Gate(kind, (q,), angle=float(rng.uniform(-4, 4))))
+        layers.append(tuple(layer))
+    return Circuit(n=n, layers=tuple(layers))
+
+
+def _gate_by_gate(state: np.ndarray, circuit: Circuit) -> np.ndarray:
+    for g in circuit.all_gates():
+        state = apply_gate(state, g)
+    return state
+
 
 class TestStatevector:
     def test_hadamard_on_zero(self):
@@ -232,23 +324,85 @@ class TestStatevector:
         expected[3] = 1.0
         assert np.allclose(out, expected, atol=1e-12)
 
-    def test_run_circuit_matches_unitary(self, rng):
-        n = 6
-        layers = []
-        for _ in range(12):
-            qubits = list(rng.permutation(n))
-            layer = [
-                Gate(GateKind.CX, (qubits[0], qubits[1])),
-                Gate(GateKind.RZ, (qubits[2],), angle=float(rng.uniform(-3, 3))),
-                Gate(GateKind.U1Q, (qubits[3],), matrix=random_unitary(2, rng)),
-                Gate(GateKind.H, (qubits[4],)),
-            ]
-            layers.append(tuple(layer))
-        circ = Circuit(n=n, layers=tuple(layers))
-        u = circuit_unitary(circ)
-        state = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        state /= np.linalg.norm(state)
-        assert np.linalg.norm(run_circuit(state, circ) - u @ state) < 1e-10
+    def test_run_circuit_matches_unitary(self):
+        # fused playback against an independent gate-by-gate apply_gate fold
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            circ = _random_circuit(rng, n=5, depth=24)
+            kinds = {g.kind for g in circ.all_gates()}
+            assert kinds == set(GateKind)
+            state = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+            batch = rng.standard_normal((32, 4)) + 1j * rng.standard_normal((32, 4))
+            for psi in (state, batch):
+                got = run_circuit(psi, circ)
+                assert got.shape == psi.shape
+                assert np.max(np.abs(got - _gate_by_gate(psi, circ))) < 1e-12
+
+    def test_reversed_pair_and_interleaved_one_qubit_gates(self, rng):
+        # (b, a) after (a, b) on one open block, one-qubit gates before,
+        # between and after, and a gate on another pair forcing a flush
+        u4 = random_unitary(4, rng)
+        layers = [
+            (Gate(GateKind.H, (1,)), Gate(GateKind.RY, (3,), angle=0.4)),
+            (Gate(GateKind.CX, (1, 3)),),
+            (Gate(GateKind.RZ, (3,), angle=-1.1), Gate(GateKind.U1Q, (1,),
+                                                       matrix=random_unitary(2, rng))),
+            (Gate(GateKind.UIJ, (3, 1), matrix=u4), Gate(GateKind.RX, (0,), angle=0.7)),
+            (Gate(GateKind.CX, (3, 1)),),
+            (Gate(GateKind.CX, (0, 1)), Gate(GateKind.H, (3,))),
+            (Gate(GateKind.RX, (0,), angle=2.3), Gate(GateKind.UIJ, (3, 2), matrix=u4)),
+            (Gate(GateKind.RY, (2,), angle=-0.2),),
+        ]
+        circ = Circuit(n=4, layers=tuple(layers))
+        state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        assert np.max(np.abs(run_circuit(state, circ) - _gate_by_gate(state, circ))) < 1e-12
+        eye = np.eye(16, dtype=complex)
+        assert np.max(np.abs(circuit_unitary(circ) - _gate_by_gate(eye, circ))) < 1e-12
+
+    def test_empty_circuit_returns_the_state(self, rng):
+        circ = Circuit(n=3, layers=())
+        state = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        assert np.array_equal(run_circuit(state, circ), state)
+        batch = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        assert np.array_equal(run_circuit(batch, circ), batch)
+
+    def test_state_dimension_must_match(self):
+        circ = Circuit(n=3, layers=((Gate(GateKind.H, (0,)),),))
+        with pytest.raises(ValueError, match="circuit needs 8"):
+            run_circuit(np.zeros(4, dtype=complex), circ)
+
+    def test_playback_respects_statevector_limit(self, monkeypatch):
+        import trottersmith.oracle as oracle_mod
+
+        monkeypatch.setattr(oracle_mod, "STATEVECTOR_LIMIT", 3)
+        circ = Circuit(n=4, layers=((Gate(GateKind.H, (0,)),),))
+        with pytest.raises(ValueError, match="capped at 3"):
+            run_circuit(np.zeros(16, dtype=complex), circ)
+
+    def test_compiled_edge_fragment_is_one_block(self, monkeypatch):
+        # every decomposed edge fragment fuses into one 4x4 contraction
+        import trottersmith.oracle as oracle_mod
+
+        model = build_lattice("chain", 5, field=[0.5, 0.0, 0.3])
+        col = color_model(model)
+        f = formula_for_order(2, col.num_classes)
+        circ = build_trotter_circuit(model, col, f, 4, 1.0, mode="decomposed")
+        fragments = sum(len(col.classes[s.k - 1]) for s in expand(f, 4, 1.0, model.profile))
+        calls = []
+        real = oracle_mod._apply_local
+
+        def counting(op, qubits, block):
+            calls.append(qubits)
+            return real(op, qubits, block)
+
+        monkeypatch.setattr(oracle_mod, "_apply_local", counting)
+        state = np.zeros(32, dtype=complex)
+        state[0] = 1.0
+        got = run_circuit(state, circ)
+        assert len(calls) == fragments < circ.gate_count()
+        assert all(len(q) == 2 for q in calls)
+        monkeypatch.undo()
+        assert np.max(np.abs(got - _gate_by_gate(state, circ))) < 1e-12
 
     def test_norm_preserved_over_many_gates(self, rng):
         n = 6
