@@ -213,7 +213,7 @@ def synth_cmd(model_path, coloring_path, order, steps, epsilon, t, mode, emit, o
 def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, slope,
              heisenberg, compare_orders, out) -> None:
     """Closed-form resource estimates."""
-    edge_cnots = None
+    edge_cnots, profile = None, model_mod.CONSTANT_PROFILE
     if model_path is not None:
         if heisenberg:
             raise ValueError("--heisenberg applies without --model; a model's edges "
@@ -223,6 +223,7 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
         k_classes = coloring_mod.color_model(model).num_classes
         j_val = model.j_max
         edge_cnots = [synth.template_cnots(e) for e in model.edges]
+        profile = model.profile
     if n_sites is None or k_classes is None:
         raise ValueError("provide --model, or both --n and --classes")
     timing = resources.GateTimingModel(t_inf=t_inf, s=slope)
@@ -231,6 +232,7 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
         resources.report_for_plan(
             trotter.steps_for_accuracy(o, k_classes, n_sites, j_val, t, epsilon),
             n_sites, timing=timing, heisenberg=heisenberg, edge_cnots=edge_cnots,
+            profile=profile,
         )
         for o in orders
     ]

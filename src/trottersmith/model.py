@@ -193,13 +193,6 @@ class TimeProfile:
             )
         return self.factors[step]
 
-    def factor_at_fraction(self, frac: float) -> float:
-        """Scale factor at normalized time frac in [0, 1); left-endpoint sampling."""
-        if self.is_constant:
-            return 1.0
-        idx = min(int(frac * len(self.factors)), len(self.factors) - 1)
-        return self.factors[idx]
-
 
 CONSTANT_PROFILE = TimeProfile()
 

@@ -7,6 +7,8 @@ at STATEVECTOR_LIMIT.  One kernel, ``_apply_local``, puts every local operator
 onto the n qubits with a single matmul: edge terms into H, the product
 formula's 4x4 edge exponentials into the running unitary (each distinct
 stage exponentiated once), and fused gate blocks into a statevector.
+Consecutive ascending targets, such as every chain edge, are contracted
+through a copy-free view; other targets are moved to the front and back.
 Playback first multiplies a circuit's gates into blocks on at most two
 qubits, so a compiled edge fragment costs one contraction, not one per gate.
 These routines are the measuring stick the compiled circuits are judged
@@ -53,11 +55,16 @@ def _apply_local(op: np.ndarray, qubits: tuple[int, ...], block: np.ndarray) -> 
 
     The array is viewed with one axis per qubit (site 0 leftmost, any column
     axis last), the operator's first tensor factor acts on ``qubits[0]``, and
-    only the 2^k x 2^k matrix is contracted in: the target axes are moved to
-    the front and one matmul does the contraction.
+    only the 2^k x 2^k matrix is contracted in.  Consecutive ascending
+    targets (q0, q0+1, ...) are one middle axis of a copy-free
+    (2**q0, 2**k, rest) view, contracted by one stacked matmul; any other
+    targets are moved to the front and back around one matmul.
     """
-    n = int(block.shape[0]).bit_length() - 1
     k = len(qubits)
+    q0 = qubits[0]
+    if qubits == tuple(range(q0, q0 + k)):
+        return (op @ block.reshape(2**q0, 2**k, -1)).reshape(block.shape)
+    n = int(block.shape[0]).bit_length() - 1
     front = range(k)
     psi = np.moveaxis(block.reshape((2,) * n + block.shape[1:]), qubits, front)
     res = (op @ psi.reshape(2**k, -1)).reshape(psi.shape)

@@ -17,6 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .circuits import Circuit, counts
+from .model import CONSTANT_PROFILE, TimeProfile
 from .trotter import HIGHER_ORDER_C3, StepPlan
 
 
@@ -94,6 +95,7 @@ def report_for_plan(
     heisenberg: bool = False,
     edges_per_sweep: int | None = None,
     edge_cnots: Sequence[int] | None = None,
+    profile: TimeProfile = CONSTANT_PROFILE,
 ) -> ResourceReport:
     """Predicted cost of running a given step plan on an n-site model.
 
@@ -103,9 +105,10 @@ def report_for_plan(
     template, or 3 per gate when ``heisenberg``.  ``edge_cnots`` gives the
     CNOTs of each edge's own template instead (see
     :func:`trottersmith.synth.template_cnots`), which is exact for models
-    that mix templates; its length is the edge count per sweep.  A plan
-    with t = 0 costs no CNOTs: every stage then runs for tau = 0, and
-    decomposed synthesis emits no CNOT for an identity.
+    that mix templates; its length is the edge count per sweep.  CNOTs
+    are counted only for steps p with t * profile.factor(p, m) != 0: the
+    other steps run every stage for tau = 0, and decomposed synthesis emits
+    no CNOT for an identity.
     """
     k = plan.num_classes
     reps = class_repetitions(plan.order)
@@ -123,12 +126,13 @@ def report_for_plan(
     # one full sweep of every class covers nK/2 edges on a regular lattice
     per_sweep = edges_per_sweep if edges_per_sweep is not None else n * k / 2.0
     gates = int(round(plan.m * reps * per_sweep))
-    if plan.t == 0:
-        cnots = 0
-    elif edge_cnots is not None:
-        cnots = plan.m * reps * sum(edge_cnots)
+    # a constant profile's factor is 1 at every step, so one step stands for all m
+    steps = 1 if profile.is_constant else plan.m
+    live = plan.m // steps * sum(plan.t * profile.factor(p, plan.m) != 0 for p in range(steps))
+    if edge_cnots is not None:
+        cnots = live * reps * sum(edge_cnots)
     else:
-        cnots = (3 if heisenberg else 6) * gates
+        cnots = (3 if heisenberg else 6) * int(round(live * reps * per_sweep))
     depth = plan.m * reps * k
     sim_time = float(depth * timing.t_inf)
     assumptions = {

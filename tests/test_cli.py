@@ -364,6 +364,19 @@ class TestEstimate:
         assert doc["cnots"] == 60 * doc["m"]
         assert doc["assumptions"]["template"] == "per-edge"
 
+    def test_piecewise_model_counts_only_live_steps(self, tmp_path):
+        path = tmp_path / "pw.json"
+        path.write_text(model_to_json(
+            build_lattice("chain", 4, profile=TimeProfile("piecewise", (1.0, 0.0)))))
+        res = run("estimate", "--model", str(path), "--epsilon", "0.75", "--time", "1.0")
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        # step 1 runs for tau = 0: 3 exchange edges of 3 CNOTs in step 0 only
+        assert (doc["m"], doc["interaction_gates"], doc["cnots"]) == (2, 6, 9)
+        res = run("estimate", "--model", str(path), "--epsilon", "0.01", "--time", "1.0")
+        assert res.exit_code == 2, res.output
+        assert "profile table has 2 entries but the plan has 150 steps" in res.stderr
+
     def test_heisenberg_flag_rejected_with_model(self, chain4_file):
         res = run("estimate", "--model", str(chain4_file), "--epsilon", "0.01",
                   "--time", "1.0", "--heisenberg")

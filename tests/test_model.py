@@ -244,9 +244,6 @@ class TestTimeProfile:
         p = TimeProfile("piecewise", (1.0, 0.5))
         assert p.factor(0, 2) == 1.0
         assert p.factor(1, 2) == 0.5
-        assert p.factor_at_fraction(0.0) == 1.0
-        assert p.factor_at_fraction(0.49) == 1.0
-        assert p.factor_at_fraction(0.5) == 0.5
 
     def test_length_mismatch(self):
         p = TimeProfile("piecewise", (1.0, 0.5))

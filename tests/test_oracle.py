@@ -87,7 +87,33 @@ def _kron_reference(a: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarra
     return ref
 
 
+def _moveaxis_reference(a: np.ndarray, qubits: tuple[int, ...], block: np.ndarray) -> np.ndarray:
+    """The general kernel: target axes moved to the front and back around one matmul."""
+    n = int(block.shape[0]).bit_length() - 1
+    front = range(len(qubits))
+    psi = np.moveaxis(block.reshape((2,) * n + block.shape[1:]), qubits, front)
+    res = (a @ psi.reshape(2 ** len(qubits), -1)).reshape(psi.shape)
+    return np.moveaxis(res, front, qubits).reshape(block.shape)
+
+
 class TestApplyLocal:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_consecutive_targets_match_both_references(self, rng, k):
+        # (q0, ..., q0+k-1) takes the copy-free view of the block
+        n = 5
+        blocks = (np.eye(2**n, dtype=complex),
+                  rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n),
+                  rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3)))
+        for q0 in range(n - k + 1):
+            qubits = tuple(range(q0, q0 + k))
+            a = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
+            ref = _kron_reference(a, qubits, n)
+            for block in blocks:
+                got = _apply_local(a, qubits, block)
+                assert got.shape == block.shape
+                assert np.allclose(got, ref @ block, rtol=0, atol=1e-14)
+                assert np.allclose(got, _moveaxis_reference(a, qubits, block), rtol=0, atol=1e-14)
+
     def test_every_ordered_pair_matches_kron_reference(self, rng):
         n = 5
         state = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)

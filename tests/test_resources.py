@@ -10,6 +10,7 @@ from trottersmith import (
     GateTimingModel,
     ResourceReport,
     StepPlan,
+    TimeProfile,
     audit,
     build_lattice,
     build_trotter_circuit,
@@ -305,6 +306,24 @@ class TestPerEdgeCnots:
         for mode in ("decomposed", "scaled"):
             circ = build_trotter_circuit(model, col, formula, 2, 0.0, mode=mode)
             assert counts(circ)["cx"] == 0
+            assert audit(report, circ) == []
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_zero_factor_steps_cost_no_cnots(self, order):
+        # the profile runs step 1 for tau = 0; the scaled circuit still holds
+        # its tau = 0 uij gates, so interaction gates and depth are unchanged
+        model = build_lattice("chain", 4, profile=TimeProfile("piecewise", (1.0, 0.0)))
+        col = color_model(model)
+        plan = StepPlan(m=2, order=order, bound_used="user", num_classes=col.num_classes, t=1.0)
+        formula = formula_for_order(order, col.num_classes)
+        edge_cnots = [template_cnots(e) for e in model.edges]
+        report = report_for_plan(plan, model.n, edge_cnots=edge_cnots, profile=model.profile)
+        constant = report_for_plan(plan, model.n, edge_cnots=edge_cnots)
+        assert report.cnots == constant.cnots // 2 == class_repetitions(order) * 9
+        assert (report.interaction_gates, report.depth) == (constant.interaction_gates,
+                                                            constant.depth)
+        for mode in ("decomposed", "scaled"):
+            circ = build_trotter_circuit(model, col, formula, 2, 1.0, mode=mode)
             assert audit(report, circ) == []
 
     def test_uniform_counts_unchanged(self, mixed):
