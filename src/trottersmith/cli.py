@@ -7,6 +7,7 @@ oracle size cap), 1 on an internal failure.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -220,22 +221,24 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
                              "are counted by their own templates")
         model = _load_model(model_path)
         n_sites = model.n
-        k_classes = coloring_mod.color_model(model).num_classes
+        classes = coloring_mod.color_model(model).classes
+        k_classes = len(classes)
         j_val = model.j_max
-        edge_cnots = [synth.template_cnots(e) for e in model.edges]
+        edge_cnots = [[synth.template_cnots(model.edges[e]) for e in c] for c in classes]
         profile = model.profile
     if n_sites is None or k_classes is None:
         raise ValueError("provide --model, or both --n and --classes")
     timing = resources.GateTimingModel(t_inf=t_inf, s=slope)
     orders = [int(p) for p in compare_orders.split(",") if p] if compare_orders else [order]
-    reports = [
-        resources.report_for_plan(
-            trotter.steps_for_accuracy(o, k_classes, n_sites, j_val, t, epsilon),
-            n_sites, timing=timing, heisenberg=heisenberg, edge_cnots=edge_cnots,
-            profile=profile,
-        )
-        for o in orders
-    ]
+    plans = [trotter.steps_for_accuracy(o, k_classes, n_sites, j_val, t, epsilon)
+             for o in orders]
+    if not profile.is_constant:
+        # a piecewise profile fixes m to its table length, as in verify
+        plans = [dataclasses.replace(p, m=len(profile.factors), bound_used="user")
+                 for p in plans]
+    reports = [resources.report_for_plan(p, n_sites, timing=timing, heisenberg=heisenberg,
+                                         edge_cnots=edge_cnots, profile=profile)
+               for p in plans]
     if compare_orders:
         lines = ["order,m,N,T"] + [
             f"{rep.order},{rep.m},{rep.interaction_gates},{format_float(rep.simulation_time)}"

@@ -1,14 +1,14 @@
 """Gate-count and simulation-time estimates, and audits against circuits.
 
 Every estimate is ``report_for_plan(steps_for_accuracy(...), n, ...)``: the
-step rule picks m, and the report counts stages and gates per step.  First
-order on a regular K-colorable lattice needs N = m * n * K / 2 interaction
-gates; with the error bound inverted for m this closes to
-(3/32) K^2 (K-1) t^2 n^2 J^2 / epsilon.  Each color class runs in one
-parallel layer, so the simulation time is the stage count times the gate
-time.  Higher even orders report the unmerged stage count 2K * 5^(q-1)
-per step as an upper bound.  With natively scaled interaction gates the
-simulation time collapses to K * s * t, independent of m, n, and epsilon.
+step rule picks m, and the report counts exactly the stages that
+``trotter.expand`` emits for the merged schedule, at every order, and the
+gates of each stage.  First order on a regular K-colorable lattice needs
+N = m * n * K / 2 interaction gates; with the error bound inverted for m
+this closes to (3/32) K^2 (K-1) t^2 n^2 J^2 / epsilon.  Each color class
+runs in one parallel layer, so the simulation time is the stage count times
+the gate time.  With natively scaled interaction gates the simulation time
+collapses to K * s * t, independent of m, n, and epsilon.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .circuits import Circuit, counts
 from .model import CONSTANT_PROFILE, TimeProfile
-from .trotter import HIGHER_ORDER_C3, StepPlan
+from .trotter import HIGHER_ORDER_C3, StepPlan, class_uses, formula_for_order
 
 
 @dataclass(frozen=True)
@@ -75,65 +75,55 @@ def first_order_gate_closed_form(
     return (3.0 / 32.0) * k * k * (k - 1) * t * t * n * n * j * j / epsilon
 
 
-def class_repetitions(order: int) -> int:
-    """Times each class is exponentiated per step, before stage merging.
-
-    1 for first order; the even order 2q repeats every class 2 * 5^(q-1)
-    times (so a step has 2K * 5^(q-1) stages).
-    """
-    if order == 1:
-        return 1
-    if order >= 2 and order % 2 == 0:
-        return 2 * 5 ** (order // 2 - 1)
-    raise ValueError(f"order must be 1 or an even integer >= 2, got {order}")
-
-
 def report_for_plan(
     plan: StepPlan,
     n: int,
     timing: GateTimingModel = DEFAULT_TIMING,
     heisenberg: bool = False,
     edges_per_sweep: int | None = None,
-    edge_cnots: Sequence[int] | None = None,
+    edge_cnots: Sequence[Sequence[int]] | None = None,
     profile: TimeProfile = CONSTANT_PROFILE,
 ) -> ResourceReport:
     """Predicted cost of running a given step plan on an n-site model.
 
-    The gate count uses n*K/2 edges per sweep, exact for regular lattices
-    with every class full; pass ``edges_per_sweep`` (the model's actual
-    edge count) to correct for open boundaries.  CNOTs assume the 6-CNOT
-    template, or 3 per gate when ``heisenberg``.  ``edge_cnots`` gives the
-    CNOTs of each edge's own template instead (see
-    :func:`trottersmith.synth.template_cnots`), which is exact for models
-    that mix templates; its length is the edge count per sweep.  CNOTs
-    are counted only for steps p with t * profile.factor(p, m) != 0: the
-    other steps run every stage for tau = 0, and decomposed synthesis emits
-    no CNOT for an identity.
+    Counts the stages ``expand`` emits for the plan's formula
+    (:func:`trottersmith.trotter.class_uses`), so a stage of class k costs
+    |class k| interaction gates and one layer of depth.  ``edge_cnots``
+    holds one sequence per color class of each edge's template CNOTs (see
+    :func:`trottersmith.synth.template_cnots`), which fixes class sizes and
+    CNOTs exactly.  Without it each class has ``edges_per_sweep`` / K
+    edges, or n/2 as on a regular lattice with every class full, and each
+    gate costs 6 CNOTs, or 3 when ``heisenberg``.  CNOTs are counted only
+    for steps p with t * profile.factor(p, m) != 0: the other steps run
+    every stage for tau = 0, and decomposed synthesis emits no CNOT for an
+    identity.
     """
     k = plan.num_classes
-    reps = class_repetitions(plan.order)
-    template = "heisenberg-3cnot" if heisenberg else "general-6cnot"
-    if edge_cnots is not None:
-        edge_cnots = list(edge_cnots)
+    formula = formula_for_order(plan.order, k)
+    uses = class_uses(formula, plan.m, profile)
+    if edge_cnots is None:
+        size = edges_per_sweep / k if edges_per_sweep is not None else n / 2.0
+        sizes, class_cnots = [size] * k, [(3 if heisenberg else 6) * size] * k
+        template = "heisenberg-3cnot" if heisenberg else "general-6cnot"
+    else:
         if heisenberg:
             raise ValueError("pass heisenberg or edge_cnots, not both")
-        if edges_per_sweep is not None and edges_per_sweep != len(edge_cnots):
+        if len(edge_cnots) != k:
+            raise ValueError(f"edge_cnots has {len(edge_cnots)} classes but the plan has K={k}")
+        sizes, class_cnots = [len(c) for c in edge_cnots], [sum(c) for c in edge_cnots]
+        if edges_per_sweep is not None and edges_per_sweep != sum(sizes):
             raise ValueError(
-                f"edges_per_sweep={edges_per_sweep} but edge_cnots has {len(edge_cnots)} edges"
+                f"edges_per_sweep={edges_per_sweep} but edge_cnots has {sum(sizes)} edges"
             )
-        edges_per_sweep = len(edge_cnots)
         template = "per-edge"
-    # one full sweep of every class covers nK/2 edges on a regular lattice
-    per_sweep = edges_per_sweep if edges_per_sweep is not None else n * k / 2.0
-    gates = int(round(plan.m * reps * per_sweep))
-    # a constant profile's factor is 1 at every step, so one step stands for all m
+    gates = int(round(sum(u * c for u, c in zip(uses, sizes))))
+    # the share of live steps: a constant profile's factor is 1 at every step,
+    # so one step stands for all m, and a piecewise profile merges no stage,
+    # so each live step runs class k for uses[k] / m stages
     steps = 1 if profile.is_constant else plan.m
-    live = plan.m // steps * sum(plan.t * profile.factor(p, plan.m) != 0 for p in range(steps))
-    if edge_cnots is not None:
-        cnots = live * reps * sum(edge_cnots)
-    else:
-        cnots = (3 if heisenberg else 6) * int(round(live * reps * per_sweep))
-    depth = plan.m * reps * k
+    live = sum(plan.t * profile.factor(p, plan.m) != 0 for p in range(steps)) / steps
+    cnots = int(round(live * sum(u * c for u, c in zip(uses, class_cnots))))
+    depth = sum(uses)
     sim_time = float(depth * timing.t_inf)
     assumptions = {
         "bound_used": plan.bound_used,
@@ -141,15 +131,13 @@ def report_for_plan(
         "epsilon": plan.epsilon,
         "K": k,
         "n": n,
-        "stages_per_step": reps * k,
+        "stages_per_step": len(formula.stages),
         "timing": {"t_inf": timing.t_inf, "s": timing.s},
         "fixed_gate_regime": True,
         "template": template,
         # the stage count is explicit, so the gate count needs no prefactor
         "c4": 1.0,
     }
-    if edges_per_sweep is None and (n * k) % 2 == 0:
-        assumptions["regular_lattice_gates"] = plan.m * reps * (n * k // 2)
     if plan.bound_used == "higher_order_scaling":
         assumptions["c3"] = HIGHER_ORDER_C3
     return ResourceReport(
@@ -182,21 +170,13 @@ def audit(report: ResourceReport, circuit: Circuit) -> list[str]:
     Returns a list of discrepancy descriptions; empty means the audit
     passed.  Interaction-gate count and depth are checked against scaled
     circuits (where each stage is one uij layer); the CNOT total against
-    decomposed circuits.  Merged stages can legitimately make measured
-    counts fall below higher-order predictions, so only first-order
-    reports demand exact agreement; higher orders flag only overruns.
+    decomposed circuits.  Every order demands exact agreement.
     """
     got = counts(circuit)
-    issues: list[str] = []
-    exact = report.order == 1
-
-    def check(name: str, predicted: int, measured: int) -> None:
-        if measured > predicted or (exact and measured != predicted):
-            issues.append(f"{name}: predicted {predicted}, circuit has {measured}")
-
     if got["interaction"] > 0:
-        check("interaction gates", report.interaction_gates, got["interaction"])
-        check("depth", report.depth, got["depth"])
+        checks = [("interaction gates", report.interaction_gates, got["interaction"]),
+                  ("depth", report.depth, got["depth"])]
     else:
-        check("cnots", report.cnots, got["cx"])
-    return issues
+        checks = [("cnots", report.cnots, got["cx"])]
+    return [f"{name}: predicted {predicted}, circuit has {measured}"
+            for name, predicted, measured in checks if measured != predicted]

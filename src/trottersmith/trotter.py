@@ -106,28 +106,17 @@ def second_order(num_classes: int) -> ProductFormula:
     return ProductFormula(order=2, num_classes=num_classes, stages=stages)
 
 
-def suzuki(q: int, num_classes: int, merge: bool = True) -> ProductFormula:
-    """Order-2q recursive formula, q >= 2.
-
-    With ``merge`` (the default), adjacent stages acting on the same class
-    are combined; the unmerged construction has 2K * 5^(q-1) stages.
-    """
+def suzuki(q: int, num_classes: int) -> ProductFormula:
+    """Order-2q recursive formula, q >= 2, with adjacent same-class stages merged."""
     if q < 2:
         raise ValueError("suzuki construction starts at q=2; use second_order for q=1")
     _check_k(num_classes)
-    if merge:
-        stages = [(s.k, s.coeff) for s in second_order(num_classes).stages]
-    else:
-        # raw palindrome, 2K stages: the unmerged count law needs this base
-        ks = list(range(1, num_classes + 1))
-        stages = [(k, 0.5) for k in ks] + [(k, 0.5) for k in reversed(ks)]
+    stages = [(s.k, s.coeff) for s in second_order(num_classes).stages]
     for level in range(2, q + 1):
         p = suzuki_p(level)
         outer = [(k, c * p) for k, c in stages]
         middle = [(k, c * (1.0 - 4.0 * p)) for k, c in stages]
-        stages = outer + outer + middle + outer + outer
-        if merge:
-            stages = _merge_adjacent(stages)
+        stages = _merge_adjacent(outer + outer + middle + outer + outer)
     return ProductFormula(
         order=2 * q,
         num_classes=num_classes,
@@ -157,11 +146,7 @@ def _merge_adjacent(stages: list[tuple[int, float]]) -> list[tuple[int, float]]:
     out: list[tuple[int, float]] = []
     for k, c in stages:
         if out and out[-1][0] == k:
-            merged = out[-1][1] + c
-            if merged == 0.0:
-                out.pop()
-            else:
-                out[-1] = (k, merged)
+            out[-1] = (k, out[-1][1] + c)
         else:
             out.append((k, c))
     return out
@@ -265,3 +250,25 @@ def expand(
             else:
                 out.append(ScheduledStage(s.k, tau))
     return tuple(out)
+
+
+def class_uses(
+    formula: ProductFormula,
+    m: int,
+    profile: TimeProfile = CONSTANT_PROFILE,
+) -> tuple[int, ...]:
+    """Stages of each class that ``expand(formula, m, t, profile)`` emits.
+
+    Under a constant profile ``expand`` merges each step's last stage into
+    the next step's first when they share a class (every palindromic order
+    >= 2 and every one-class formula), so that class loses m - 1 stages.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    uses = [0] * formula.num_classes
+    for s in formula.stages:
+        uses[s.k - 1] += m
+    first, last = formula.stages[0].k, formula.stages[-1].k
+    if profile.is_constant and first == last:
+        uses[first - 1] -= m - 1
+    return tuple(uses)

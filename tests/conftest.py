@@ -215,3 +215,10 @@ def ref_dump_json(obj) -> str:
     _ref_write(obj, out, 0)
     out.append("\n")
     return "".join(out)
+
+
+def class_edge_cnots(model, coloring) -> list[list[int]]:
+    """Each color class's per-edge template CNOTs, as ``estimate --model`` passes them."""
+    from trottersmith.synth import template_cnots
+
+    return [[template_cnots(model.edges[e]) for e in c] for c in coloring.classes]

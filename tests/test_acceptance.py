@@ -38,6 +38,7 @@ from trottersmith.resources import first_order_gate_closed_form
 
 from conftest import (
     PAULIS,
+    class_edge_cnots,
     dist_up_to_phase,
     fragment_unitary,
     op_norm,
@@ -222,6 +223,41 @@ def test_criterion_7_worked_estimate():
         bounds.add(estimate_scaled(2, 0.5, 2.0))
     assert bounds == {2.0}
     print(f"m={rep.m} N={rep.interaction_gates} closed_form={closed} scaled_bound=2.0")
+
+
+def test_criterion_7b_exact_report_at_every_order():
+    # the report counts the merged schedule that expand builds, so audit
+    # demands equality at every order, in both modes
+    cases = [
+        ("torus-4x4", build_lattice("square", (4, 4), "periodic"), (1, 2, 4)),
+        ("chain-6-field", build_lattice("chain", 6, field=(0.5, 0.0, 0.3)), (1, 2, 4)),
+        ("chain-2", build_lattice("chain", 2), (1, 2)),
+    ]
+    for name, model, orders in cases:
+        coloring = color_model(model)
+        edge_cnots = class_edge_cnots(model, coloring)
+        for order in orders:
+            planned = steps_for_accuracy(order, coloring.num_classes, model.n, model.j_max,
+                                         1.0, 0.01)
+            fixed = StepPlan(m=4, order=order, bound_used="user",
+                             num_classes=coloring.num_classes, t=1.0)
+            formula = formula_for_order(order, coloring.num_classes)
+            for plan in (planned, fixed):
+                report = report_for_plan(plan, model.n, edge_cnots=edge_cnots)
+                for mode in ("scaled", "decomposed"):
+                    circ = build_trotter_circuit(model, coloring, formula, plan.m, 1.0,
+                                                 mode=mode)
+                    tally = counts(circ)
+                    assert audit(report, circ) == [], (name, order, plan.m, mode)
+                    if mode == "scaled":
+                        assert (tally["interaction"], tally["depth"]) == (
+                            report.interaction_gates, report.depth), (name, order, plan.m)
+                    else:
+                        assert tally["cx"] == report.cnots, (name, order, plan.m)
+                print(f"{name} order={order} m={plan.m} N={report.interaction_gates} "
+                      f"depth={report.depth} cx={report.cnots}")
+                if name == "torus-4x4" and order == 4 and plan is planned:
+                    assert (plan.m, report.interaction_gates, report.depth) == (36, 8648, 1081)
 
 
 def test_criterion_8_end_to_end_equivalence():

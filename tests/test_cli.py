@@ -368,14 +368,24 @@ class TestEstimate:
         path = tmp_path / "pw.json"
         path.write_text(model_to_json(
             build_lattice("chain", 4, profile=TimeProfile("piecewise", (1.0, 0.0)))))
-        res = run("estimate", "--model", str(path), "--epsilon", "0.75", "--time", "1.0")
+        # the table length fixes m at every epsilon; step 1 runs for tau = 0
+        for epsilon in ("0.75", "0.01"):
+            res = run("estimate", "--model", str(path), "--epsilon", epsilon, "--time", "1.0")
+            assert res.exit_code == 0, res.output
+            doc = json.loads(res.stdout)
+            # 3 exchange edges of 3 CNOTs in step 0 only
+            assert (doc["m"], doc["interaction_gates"], doc["cnots"]) == (2, 6, 9)
+            assert doc["assumptions"]["bound_used"] == "user"
+        # order 2 runs class 1 ({0, 2}) twice per step; synth agrees
+        res = run("estimate", "--model", str(path), "--order", "2", "--epsilon", "0.01",
+                  "--time", "1")
         assert res.exit_code == 0, res.output
         doc = json.loads(res.stdout)
-        # step 1 runs for tau = 0: 3 exchange edges of 3 CNOTs in step 0 only
-        assert (doc["m"], doc["interaction_gates"], doc["cnots"]) == (2, 6, 9)
-        res = run("estimate", "--model", str(path), "--epsilon", "0.01", "--time", "1.0")
-        assert res.exit_code == 2, res.output
-        assert "profile table has 2 entries but the plan has 150 steps" in res.stderr
+        assert (doc["m"], doc["cnots"]) == (2, 15)
+        res = run("synth", "--model", str(path), "--order", "2", "--steps", "2",
+                  "--time", "1", "--out", str(tmp_path / "pw.circuit.json"))
+        assert res.exit_code == 0, res.output
+        assert "cx=15 " in res.stdout
 
     def test_heisenberg_flag_rejected_with_model(self, chain4_file):
         res = run("estimate", "--model", str(chain4_file), "--epsilon", "0.01",
@@ -403,8 +413,8 @@ class TestEstimate:
         lines = out.read_text().splitlines()
         assert lines[0] == "order,m,N,T"
         assert lines[1] == "1,150,600,300.0"
-        assert lines[2] == "2,57,456,228.0"
-        assert lines[3] == "4,11,440,220.0"
+        assert lines[2] == "2,57,230,115.0"
+        assert lines[3] == "4,11,222,111.0"
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--coupling", "nan", "coupling j must be finite, got nan"),

@@ -23,8 +23,9 @@ from trottersmith import (
     report_for_plan,
     steps_for_accuracy,
 )
-from trottersmith.resources import class_repetitions, first_order_gate_closed_form
-from trottersmith.synth import template_cnots
+from trottersmith.resources import first_order_gate_closed_form
+
+from conftest import class_edge_cnots
 
 
 class TestTimingModel:
@@ -45,18 +46,6 @@ class TestTimingModel:
     def test_rejects_nonfinite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             GateTimingModel(**{name: value})
-
-
-class TestClassRepetitions:
-    def test_values(self):
-        assert class_repetitions(1) == 1
-        assert class_repetitions(2) == 2
-        assert class_repetitions(4) == 10
-        assert class_repetitions(6) == 50
-
-    def test_odd_order_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            class_repetitions(3)
 
 
 class TestFirstOrderEstimate:
@@ -97,22 +86,40 @@ class TestFirstOrderEstimate:
         rep = report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, 1.0, 0.01), 4,
                               edges_per_sweep=3)
         assert rep.interaction_gates == 150 * 3
-        assert "regular_lattice_gates" not in rep.assumptions
         full = report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, 1.0, 0.01), 4)
-        assert full.assumptions["regular_lattice_gates"] == 600
+        assert full.interaction_gates == 600
 
 
 class TestHigherOrderEstimate:
     def test_worked_fourth_order_example(self):
+        # 11 stages per step, the first and last on class 1, so the m steps
+        # of the merged schedule hold 11 m - (m - 1) stages of n/2 = 2 gates
         rep = report_for_plan(steps_for_accuracy(4, 2, 4, 1.0, 1.0, 0.01), 4)
         assert rep.order == 4
         assert rep.m == 11
-        assert rep.interaction_gates == 11 * 10 * 4 == 440
-        assert rep.depth == 11 * 10 * 2 == 220
-        assert rep.simulation_time == pytest.approx(220.0)
+        assert rep.depth == 11 * 11 - 10 == 111
+        assert rep.interaction_gates == 2 * 111 == 222
+        assert rep.cnots == 6 * 222
+        assert rep.simulation_time == pytest.approx(111.0)
         assert rep.assumptions["bound_used"] == "higher_order_scaling"
-        assert rep.assumptions["stages_per_step"] == 20
+        assert rep.assumptions["stages_per_step"] == 11
         assert rep.assumptions["c3"] == rep.assumptions["c4"] == 1.0
+
+    def test_worked_second_order_example(self):
+        rep = report_for_plan(steps_for_accuracy(2, 2, 4, 1.0, 1.0, 0.01), 4)
+        assert rep.m == 57
+        assert rep.depth == 3 * 57 - 56 == 115
+        assert rep.interaction_gates == 2 * 115 == 230
+        assert rep.assumptions["stages_per_step"] == 3
+
+    def test_bench_lattice_pin(self):
+        # the 8x8 periodic square of the benchmark's lattice workload: 4
+        # classes of 32 edges, order 2, m=20, 6 CNOTs per gate; its
+        # independent pin is cx = 6 * 32 * (6 m + 1)
+        plan = StepPlan(m=20, order=2, bound_used="user", num_classes=4, t=1.0)
+        rep = report_for_plan(plan, 64, edges_per_sweep=128)
+        assert rep.depth == 6 * 20 + 1 == 121
+        assert rep.cnots == 6 * 32 * 121 == 23232
 
     def test_q_validation(self):
         for order in (0, 3, -2):
@@ -221,24 +228,34 @@ class TestAudit:
         assert audit(report, circ) == []
 
     def test_higher_order_merging_is_not_an_overrun(self, heis_chain4):
+        # the report counts the merged schedule, so it matches exactly
         col = color_model(heis_chain4)
         plan = steps_for_accuracy(2, 2, 4, 1.0, 1.0, 0.05)
         f = formula_for_order(2, 2)
         circ = build_trotter_circuit(heis_chain4, col, f, plan.m, 1.0, mode="scaled")
-        report = report_for_plan(plan, 4, edges_per_sweep=3)
-        # merged stages land below the unmerged prediction; that is fine
-        from trottersmith import counts
-
-        assert counts(circ)["interaction"] < report.interaction_gates
+        report = report_for_plan(plan, 4, edge_cnots=class_edge_cnots(heis_chain4, col))
+        tally = counts(circ)
+        assert (tally["interaction"], tally["depth"]) == (report.interaction_gates,
+                                                          report.depth)
         assert audit(report, circ) == []
+
+    def test_higher_order_underrun_flagged(self, heis_chain4):
+        col = color_model(heis_chain4)
+        plan = steps_for_accuracy(4, 2, 4, 1.0, 1.0, 0.05)
+        f = formula_for_order(4, 2)
+        circ = build_trotter_circuit(heis_chain4, col, f, plan.m, 1.0, mode="scaled")
+        good = report_for_plan(plan, 4, edge_cnots=class_edge_cnots(heis_chain4, col))
+        bad = ResourceReport(order=4, m=plan.m, interaction_gates=good.interaction_gates + 1,
+                             cnots=good.cnots, depth=good.depth + 1, simulation_time=0.0)
+        issues = audit(bad, circ)
+        assert any("interaction gates" in msg for msg in issues)
+        assert any("depth" in msg for msg in issues)
 
     def test_higher_order_overrun_still_flagged(self, heis_chain4):
         col = color_model(heis_chain4)
         plan = steps_for_accuracy(2, 2, 4, 1.0, 1.0, 0.05)
         f = formula_for_order(2, 2)
         circ = build_trotter_circuit(heis_chain4, col, f, plan.m, 1.0, mode="scaled")
-        from trottersmith import counts
-
         measured = counts(circ)["interaction"]
         bad = ResourceReport(
             order=2,
@@ -265,8 +282,7 @@ class TestPerEdgeCnots:
 
     def test_mixed_templates_audit_clean(self, mixed):
         model, plan, circ = mixed
-        edge_cnots = [template_cnots(e) for e in model.edges]
-        report = report_for_plan(plan, model.n, edge_cnots=edge_cnots)
+        report = report_for_plan(plan, model.n, edge_cnots=class_edge_cnots(model, color_model(model)))
         assert report.cnots == 120
         assert report.interaction_gates == 2 * len(model.edges)
         assert report.assumptions["template"] == "per-edge"
@@ -287,7 +303,7 @@ class TestPerEdgeCnots:
         col = color_model(model)
         plan = StepPlan(m=2, order=1, bound_used="user", num_classes=col.num_classes, t=1.0)
         circ = build_trotter_circuit(model, col, first_order(col.num_classes), 2, 1.0)
-        report = report_for_plan(plan, model.n, edge_cnots=[template_cnots(e) for e in model.edges])
+        report = report_for_plan(plan, model.n, edge_cnots=class_edge_cnots(model, col))
         assert report.cnots == counts(circ)["cx"] == cx
         assert audit(report, circ) == []
 
@@ -300,9 +316,10 @@ class TestPerEdgeCnots:
         col = color_model(model)
         plan = StepPlan(m=2, order=order, bound_used="user", num_classes=col.num_classes, t=0.0)
         formula = formula_for_order(order, col.num_classes)
-        report = report_for_plan(plan, model.n, edge_cnots=[template_cnots(e) for e in model.edges])
+        report = report_for_plan(plan, model.n, edge_cnots=class_edge_cnots(model, col))
         assert report.cnots == 0
-        assert report.interaction_gates == plan.m * class_repetitions(order) * len(model.edges)
+        # classes of 2 and 1 edges; order 2 merges the step boundary on class 1
+        assert report.interaction_gates == {1: 6, 2: 8}[order]
         for mode in ("decomposed", "scaled"):
             circ = build_trotter_circuit(model, col, formula, 2, 0.0, mode=mode)
             assert counts(circ)["cx"] == 0
@@ -316,26 +333,29 @@ class TestPerEdgeCnots:
         col = color_model(model)
         plan = StepPlan(m=2, order=order, bound_used="user", num_classes=col.num_classes, t=1.0)
         formula = formula_for_order(order, col.num_classes)
-        edge_cnots = [template_cnots(e) for e in model.edges]
-        report = report_for_plan(plan, model.n, edge_cnots=edge_cnots, profile=model.profile)
-        constant = report_for_plan(plan, model.n, edge_cnots=edge_cnots)
-        assert report.cnots == constant.cnots // 2 == class_repetitions(order) * 9
-        assert (report.interaction_gates, report.depth) == (constant.interaction_gates,
-                                                            constant.depth)
+        report = report_for_plan(plan, model.n, edge_cnots=class_edge_cnots(model, col),
+                                 profile=model.profile)
+        # step 0 only: 3 exchange edges, and at order 2 class 1 ({0, 2}) twice;
+        # a piecewise profile merges no stage across the step boundary
+        assert report.cnots == {1: 9, 2: 15}[order]
+        assert (report.interaction_gates, report.depth) == {1: (6, 4), 2: (10, 6)}[order]
         for mode in ("decomposed", "scaled"):
             circ = build_trotter_circuit(model, col, formula, 2, 1.0, mode=mode)
             assert audit(report, circ) == []
 
     def test_uniform_counts_unchanged(self, mixed):
         model, plan, _ = mixed
-        six = [6] * len(model.edges)
+        six = [[6] * len(c) for c in color_model(model).classes]
         a = report_for_plan(plan, model.n, edges_per_sweep=len(model.edges))
         b = report_for_plan(plan, model.n, edge_cnots=six)
         assert (a.interaction_gates, a.cnots, a.depth) == (b.interaction_gates, b.cnots, b.depth)
 
     def test_conflicting_inputs_rejected(self, mixed):
         model, plan, _ = mixed
+        per_class = [[3] * 3] * plan.num_classes
         with pytest.raises(ValueError, match="not both"):
-            report_for_plan(plan, model.n, heisenberg=True, edge_cnots=[3] * 12)
+            report_for_plan(plan, model.n, heisenberg=True, edge_cnots=per_class)
         with pytest.raises(ValueError, match="edges_per_sweep=11"):
-            report_for_plan(plan, model.n, edges_per_sweep=11, edge_cnots=[3] * 12)
+            report_for_plan(plan, model.n, edges_per_sweep=11, edge_cnots=per_class)
+        with pytest.raises(ValueError, match="edge_cnots has 1 classes"):
+            report_for_plan(plan, model.n, edge_cnots=[[3] * 12])

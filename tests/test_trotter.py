@@ -1,6 +1,7 @@
 """Product formulas, error bounds, step planning, schedule expansion."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -20,11 +21,23 @@ from trottersmith import (
     steps_for_accuracy,
     suzuki,
 )
-from trottersmith.trotter import suzuki_p
+from trottersmith.model import CONSTANT_PROFILE
+from trottersmith.trotter import class_uses, suzuki_p
 
 
 def stage_tuples(formula):
     return [(s.k, s.coeff) for s in formula.stages]
+
+
+def raw_suzuki(q, k):
+    """The unmerged order-2q recursion: 2K * 5^(q-1) (class, coeff) stages."""
+    stages = [(c, 0.5) for c in range(1, k + 1)] + [(c, 0.5) for c in range(k, 0, -1)]
+    for level in range(2, q + 1):
+        p = 1.0 / (4.0 - 4.0 ** (1.0 / (2 * level - 1)))
+        outer = [(c, x * p) for c, x in stages]
+        middle = [(c, x * (1.0 - 4.0 * p)) for c, x in stages]
+        stages = outer + outer + middle + outer + outer
+    return stages
 
 
 class TestFirstOrder:
@@ -64,22 +77,22 @@ class TestSuzuki:
         assert any(c < 0 for _, c in stage_tuples(suzuki(2, 2)))
 
     def test_unmerged_stage_count_law(self):
-        assert len(suzuki(2, 2, merge=False).stages) == 2 * 2 * 5
-        assert len(suzuki(2, 3, merge=False).stages) == 2 * 3 * 5
-        assert len(suzuki(3, 2, merge=False).stages) == 2 * 2 * 25
+        assert len(raw_suzuki(2, 2)) == 2 * 2 * 5
+        assert len(raw_suzuki(2, 3)) == 2 * 3 * 5
+        assert len(raw_suzuki(3, 2)) == 2 * 2 * 25
 
     def test_merged_equals_unmerged_schedule(self):
-        merged = stage_tuples(suzuki(2, 3))
-        raw = stage_tuples(suzuki(2, 3, merge=False))
-        dense = []
-        for k, c in raw:
-            if dense and dense[-1][0] == k:
-                dense[-1] = (k, dense[-1][1] + c)
-            else:
-                dense.append((k, c))
-        assert len(dense) == len(merged)
-        for (k1, c1), (k2, c2) in zip(dense, merged):
-            assert k1 == k2 and c1 == pytest.approx(c2, abs=1e-15)
+        for q, k in itertools.product((2, 3), (1, 2, 3, 4)):
+            merged = stage_tuples(suzuki(q, k))
+            dense = []
+            for c, x in raw_suzuki(q, k):
+                if dense and dense[-1][0] == c:
+                    dense[-1] = (c, dense[-1][1] + x)
+                else:
+                    dense.append((c, x))
+            assert [c for c, _ in dense] == [c for c, _ in merged], (q, k)
+            for (_, x1), (_, x2) in zip(dense, merged):
+                assert x1 == pytest.approx(x2, abs=1e-14), (q, k)
 
     @given(st.integers(2, 3), st.integers(1, 5))
     @settings(max_examples=20, deadline=None)
@@ -228,3 +241,27 @@ class TestExpand:
         for s in expand(f, m, t):
             totals[s.k - 1] += s.tau
         assert all(abs(v - t) < 1e-12 for v in totals)
+
+
+class TestClassUses:
+    @pytest.mark.parametrize("order", [1, 2, 4, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_equals_expand_tallies(self, order, k):
+        f = formula_for_order(order, k)
+        for m in range(1, 9):
+            profiles = [
+                (CONSTANT_PROFILE, 1.0),
+                (CONSTANT_PROFILE, 0.0),
+                (TimeProfile("piecewise", (1.0,) * m), 1.0),
+                (TimeProfile("piecewise", tuple(float(p % 2) for p in range(m))), 1.0),
+                (TimeProfile("piecewise", (0.0,) * m), 1.0),
+            ]
+            for profile, t in profiles:
+                tally = [0] * k
+                for stage in expand(f, m, t, profile):
+                    tally[stage.k - 1] += 1
+                assert class_uses(f, m, profile) == tuple(tally), (m, profile, t)
+
+    def test_m_must_be_positive(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            class_uses(first_order(2), 0)
