@@ -13,8 +13,8 @@ from .coloring import EdgeColoring, color_model, coloring_from_json, coloring_to
 from .model import Boundary, CouplingTensor, EdgeTerm, LatticeKind, SpinModel, \
     TimeProfile, build_lattice, from_edges, model_from_json, model_to_json, \
     term_hamiltonian
-from .oracle import circuit_unitary, exact_evolution, \
-    reference_evolution, run_circuit, spectral_norm, total_hamiltonian, trotter_error
+from .oracle import circuit_unitary, exact_evolution, run_circuit, spectral_norm, \
+    total_hamiltonian, trotter_error
 from .resources import GateTimingModel, ResourceReport, audit, estimate_scaled, \
     report_for_plan
 from .synth import CartanCoefficients, build_trotter_circuit, kak_decompose, \
@@ -64,7 +64,6 @@ __all__ = [
     "kak_decompose",
     "model_from_json",
     "model_to_json",
-    "reference_evolution",
     "report_for_plan",
     "run_circuit",
     "second_order",

@@ -7,7 +7,6 @@ oracle size cap), 1 on an internal failure.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import sys
@@ -135,7 +134,7 @@ def plan(model_path, order, epsilon, t, out) -> None:
     model = _load_model(model_path)
     coloring = coloring_mod.color_model(model)
     step_plan = trotter.steps_for_accuracy(
-        order, coloring.num_classes, model.n, model.j_max, t, epsilon
+        order, coloring.num_classes, model.n, model.j_max, t, epsilon, model.profile
     )
     doc = {
         "order": step_plan.order,
@@ -178,7 +177,7 @@ def synth_cmd(model_path, coloring_path, order, steps, epsilon, t, mode, emit, o
         if epsilon is None:
             raise ValueError("provide --steps or --epsilon")
         steps = trotter.steps_for_accuracy(
-            order, coloring.num_classes, model.n, model.j_max, t, epsilon
+            order, coloring.num_classes, model.n, model.j_max, t, epsilon, model.profile
         ).m
     formula = trotter.formula_for_order(order, coloring.num_classes)
     circuit = synth.build_trotter_circuit(model, coloring, formula, steps, t, mode=mode)
@@ -230,12 +229,8 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
         raise ValueError("provide --model, or both --n and --classes")
     timing = resources.GateTimingModel(t_inf=t_inf, s=slope)
     orders = [int(p) for p in compare_orders.split(",") if p] if compare_orders else [order]
-    plans = [trotter.steps_for_accuracy(o, k_classes, n_sites, j_val, t, epsilon)
+    plans = [trotter.steps_for_accuracy(o, k_classes, n_sites, j_val, t, epsilon, profile)
              for o in orders]
-    if not profile.is_constant:
-        # a piecewise profile fixes m to its table length, as in verify
-        plans = [dataclasses.replace(p, m=len(profile.factors), bound_used="user")
-                 for p in plans]
     reports = [resources.report_for_plan(p, n_sites, timing=timing, heisenberg=heisenberg,
                                          edge_cnots=edge_cnots, profile=profile)
                for p in plans]
@@ -289,9 +284,8 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
 def verify(ctx, model_path, order, t, m_grid, jobs, out) -> None:
     """Measure Trotter error against the dense oracle over a step grid.
 
-    A piecewise-profile model is measured against its step-sampled
-    reference evolution, so the grid must be exactly the profile's table
-    length.
+    Every model is measured against ``oracle.exact_evolution``; a
+    piecewise profile fixes m, so its grid must be exactly the table length.
 
     Writes CSV with header m,error,bound,order (bound only for order 1)
     and reports the fitted log-log slope of error versus m, or nan unless
@@ -304,16 +298,13 @@ def verify(ctx, model_path, order, t, m_grid, jobs, out) -> None:
     ms = [int(p) for p in m_grid.split(",") if p]
     if not ms or any(m < 1 for m in ms):
         raise ValueError(f"bad --m-grid {m_grid!r}")
-    if model.profile.is_constant:
-        reference = oracle.exact_evolution(model, t)
-    else:
-        steps = len(model.profile.factors)
-        if ms != [steps]:
-            raise ValueError(
-                f"a piecewise profile fixes m to its table length {steps}; "
-                f"pass --m-grid {steps}"
-            )
-        reference = oracle.reference_evolution(model, t, steps)
+    steps = len(model.profile.factors or ())
+    if steps and ms != [steps]:
+        raise ValueError(
+            f"a piecewise profile fixes m to its table length {steps}; "
+            f"pass --m-grid {steps}"
+        )
+    reference = oracle.exact_evolution(model, t)
 
     def measure(m: int) -> float:
         return oracle.trotter_error(

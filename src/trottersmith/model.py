@@ -45,10 +45,15 @@ class Boundary(str, Enum):
 
 
 def _readonly_stack(rows, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """Stack E array-likes with one ``np.array`` call; check shape and finiteness."""
-    arr = np.array(rows, dtype=float) if len(rows) else np.empty((0, *shape))
+    """Stack E array-likes with one ``np.array`` call; check shape, dtype and finiteness."""
+    arr = np.array(rows) if len(rows) else np.empty((0, *shape))
     if arr.shape[1:] != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape[1:]}")
+    # the inferred dtype rejects strings and all-boolean stacks without a loop
+    # over the entries; booleans mixed with numbers infer a number dtype and pass
+    if arr.dtype.kind in "USb":
+        raise ValueError(f"{name} entries must be numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} entries must be finite")
     arr.flags.writeable = False
@@ -172,6 +177,9 @@ class TimeProfile:
         if self.kind == "piecewise":
             if not self.factors:
                 raise ValueError("piecewise profile requires a non-empty factor table")
+            bad = [f for f in self.factors if isinstance(f, (bool, np.bool_, str))]
+            if bad:
+                raise ValueError(f"profile factors must be numbers, got {bad[0]!r}")
             facs = tuple(float(f) for f in self.factors)
             if not all(np.isfinite(facs)):
                 raise ValueError("profile factors must be finite")
@@ -509,10 +517,10 @@ def model_from_json(text: str) -> SpinModel:
     """Parse and validate a model document; the trust boundary for models.
 
     Integer fields (``n``, each edge's ``i`` and ``j``) must be JSON
-    integers.  Each of the couplings, ``hi`` and ``hj`` is read into one
-    (E, 3, 3) or (E, 3) stack and checked once as a whole, with the messages
-    of the one-edge constructors, and every edge term gets read-only row
-    views of the stacks.
+    integers, and the profile's factors JSON numbers.  Each of the couplings,
+    ``hi`` and ``hj`` is read into one (E, 3, 3) or (E, 3) stack and checked
+    once as a whole, with the messages of the one-edge constructors, and
+    every edge term gets read-only row views of the stacks.
     """
     with json_document(text, "model") as doc:
         prof_doc = doc.get("profile", {"kind": "constant"})

@@ -12,7 +12,9 @@ through a copy-free view; other targets are moved to the front and back.
 Playback first multiplies a circuit's gates into blocks on at most two
 qubits, so a compiled edge fragment costs one contraction, not one per gate.
 These routines are the measuring stick the compiled circuits are judged
-against, so they share no code with the synthesis path.
+against, so they share no code with the synthesis path.  ``exact_evolution``
+is the reference for every time profile: a profile scales all of H, so the
+steps of a piecewise table commute into one exponential.
 """
 from __future__ import annotations
 
@@ -91,29 +93,13 @@ def total_hamiltonian(model: SpinModel) -> np.ndarray:
 
 
 def exact_evolution(model: SpinModel, t: float) -> np.ndarray:
-    """exp(-i t H).  Only defined for a constant time profile."""
-    if not model.profile.is_constant:
-        raise ValueError(
-            "exact evolution needs a constant profile; use reference_evolution"
-        )
-    return expm_hermitian(total_hamiltonian(model), -1j * t)
+    """exp(-i t H f), f the mean of a piecewise profile's table (1 if constant).
 
-
-def reference_evolution(model: SpinModel, t: float, m_ref: int) -> np.ndarray:
-    """Time-ordered evolution on an m_ref-step grid, left-endpoint sampling.
-
-    A profile scales all of H, so the steps commute and their product is one
-    exponential of H over the summed step durations.  Exact for a constant
-    profile (any m_ref); for a piecewise profile this is the reference the
-    compiled circuits aim at.
+    A profile scales all of H, so the steps of its table commute and their
+    product is this one exponential: the target a piecewise circuit aims at.
     """
-    if m_ref < 1:
-        raise ValueError("m_ref must be >= 1")
     factors = model.profile.factors or (1.0,)
-    # step p starts in table entry p * L // m_ref; the float p / m_ref * L can
-    # round just below an integer and pick the entry before it
-    total = sum(factors[p * len(factors) // m_ref] for p in range(m_ref))
-    return expm_hermitian(total_hamiltonian(model), -1j * t * (total / m_ref))
+    return expm_hermitian(total_hamiltonian(model), -1j * t * (sum(factors) / len(factors)))
 
 
 def spectral_norm(
@@ -199,9 +185,9 @@ def trotter_error(
 ) -> float:
     """Spectral-norm distance between the product formula and the target.
 
-    ``reference`` defaults to the exact evolution, which requires a constant
-    profile; pass an explicit reference matrix otherwise.  ``seed`` drives
-    the norm's power iteration.
+    ``reference`` defaults to ``exact_evolution(model, t)``, for any profile;
+    pass it to reuse one matrix across a step grid.  ``seed`` drives the
+    norm's power iteration.
     """
     if reference is None:
         reference = exact_evolution(model, t)

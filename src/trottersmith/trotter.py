@@ -68,7 +68,9 @@ class StepPlan:
 
     m: int
     order: int
-    bound_used: str  # "first_order_explicit", "higher_order_scaling", or "user"
+    # "first_order_explicit", "higher_order_scaling", or "user" (m set by the
+    # caller or by a piecewise profile's table)
+    bound_used: str
     num_classes: int
     t: float
     epsilon: float | None = None
@@ -184,6 +186,7 @@ def steps_for_accuracy(
     j: float,
     t: float,
     epsilon: float,
+    profile: TimeProfile = CONSTANT_PROFILE,
 ) -> StepPlan:
     """Smallest step count whose error bound meets the accuracy target.
 
@@ -192,8 +195,10 @@ def steps_for_accuracy(
     Order 2q uses the scaling form
         m >= c3 (K t)^{1 + 1/2q} n^{1/2q} / epsilon^{1/2q}
     with c3 = ``HIGHER_ORDER_C3``, a heuristic constant: the rule is not a
-    proven error bound.  Raises ValueError for K < 1, n < 2, a coupling j
-    that is not finite, or a t or epsilon that is not finite or out of range.
+    proven error bound.  A piecewise ``profile`` fixes m to its table length
+    ("user") after the same checks.  Raises ValueError for K < 1, n < 2, a
+    bad order, a j, t or epsilon that is not finite or out of range, or a
+    step count that overflows a float.
     """
     _check_k(num_classes)
     if n < 2:
@@ -208,18 +213,24 @@ def steps_for_accuracy(
         raise ValueError("t must be nonnegative")
     if not math.isfinite(j):
         raise ValueError(f"coupling j must be finite, got {j}")
+    if order != 1 and (order < 2 or order % 2):
+        raise ValueError(f"order must be 1 or an even integer >= 2, got {order}")
+    if not profile.is_constant:
+        return StepPlan(m=len(profile.factors), order=order, bound_used="user",
+                        num_classes=num_classes, t=t, epsilon=epsilon)
+    bound = "first_order_explicit" if order == 1 else "higher_order_scaling"
     if order == 1:
         raw = first_order_error_bound(num_classes, n, j, t, 1) / epsilon
-        bound = "first_order_explicit"
-    elif order >= 2 and order % 2 == 0:
-        inv = 1.0 / order  # 1/(2q)
-        raw = HIGHER_ORDER_C3 * (num_classes * t) ** (1.0 + inv) * n ** inv / epsilon ** inv
-        bound = "higher_order_scaling"
     else:
-        raise ValueError(f"order must be 1 or an even integer >= 2, got {order}")
-    m = max(1, _ceil_guarded(raw))
-    return StepPlan(m=m, order=order, bound_used=bound, num_classes=num_classes,
-                    t=t, epsilon=epsilon)
+        inv = 1.0 / order  # 1/(2q)
+        try:
+            raw = HIGHER_ORDER_C3 * (num_classes * t) ** (1.0 + inv) * n ** inv / epsilon ** inv
+        except OverflowError:  # float ** raises where * and / give inf
+            raw = math.inf
+    if not math.isfinite(raw):
+        raise ValueError(f"step count overflows a float: t={t}, J={j}, epsilon={epsilon}")
+    return StepPlan(m=max(1, _ceil_guarded(raw)), order=order, bound_used=bound,
+                    num_classes=num_classes, t=t, epsilon=epsilon)
 
 
 def expand(

@@ -29,7 +29,7 @@ from trottersmith import (
     term_hamiltonian,
 )
 from trottersmith.cli import main
-from trottersmith.oracle import formula_unitary, reference_evolution, spectral_norm
+from trottersmith.oracle import exact_evolution, formula_unitary, spectral_norm
 
 from conftest import ref_expm
 
@@ -193,6 +193,16 @@ class TestPlan:
                       "--time", time)
         assert res.exit_code == 2, res.output
         assert "finite" in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("plan", "--model", None, "--order", "2", "--epsilon", "1e-320", "--time", "1e300"),
+        ("estimate", "--n", "4", "--classes", "2", "--epsilon", "0.01", "--time", "1",
+         "--coupling", "1e200"),
+    ], ids=["order-2", "order-1"])
+    def test_step_count_overflow_exits_two(self, chain4_file, args):
+        res = run(*(str(chain4_file) if a is None else a for a in args))
+        assert res.exit_code == 2, res.output
+        assert "overflows a float" in res.stderr
 
     def test_c3_is_not_an_option(self, chain4_file):
         res = run("plan", "--model", str(chain4_file), "--order", "4",
@@ -528,7 +538,7 @@ class TestVerify:
         col = color_model(model)
         f = formula_for_order(1, col.num_classes)
         want = spectral_norm(formula_unitary(model, col, f, 2, 1.0)
-                             - reference_evolution(model, 1.0, 2))
+                             - exact_evolution(model, 1.0))
         assert (m, order) == ("2", "1")
         assert float(err) == pytest.approx(want, rel=1e-12)
         assert want > 1e-3
@@ -552,6 +562,38 @@ class TestVerify:
         run("lattice", "--kind", "chain", "--dims", "3", "--out", str(model))
         res = run("verify", "--model", str(model), "--m-grid", "2,4", "--jobs", "0")
         assert res.exit_code == 2
+
+
+PIECEWISE_TABLES = [(1.0,), (1.0, 0.0), (0.5, -1.0, 0.0), (0.0, -0.4, 1.0, 2.5),
+                    (0.5, 2.0, -1.0, 0.0, 1.3)]
+
+
+class TestPiecewiseProfile:
+    """A piecewise profile's table length L is the step count of every command."""
+
+    @pytest.mark.parametrize("factors", PIECEWISE_TABLES, ids=lambda f: f"L{len(f)}")
+    @pytest.mark.parametrize("field", [None, (0.3, 0.0, -0.7)], ids=["bare", "field"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_plan_estimate_and_synth_agree(self, tmp_path, n, field, factors):
+        path = tmp_path / "pw.json"
+        path.write_text(model_to_json(build_lattice(
+            "chain", n, field=field, profile=TimeProfile("piecewise", factors))))
+        res = run("plan", "--model", str(path), "--epsilon", "0.01", "--time", "1")
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        assert (doc["m"], doc["bound_used"]) == (len(factors), "user")
+        for order in ("1", "2"):
+            res = run("estimate", "--model", str(path), "--order", order,
+                      "--epsilon", "0.01", "--time", "1")
+            assert res.exit_code == 0, res.output
+            doc = json.loads(res.stdout)
+            assert doc["m"] == len(factors)
+            res = run("synth", "--model", str(path), "--order", order, "--epsilon", "0.01",
+                      "--time", "1", "--mode", "decomposed",
+                      "--out", str(tmp_path / "pw.circuit.json"))
+            assert res.exit_code == 0, res.output
+            assert f"m={len(factors)} " in res.stdout
+            assert f"cx={doc['cnots']} " in res.stdout
 
 
 class TestExitCodes:
@@ -598,6 +640,27 @@ class TestLoaderContract:
                 loader(text)
             except ValueError:
                 pass
+
+    @pytest.mark.parametrize("edit", [
+        {"profile": {"kind": "piecewise", "factors": "12"}},
+        {"profile": {"kind": "piecewise", "factors": [True, False]}},
+        {"edges": [{"i": 0, "j": 1, "J": [["1.0", "0", "0"], ["0", "1.0", "0"],
+                                          ["0", "0", "1.0"]]}]},
+        {"edges": [{"i": 0, "j": 1, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                    "hi": ["0.5", False, 0]}]},
+        {"edges": [{"i": 0, "j": 1, "J": [[True, False, False], [False, True, False],
+                                          [False, False, True]]}]},
+    ], ids=["factors-string", "factors-bool", "J-strings", "hi-string-bool", "J-bool"])
+    def test_strings_and_booleans_are_not_numbers(self, tmp_path, edit):
+        doc = {"n": 2, "edges": [{"i": 0, "j": 1, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}
+        doc.update(edit)
+        text = json.dumps(doc)
+        with pytest.raises(ValueError, match="must be numbers"):
+            model_from_json(text)
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        res = run("color", "--model", str(path))
+        assert res.exit_code == 2, res.output
 
     @pytest.mark.parametrize("what, doc", [
         ("circuit", {"n": 2, "gates": [{"kind": "h", "qubits": [0]},

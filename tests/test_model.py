@@ -258,6 +258,12 @@ class TestTimeProfile:
         with pytest.raises(ValueError):
             TimeProfile("ramp")
 
+    @pytest.mark.parametrize("factors", ["12", (1.0, "0.5"), (True, False), (1.0, np.True_)])
+    def test_strings_and_booleans_are_not_factors(self, factors):
+        # float() would read "12" as (1.0, 2.0) and True as 1.0
+        with pytest.raises(ValueError, match="profile factors must be numbers"):
+            TimeProfile("piecewise", factors)
+
 
 class TestJson:
     def test_round_trip_bit_exact(self):

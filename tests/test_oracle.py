@@ -27,7 +27,6 @@ from trottersmith.oracle import (
     exact_evolution,
     expm_hermitian,
     formula_unitary,
-    reference_evolution,
     run_circuit,
     spectral_norm,
     total_hamiltonian,
@@ -155,30 +154,20 @@ class TestEvolutions:
         u12 = exact_evolution(heis_chain4, 1.2)
         assert op_norm(u2 @ u1 - u12) < 1e-9
 
-    def test_piecewise_profile_rejected(self):
-        model = build_lattice("chain", 3, profile=TimeProfile("piecewise", (1.0, 1.0)))
-        with pytest.raises(ValueError, match="constant"):
-            exact_evolution(model, 1.0)
-
 
 class TestReferenceEvolution:
-    def test_constant_m1_equals_exact(self, heis_chain4):
-        a = reference_evolution(heis_chain4, 1.0, 1)
-        b = exact_evolution(heis_chain4, 1.0)
-        assert op_norm(a - b) < 1e-13
-
     def test_all_ones_piecewise_converges_to_exact(self):
         m_ref = 10**4
         profile = TimeProfile("piecewise", (1.0,) * m_ref)
         model = build_lattice("chain", 4, profile=profile)
         const = build_lattice("chain", 4)
-        got = reference_evolution(model, 1.0, m_ref)
+        got = exact_evolution(model, 1.0)
         assert op_norm(got - exact_evolution(const, 1.0)) < 1e-8
 
     def test_zero_factors_give_identity(self):
         profile = TimeProfile("piecewise", (0.0, 0.0))
         model = build_lattice("chain", 3, profile=profile)
-        assert np.allclose(reference_evolution(model, 2.0, 2), np.eye(8), atol=1e-12)
+        assert np.allclose(exact_evolution(model, 2.0), np.eye(8), atol=1e-12)
 
     def test_nonuniform_table_matches_step_product(self):
         factors = (0.5, 2.0, -1.0, 0.0, 1.3)
@@ -189,16 +178,30 @@ class TestReferenceEvolution:
         u = np.eye(16, dtype=complex)
         for f in factors:
             u = ref_expm(h, -1j * (t / m_ref) * f) @ u
-        assert op_norm(reference_evolution(model, t, m_ref) - u) < 1e-12
+        assert op_norm(exact_evolution(model, t) - u) < 1e-12
 
+    @pytest.mark.parametrize("factors", [(1.0,), (1.0, 0.0), (0.5, -1.0, 0.0),
+                                         (0.0, -0.4, 1.0, 2.5), (0.5, 2.0, -1.0, 0.0, 1.3)],
+                             ids=lambda f: f"L{len(f)}")
+    @pytest.mark.parametrize("field", [None, (0.3, 0.0, -0.7)], ids=["bare", "field"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_piecewise_equals_step_product(self, n, field, factors):
+        model = build_lattice("chain", n, field=field,
+                              profile=TimeProfile("piecewise", factors))
+        t = 0.9
+        h = ref_model_hamiltonian(model)
+        u = np.eye(2**n, dtype=complex)
+        for f in factors:
+            u = ref_expm(h, -1j * (t / len(factors)) * f) @ u
+        assert op_norm(exact_evolution(model, t) - u) < 1e-12
 
     def test_table_length_grid_uses_every_entry_once(self):
-        # p / 22 * 22 rounds below p for p = 15, which once picked entry 14 twice
+        # each of the 22 entries counts once in the mean factor
         factors = tuple(1.0 + 0.1 * p for p in range(22))
         model = build_lattice("chain", 3, profile=TimeProfile("piecewise", factors))
         h = ref_model_hamiltonian(model)
         want = ref_expm(h, -1j * 0.8 * sum(factors) / len(factors))
-        assert op_norm(reference_evolution(model, 0.8, len(factors)) - want) < 1e-12
+        assert op_norm(exact_evolution(model, 0.8) - want) < 1e-12
 
 
 class TestSpectralNorm:

@@ -197,6 +197,35 @@ class TestStepsForAccuracy:
         with pytest.raises(ValueError, match=f"coupling j must be finite, got {j}"):
             steps_for_accuracy(order, 2, 4, j, 1.0, 0.01)
 
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_piecewise_table_fixes_m(self, order):
+        profile = TimeProfile("piecewise", (1.0, 0.0, -0.5))
+        plan = steps_for_accuracy(order, 2, 4, 1.0, 1.0, 0.01, profile)
+        assert (plan.m, plan.order, plan.bound_used) == (3, order, "user")
+        assert (plan.t, plan.epsilon) == (1.0, 0.01)
+
+    @pytest.mark.parametrize("args, what", [
+        ((3, 2, 4, 1.0, 1.0, 0.01), "order must be 1 or an even integer"),
+        ((1, 0, 4, 1.0, 1.0, 0.01), "at least one class"),
+        ((1, 2, 1, 1.0, 1.0, 0.01), "at least two sites"),
+        ((1, 2, 4, 1.0, 1.0, 0.0), "epsilon must be positive"),
+        ((2, 2, 4, 1.0, -1.0, 0.01), "t must be nonnegative"),
+        ((2, 2, 4, math.nan, 1.0, 0.01), "coupling j must be finite"),
+    ])
+    def test_piecewise_table_keeps_input_checks(self, args, what):
+        with pytest.raises(ValueError, match=what):
+            steps_for_accuracy(*args, TimeProfile("piecewise", (1.0, 0.0)))
+
+    @pytest.mark.parametrize("order, j, t, epsilon", [
+        (1, 1e200, 1.0, 0.01),  # J^2 overflows to inf
+        (1, 0.0, 1e300, 0.01),  # t^2 = inf times J = 0 is NaN
+        (2, 1.0, 1e300, 1e-320),  # float ** raises OverflowError
+        (4, 1.0, 1e300, 0.01),
+    ])
+    def test_step_count_overflow_rejected(self, order, j, t, epsilon):
+        with pytest.raises(ValueError, match="overflows a float"):
+            steps_for_accuracy(order, 2, 4, j, t, epsilon)
+
     def test_bound_meets_target(self):
         # the chosen m actually satisfies the first-order inequality
         for eps in (0.5, 0.01, 3e-4):
