@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .jsonutil import dump_json, format_float, json_document, json_int
+from .jsonutil import dump_json, format_float, has_bool, json_document, json_int
 
 UNITARITY_TOL = 1e-12
 
@@ -229,6 +229,10 @@ def _gate_to_obj(g: Gate) -> dict:
 
 
 def _gate_from_obj(obj: dict) -> Gate:
+    # float() reads "0.5" as 0.5, and float() and complex() read true/false as 1/0
+    scalars = {type(obj.get("angle")), type(obj.get("tau"))}
+    if not scalars <= {int, float, type(None)} or has_bool(obj.get("matrix", ()), 3):
+        raise ValueError("gate angle, tau and matrix entries must be numbers")
     matrix = None
     if "matrix" in obj:
         matrix = np.array(

@@ -1,92 +1,36 @@
-"""Deterministic JSON writing with full-precision floats.
+"""JSON artifacts: compact, lossless and deterministic.
 
-The standard library serializer renders floats with ``repr``, which is
-shortest-round-trip but not a fixed digit count.  Artifacts here promise 17
-significant digits (always lossless for IEEE doubles) and byte-stable output
-for identical inputs, so we walk the structure ourselves.  Reading goes
-through :func:`json_document`, which turns every malformed document into a
-ValueError, and integer fields go through :func:`json_int`.
+:func:`dump_json` is the standard library's C encoder with no whitespace.
+It prints each float as its shortest ``repr``, which reads back to the same
+double, keeps ``-0.0``, prints integral floats as ``1.0``, and rejects NaN
+and infinity with ValueError and any other type with TypeError.  The same
+document always gives the same bytes.  :func:`format_float` is the fixed
+17-significant-digit format of QASM angles and ``verify`` CSVs.  Reading
+goes through :func:`json_document`, which turns every malformed document
+into a ValueError; integer fields go through :func:`json_int` and numeric
+arrays through :func:`has_bool`.
 """
 from __future__ import annotations
 
 import json
-import math
 import operator
 from contextlib import contextmanager
+from itertools import chain
 
 
 def format_float(x: float) -> str:
+    """``x`` with 17 significant digits, or with one decimal if integral below 1e16."""
     if x - x != 0.0:  # NaN or infinite
-        raise ValueError("non-finite float in JSON document")
+        raise ValueError(f"non-finite float {x!r} has no text form")
     if x.is_integer() and abs(x) < 1e16:
         # keep integral floats readable and unambiguous
         return f"{x:.1f}"
     return format(x, ".17g")
 
 
-def _scalar(obj) -> str:
-    if type(obj) is float:
-        return format_float(obj)
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
-def _write(obj, out: list[str], indent: int, keys: dict) -> None:
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        last = len(obj) - 1
-        for idx, (k, val) in enumerate(obj.items()):
-            # str keys render once per indent; 1, True and 1.0 compare equal
-            # but render apart, so other keys render every time
-            cacheable = type(k) is str
-            line = keys.get((k, indent)) if cacheable else None
-            if line is None:
-                line = f'{"  " * indent}  {json.dumps(str(k))}: '
-                if cacheable:
-                    keys[k, indent] = line
-            out.append(line)
-            _write(val, out, indent + 1, keys)
-            out.append(",\n" if idx < last else "\n")
-        out.append("  " * indent + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        try:
-            # a list of scalars fits on one line; any container raises here
-            out.append("[" + ", ".join(map(_scalar, obj)) + "]")
-            return
-        except TypeError:
-            pass
-        pad = "  " * indent
-        last = len(obj) - 1
-        out.append("[\n")
-        for idx, val in enumerate(obj):
-            out.append(pad + "  ")
-            _write(val, out, indent + 1, keys)
-            out.append(",\n" if idx < last else "\n")
-        out.append(pad + "]")
-    else:
-        out.append(_scalar(obj))
-
-
 def dump_json(obj) -> str:
-    """Render a JSON document deterministically; trailing newline included."""
-    out: list[str] = []
-    # keys: (str key, indent) -> its rendered "key": prefix
-    _write(obj, out, 0, {})
-    out.append("\n")
-    return "".join(out)
+    """Render a JSON document compactly and deterministically; trailing newline included."""
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def json_int(value) -> int:
@@ -99,6 +43,18 @@ def json_int(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     return operator.index(value)
+
+
+def has_bool(rows, depth: int) -> bool:
+    """Whether a ``depth``-deep nested sequence holds a bool anywhere.
+
+    NumPy, ``float`` and ``complex`` read JSON ``true`` and ``false`` beside
+    numbers as 1 and 0, so a loader checks the entries' own types; the
+    flattening and the type test run in C.
+    """
+    for _ in range(depth - 1):
+        rows = chain.from_iterable(rows)
+    return bool in map(type, rows)
 
 
 @contextmanager

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .jsonutil import dump_json, json_document, json_int
+from .jsonutil import dump_json, has_bool, json_document, json_int
 
 ISOTROPY_TOL = 1e-12
 
@@ -49,10 +49,12 @@ def _readonly_stack(rows, shape: tuple[int, ...], name: str) -> np.ndarray:
     arr = np.array(rows) if len(rows) else np.empty((0, *shape))
     if arr.shape[1:] != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape[1:]}")
-    # the inferred dtype rejects strings and all-boolean stacks without a loop
-    # over the entries; booleans mixed with numbers infer a number dtype and pass
+    # the inferred dtype rejects strings and all-boolean stacks; booleans mixed
+    # with numbers infer a number dtype, so Python rows are checked entry by entry
     if arr.dtype.kind in "USb":
         raise ValueError(f"{name} entries must be numbers, got dtype {arr.dtype}")
+    if not isinstance(rows, np.ndarray) and has_bool(rows, len(shape) + 1):
+        raise ValueError(f"{name} entries must be numbers, got a boolean")
     arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} entries must be finite")
@@ -283,9 +285,7 @@ def term_hamiltonian(term: EdgeTerm) -> np.ndarray:
     return edge_hamiltonians((term,))[0]
 
 
-def assign_fields(
-    n: int, pairs: list[tuple[int, int]], site_fields: np.ndarray
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _field_shares(n: int, pairs, site_fields) -> tuple[np.ndarray, np.ndarray]:
     """Fold per-site field vectors into per-edge (h_i, h_j) shares.
 
     Each site's whole field goes to the first sorted edge in which the site
@@ -300,17 +300,11 @@ def assign_fields(
         site_fields: (n, 3) array of field vectors.
 
     Returns:
-        Mapping from edge index to its (h_i, h_j) share vectors.
+        (E, 3) stacks of the h_i and h_j shares, row k for ``pairs[k]``.
 
     Raises:
         ValueError: if a site with a nonzero field touches no edge.
     """
-    h_i, h_j = _field_shares(n, pairs, site_fields)
-    return {idx: (h_i[idx], h_j[idx]) for idx in range(len(pairs))}
-
-
-def _field_shares(n: int, pairs, site_fields) -> tuple[np.ndarray, np.ndarray]:
-    """The shares of :func:`assign_fields` as (E, 3) stacks of h_i and h_j."""
     site_fields = np.asarray(site_fields, dtype=float)
     if site_fields.shape != (n, 3):
         raise ValueError(f"site_fields must have shape ({n}, 3), got {site_fields.shape}")
@@ -439,7 +433,7 @@ def build_lattice(
             so that wrap bonds never duplicate bulk bonds.
         coupling: J tensor applied to every edge (default: Heisenberg J=1).
         field: uniform 3-vector local field applied to every site, folded
-            into edge terms via :func:`assign_fields`.  Default: none.
+            into edge terms via :func:`_field_shares`.  Default: none.
         profile: global time profile (default constant).
     """
     kind = LatticeKind(kind)
@@ -487,7 +481,7 @@ def from_edges(
 # --- JSON serialization -----------------------------------------------------
 
 def model_to_json(model: SpinModel) -> str:
-    """Serialize a model losslessly (floats rendered with 17 significant digits)."""
+    """Serialize a model as compact JSON; every float reads back bit for bit."""
     edges = model.edges
     # .tolist() yields the same Python floats as float() on each entry
     jmat = np.array([e.coupling.matrix for e in edges]).tolist()
@@ -517,7 +511,8 @@ def model_from_json(text: str) -> SpinModel:
     """Parse and validate a model document; the trust boundary for models.
 
     Integer fields (``n``, each edge's ``i`` and ``j``) must be JSON
-    integers, and the profile's factors JSON numbers.  Each of the couplings,
+    integers, and the profile's factors and every coupling and field entry
+    JSON numbers, never ``true`` or ``false``.  Each of the couplings,
     ``hi`` and ``hj`` is read into one (E, 3, 3) or (E, 3) stack and checked
     once as a whole, with the messages of the one-edge constructors, and
     every edge term gets read-only row views of the stacks.

@@ -304,6 +304,23 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="cannot be interpreted as an integer"):
             circuit_from_json(text)
 
+    @pytest.mark.parametrize("gate", [
+        {"kind": "rz", "qubits": [0], "angle": True},
+        {"kind": "uij", "qubits": [0, 1], "edge": [0, 1], "tau": False,
+         "matrix": [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]},
+        {"kind": "u1q", "qubits": [0], "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        {"kind": "uij", "qubits": [0, 1], "edge": [0, 1], "tau": "0",
+         "matrix": [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]},
+    ], ids=["rz-angle-bool", "uij-tau-bool", "u1q-matrix-bool", "uij-tau-string"])
+    def test_booleans_and_strings_are_not_numbers(self, gate):
+        # float() and complex() read JSON true/false as 1 and 0, float() "0" as 0
+        text = json.dumps({"n": 2, "gates": [gate], "layers": [[0]]})
+        with pytest.raises(ValueError, match="angle, tau and matrix entries must be numbers"):
+            circuit_from_json(text)
+        # the same document with numbers loads
+        assert circuit_from_json(text.replace("true", "1").replace("false", "0")
+                                 .replace('"0"', "0"))
+
     @pytest.mark.parametrize("mode", ["decomposed", "scaled"])
     def test_loaded_circuit_matches_built(self, rng, mode):
         model = build_lattice("chain", 6, coupling=CouplingTensor.diagonal(1.0, 0.7, 0.4),
@@ -342,12 +359,12 @@ class TestStageGates:
         with pytest.raises(ValueError):
             gates[1].matrix[0, 0] = 0.0
         text = circuit_to_json(Circuit(n=4, layers=(gates,)))
-        assert '"tau": -0.0' in text
+        assert '"tau":-0.0' in text
         assert circuit_to_json(circuit_from_json(text)) == text
 
 
 def test_shared_dict_renders_like_unshared_copies():
-    # one dict object at two indents, and twice at one indent
+    # one dict object at two depths, and twice at one depth
     shared = {"m": [[-0.0, 1.0], [0.5, 2]], "tag": "x", "inner": {"k": True}}
     doc = {"a": shared, "b": [shared, [shared]], "c": {"d": shared}}
     unshared = json.loads(json.dumps(doc))

@@ -1,17 +1,33 @@
-"""Artifact JSON writer: byte-equal to the reference renderer, shared or not."""
+"""Artifact JSON: compact, lossless round trips, and a fixed point under re-emit."""
 from __future__ import annotations
 
+import json
 import math
+import struct
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trottersmith import (
+    CouplingTensor,
+    TimeProfile,
+    build_lattice,
+    build_trotter_circuit,
+    circuit_from_json,
+    circuit_to_json,
+    color_model,
+    coloring_from_json,
+    coloring_to_json,
+    formula_for_order,
+    model_from_json,
+    model_to_json,
+)
 from trottersmith.jsonutil import dump_json, format_float
 
-from conftest import ref_dump_json, ref_format_float
+from conftest import ref_format_float
 
-# edge values of the float format: signed zero, subnormals, the integral
+# edge values of the float formats: signed zero, subnormals, the integral
 # cut-off at 1e16 and the largest doubles
 _edge_floats = st.sampled_from([
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
@@ -20,9 +36,8 @@ _edge_floats = st.sampled_from([
 _scalars = (st.none() | st.booleans() | st.integers(-(10**20), 10**20)
             | st.floats(allow_nan=False, allow_infinity=False) | _edge_floats
             | st.text(max_size=3))
-# a few keys repeated across dicts, plus non-str keys that compare equal
-# (1 and True) but render apart
-_keys = st.sampled_from(["kind", "qubits", "m", 'q"', "é"]) | st.integers(0, 2) | st.booleans()
+# JSON object keys are strings; a tuple reads back as a list
+_keys = st.sampled_from(["kind", "qubits", "m", 'q"', "é", ""])
 _docs = st.recursive(
     _scalars,
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
@@ -31,15 +46,37 @@ _docs = st.recursive(
 )
 
 
+def _same(doc, back) -> bool:
+    """``back`` equals ``doc`` with the same scalar types, in the same key
+    order, and with every float bit for bit; a tuple reads back as a list."""
+    want = list if type(doc) is tuple else type(doc)
+    if type(back) is not want:
+        return False
+    if isinstance(doc, dict):
+        return list(doc) == list(back) and all(_same(doc[k], back[k]) for k in doc)
+    if isinstance(doc, (list, tuple)):
+        return len(doc) == len(back) and all(map(_same, doc, back))
+    if isinstance(doc, float):
+        return struct.pack("<d", doc) == struct.pack("<d", back)
+    return doc == back
+
+
 class TestDumpJson:
-    @given(_docs, st.dictionaries(_keys, _docs, min_size=1, max_size=3))
-    @settings(max_examples=120, deadline=None)
-    def test_matches_reference_renderer(self, doc, shared):
-        # ``shared`` appears at three indents and twice at one of them
-        wrapped = {"a": shared, "b": [doc, shared, [shared]], "c": {"d": shared},
-                   "e": [1, {"f": shared}, [2.5, -0.0, True]], "doc": doc}
-        assert dump_json(doc) == ref_dump_json(doc)
-        assert dump_json(wrapped) == ref_dump_json(wrapped)
+    @given(_docs)
+    @example([-0.0, 5e-324, -5e-324, 1e16, 1.7976931348623157e308, 1.0, 2**70])
+    @example({"a": {"b": [[], {}, ""]}, "é": [True, False, None]})
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_is_exact_and_a_fixed_point(self, doc):
+        text = dump_json(doc)
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        back = json.loads(text)
+        assert _same(doc, back)
+        assert dump_json(back) == text
+
+    def test_compact_spelling(self):
+        doc = {"J": [-1.0, -0.0, 0.5], "n": 3, "tau": -0.0, "kind": "uij", "x": [None, True]}
+        assert dump_json(doc) == ('{"J":[-1.0,-0.0,0.5],"n":3,"tau":-0.0,"kind":"uij",'
+                                  '"x":[null,true]}\n')
 
     @pytest.mark.parametrize("doc", [
         [1, object()],
@@ -48,15 +85,41 @@ class TestDumpJson:
         {"a": [None, True, b"x"]},
     ])
     def test_unsupported_scalar_raises_type_error(self, doc):
-        with pytest.raises(TypeError, match="cannot serialize"):
+        with pytest.raises(TypeError, match=r"^Object of type (object|set|complex|bytes) "
+                                            r"is not JSON serializable$"):
             dump_json(doc)
-        with pytest.raises(TypeError, match="cannot serialize"):
-            ref_dump_json(doc)
 
     @pytest.mark.parametrize("doc", [[math.nan], {"a": [1, {"b": math.inf}]}, [-math.inf, {}]])
     def test_nonfinite_float_raises_value_error(self, doc):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
             dump_json(doc)
+
+
+def _chain6():
+    return build_lattice("chain", 6, coupling=CouplingTensor.diagonal(1.0, 0.7, 0.4),
+                         field=(0.3, -0.0, 1 / 3),
+                         profile=TimeProfile("piecewise", (1.0, 0.25, -0.0)))
+
+
+def _circuit(mode):
+    model = build_lattice("chain", 6, coupling=CouplingTensor.diagonal(1.0, 0.7, 0.4),
+                          field=(0.3, 0.0, 0.5))
+    col = color_model(model)
+    return build_trotter_circuit(model, col, formula_for_order(2, col.num_classes), 3, 1.0,
+                                 mode=mode)
+
+
+class TestArtifactFixedPoint:
+    @pytest.mark.parametrize("make, emit, load", [
+        (_chain6, model_to_json, model_from_json),
+        (lambda: color_model(_chain6()), coloring_to_json, coloring_from_json),
+        (lambda: _circuit("decomposed"), circuit_to_json, circuit_from_json),
+        (lambda: _circuit("scaled"), circuit_to_json, circuit_from_json),
+    ], ids=["model-fields-piecewise", "coloring", "circuit-decomposed", "circuit-scaled"])
+    def test_emit_load_emit_is_identical(self, make, emit, load):
+        text = emit(make())
+        assert emit(load(text)) == text
+        assert text == dump_json(json.loads(text))
 
 
 class TestFormatFloat:

@@ -22,7 +22,7 @@ from trottersmith import (
     model_to_json,
     term_hamiltonian,
 )
-from trottersmith.model import assign_fields, edge_hamiltonians
+from trottersmith.model import edge_hamiltonians
 from trottersmith.synth import _expm_herm
 
 from conftest import I2, SX, SZ, op_norm, ref_edge_hamiltonian
@@ -180,16 +180,17 @@ class TestBuildLattice:
 class TestAssignFields:
     def test_chain3_convention(self):
         h = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 3.0]])
-        shares = assign_fields(3, [(0, 1), (1, 2)], h)
-        assert np.array_equal(shares[0][0], h[0])   # h_0 lives in edge (0,1)
-        assert np.array_equal(shares[0][1], np.zeros(3))
-        assert np.array_equal(shares[1][0], h[1])   # h_1 lives in edge (1,2)
-        assert np.array_equal(shares[1][1], h[2])   # h_2 lives in edge (1,2)
+        j = CouplingTensor.heisenberg()
+        e01, e12 = from_edges(3, [(0, 1, j), (1, 2, j)], h).edges
+        assert np.array_equal(e01.h_i, h[0])   # h_0 lives in edge (0,1)
+        assert np.array_equal(e01.h_j, np.zeros(3))
+        assert np.array_equal(e12.h_i, h[1])   # h_1 lives in edge (1,2)
+        assert np.array_equal(e12.h_j, h[2])   # h_2 lives in edge (1,2)
 
     def test_zero_fields_zero_shares(self):
-        shares = assign_fields(3, [(0, 1), (1, 2)], np.zeros((3, 3)))
-        for hi, hj in shares.values():
-            assert not hi.any() and not hj.any()
+        j = CouplingTensor.heisenberg()
+        for e in from_edges(3, [(0, 1, j), (1, 2, j)], np.zeros((3, 3))).edges:
+            assert not e.h_i.any() and not e.h_j.any()
 
     def test_conservation_on_square(self):
         model = build_lattice("square", (3, 3), "periodic", field=(0.1, -0.2, 0.3))
