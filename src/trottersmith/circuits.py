@@ -11,10 +11,13 @@ exp(-i tau H_ij), stored evaluated so playback never re-exponentiates.
 The JSON document is ``{"n", "depth", "gates", "layers"}``: ``gates`` holds
 each distinct gate document once, in order of first use, and each layer is a
 list of indices into it, so size and load checks scale with distinct gates.
+A schedule repeats the same layer tuples from stage to stage; validation,
+tallies and the JSON writer visit each distinct tuple once.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
@@ -167,7 +170,12 @@ class Circuit:
             raise ValueError(f"circuit needs at least one qubit, got n={self.n}")
         layers = tuple(tuple(layer) for layer in self.layers)
         object.__setattr__(self, "layers", layers)
+        # layers are immutable tuples, so a repeated one needs no second check
+        checked: set[int] = set()
         for li, layer in enumerate(layers):
+            if id(layer) in checked:
+                continue
+            checked.add(id(layer))
             seen: set[int] = set()
             for g in layer:
                 for q in g.qubits:
@@ -188,9 +196,16 @@ class Circuit:
     def gate_count(self) -> int:
         return sum(len(layer) for layer in self.layers)
 
+    def _layer_uses(self) -> dict[int, tuple[tuple[Gate, ...], int]]:
+        """Each distinct layer object, keyed on its ``id``, with how often it
+        appears, in order of first appearance."""
+        uses = Counter(map(id, self.layers))
+        return {id(layer): (layer, uses[id(layer)]) for layer in self.layers}
+
     def interaction_edges(self) -> tuple[tuple[int, int], ...]:
         """Distinct (i, j) pairs touched by uij gates, sorted."""
-        edges = {g.edge if g.edge is not None else g.qubits for g in self.all_gates()
+        edges = {g.edge if g.edge is not None else g.qubits
+                 for layer, _ in self._layer_uses().values() for g in layer
                  if g.kind is GateKind.UIJ}
         return tuple(sorted(edges))
 
@@ -198,8 +213,9 @@ class Circuit:
 def counts(circuit: Circuit) -> dict:
     """Tally of a circuit: depth, totals, and per-kind gate counts."""
     by_kind = {kind.value: 0 for kind in GateKind}
-    for g in circuit.all_gates():
-        by_kind[g.kind.value] += 1
+    for layer, uses in circuit._layer_uses().values():
+        for g in layer:
+            by_kind[g.kind.value] += uses
     return {
         "depth": circuit.depth,
         "total": sum(by_kind.values()),
@@ -249,24 +265,33 @@ def _gate_from_obj(obj: dict) -> Gate:
     )
 
 
+def _gate_key(g: Gate) -> tuple:
+    """Equal for two gates exactly when their documents are equal; floats
+    enter by their bits, which tells -0.0 from 0.0."""
+    return (g.kind, g.qubits, g.edge,
+            None if g.angle is None else g.angle.hex(),
+            None if g.tau is None else g.tau.hex(),
+            None if g.matrix is None else g.matrix.tobytes())
+
+
 def circuit_to_json(circuit: Circuit) -> str:
-    """Serialize a circuit; table entries are keyed on ``repr`` of the gate
-    document, which tells -0.0 from 0.0, so the bytes depend on gate content
-    and not on which ``Gate`` objects are shared."""
+    """Serialize a circuit; table entries are keyed on :func:`_gate_key`, so
+    the bytes depend on gate content and not on which ``Gate`` objects or
+    layer tuples are shared."""
     gates: list[dict] = []
-    by_doc: dict[str, int] = {}
+    by_key: dict[tuple, int] = {}
     by_id: dict[int, int] = {}
 
     def index(g: Gate) -> int:
         k = by_id.get(id(g))
         if k is None:
-            obj = _gate_to_obj(g)
-            k = by_id[id(g)] = by_doc.setdefault(repr(obj), len(gates))
+            k = by_id[id(g)] = by_key.setdefault(_gate_key(g), len(gates))
             if k == len(gates):
-                gates.append(obj)
+                gates.append(_gate_to_obj(g))
         return k
 
-    layers = [[index(g) for g in layer] for layer in circuit.layers]
+    rows = {key: [index(g) for g in layer] for key, (layer, _) in circuit._layer_uses().items()}
+    layers = [rows[id(layer)] for layer in circuit.layers]
     return dump_json({"n": circuit.n, "depth": circuit.depth, "gates": gates, "layers": layers})
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -60,16 +61,23 @@ def _load_model(path: str) -> model_mod.SpinModel:
     return model_mod.model_from_json(Path(path).read_text())
 
 
+def _parse_list(text: str, option: str, convert, sep: str = ",") -> list:
+    """The items of an option's list value, each converted; an empty item,
+    as in ``1,,2``, ``,1`` or ``4x4x``, is bad input."""
+    items = re.split(sep, text)
+    if not all(p.strip() for p in items):
+        raise ValueError(f"{option} has an empty item in {text!r}")
+    try:
+        return [convert(p) for p in items]
+    except ValueError:
+        raise ValueError(f"{option} takes {convert.__name__} items, got {text!r}") from None
+
+
 def _parse_floats(text: str, want: int, what: str) -> tuple[float, ...]:
-    parts = [p for p in text.replace("x", ",").split(",") if p != ""]
+    parts = _parse_list(text, what, float, "[,x]")
     if len(parts) != want:
         raise ValueError(f"{what} needs {want} comma-separated values, got {text!r}")
-    return tuple(float(p) for p in parts)
-
-
-def _parse_dims(text: str) -> tuple[int, ...]:
-    parts = [p for p in text.replace("x", ",").split(",") if p != ""]
-    return tuple(int(p) for p in parts)
+    return tuple(parts)
 
 
 @click.group()
@@ -94,15 +102,16 @@ def main(ctx, seed: int) -> None:
 @_guard
 def lattice(kind, dims, boundary, coupling_spec, field_spec, out) -> None:
     """Build a lattice model and write it as JSON."""
-    parts = coupling_spec.split(",")
-    if len(parts) == 1:
-        coupling = model_mod.CouplingTensor.heisenberg(float(parts[0]))
+    values = _parse_list(coupling_spec, "--coupling", float)
+    if len(values) == 1:
+        coupling = model_mod.CouplingTensor.heisenberg(values[0])
+    elif len(values) == 3:
+        coupling = model_mod.CouplingTensor.diagonal(*values)
     else:
-        coupling = model_mod.CouplingTensor.diagonal(
-            *_parse_floats(coupling_spec, 3, "--coupling")
-        )
-    field = _parse_floats(field_spec, 3, "--field") if field_spec else None
-    model = model_mod.build_lattice(kind, _parse_dims(dims), boundary, coupling, field)
+        raise ValueError(f"--coupling needs 1 or 3 comma-separated values, got {coupling_spec!r}")
+    field = None if field_spec is None else _parse_floats(field_spec, 3, "--field")
+    dims = tuple(_parse_list(dims, "--dims", int, "[,x]"))
+    model = model_mod.build_lattice(kind, dims, boundary, coupling, field)
     summary = f"n={model.n} edges={len(model.edges)} lattice={model.lattice.value}"
     _write_artifact(model_mod.model_to_json(model), out, summary)
 
@@ -228,13 +237,14 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
     if n_sites is None or k_classes is None:
         raise ValueError("provide --model, or both --n and --classes")
     timing = resources.GateTimingModel(t_inf=t_inf, s=slope)
-    orders = [int(p) for p in compare_orders.split(",") if p] if compare_orders else [order]
+    orders = [order] if compare_orders is None else \
+        _parse_list(compare_orders, "--compare-orders", int)
     plans = [trotter.steps_for_accuracy(o, k_classes, n_sites, j_val, t, epsilon, profile)
              for o in orders]
     reports = [resources.report_for_plan(p, n_sites, timing=timing, heisenberg=heisenberg,
                                          edge_cnots=edge_cnots, profile=profile)
                for p in plans]
-    if compare_orders:
+    if compare_orders is not None:
         lines = ["order,m,N,T"] + [
             f"{rep.order},{rep.m},{rep.interaction_gates},{format_float(rep.simulation_time)}"
             for rep in reports
@@ -295,8 +305,8 @@ def verify(ctx, model_path, order, t, m_grid, jobs, out) -> None:
     model = _load_model(model_path)
     coloring = coloring_mod.color_model(model)
     formula = trotter.formula_for_order(order, coloring.num_classes)
-    ms = [int(p) for p in m_grid.split(",") if p]
-    if not ms or any(m < 1 for m in ms):
+    ms = _parse_list(m_grid, "--m-grid", int)
+    if any(m < 1 for m in ms):
         raise ValueError(f"bad --m-grid {m_grid!r}")
     steps = len(model.profile.factors or ())
     if steps and ms != [steps]:

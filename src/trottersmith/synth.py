@@ -17,6 +17,11 @@ decomposition's one-qubit locals.  A field-free isotropic term,
 exp(-i alpha S.S), already is the core at angles (alpha, alpha, alpha), so
 it goes straight to the closed-form three-CNOT core circuit of Vatan &
 Williams, exact with its global phase and with no decomposition at all.
+
+The circuit builder lowers each distinct template input once per call:
+edges whose terms and durations give the same input share one fragment,
+re-targeted to each edge's qubits, so a translation-invariant lattice costs
+a handful of decompositions however large it is and however many steps run.
 """
 from __future__ import annotations
 
@@ -346,8 +351,11 @@ def synth_two_qubit(u: np.ndarray, qubits: tuple[int, int] = (0, 1)) -> Fragment
     When every interaction coefficient is below 1e-12 the core is dropped
     and the locals merge into a single layer of one-qubit unitaries.
     """
-    a, b = qubits
-    c = kak_decompose(u)
+    return _cartan_fragment(kak_decompose(u), *qubits)
+
+
+def _cartan_fragment(c: CartanCoefficients, a: int, b: int) -> Fragment:
+    """The 6-CNOT template wrapped in a decomposition's locals, on qubits (a, b)."""
     if all(abs(x) < ZERO_ANGLE_TOL for x in c.angles):
         return [[
             Gate(GateKind.U1Q, (a,), matrix=c.v1 @ c.u1),
@@ -409,12 +417,44 @@ def template_cnots(term: EdgeTerm) -> int:
     return 3 if _plain_exchange(term) else 6
 
 
-def _edge_fragment(term: EdgeTerm, u: np.ndarray, tau: float) -> Fragment:
-    """CNOTs and one-qubit gates for u = exp(-i tau H_ij) on the term's own qubits."""
-    if _plain_exchange(term):
-        alpha = tau * float(term.coupling.matrix[0, 0])
-        return _core_3cnot(alpha, alpha, alpha, term.i, term.j)
-    return synth_two_qubit(u, (term.i, term.j))
+def _edge_fragment(shared: dict, term: EdgeTerm, u: np.ndarray, tau: float) -> Fragment:
+    """CNOTs and one-qubit gates for u = exp(-i tau H_ij) on the term's own qubits.
+
+    A fragment is a function of its template and that template's input: the
+    exchange angle for the 3-CNOT core, the bytes of u for the KAK template.
+    ``shared`` maps each such key to the first fragment built for it and that
+    fragment's qubits; a later edge with the same key gets a re-targeted copy.
+    """
+    plain = _plain_exchange(term)
+    alpha = tau * float(term.coupling.matrix[0, 0])
+    key = (True, alpha) if plain else (False, u.tobytes())
+    first = shared.get(key)
+    if first is not None:
+        frag, a, b = first
+        return _retarget(frag, {a: term.i, b: term.j})
+    if plain:
+        frag = _core_3cnot(alpha, alpha, alpha, term.i, term.j)
+    else:
+        frag = _cartan_fragment(kak_decompose(u), term.i, term.j)
+    shared[key] = (frag, term.i, term.j)
+    return frag
+
+
+def _retarget(frag: Fragment, to: dict[int, int]) -> Fragment:
+    """Copies of a fragment's gates moved to other qubits by the map ``to``.
+
+    The copies skip :class:`Gate`'s checks: kind, angle and matrix were
+    checked on the originals, and the new qubits are a model edge's sites.
+    """
+    out = []
+    for layer in frag:
+        row = []
+        for g in layer:
+            moved = object.__new__(Gate)
+            moved.__dict__.update(g.__dict__, qubits=tuple([to[q] for q in g.qubits]))
+            row.append(moved)
+        out.append(row)
+    return out
 
 
 def build_trotter_circuit(
@@ -437,8 +477,11 @@ def build_trotter_circuit(
     when a coupling is isotropic with no field share and the 6-CNOT KAK
     template otherwise (:func:`template_cnots`); fragments of the
     edges in a class run in parallel, aligned from the stage's first layer.
-    Later stages that repeat (k, tau) reuse the same layers of the same
-    gates.
+    Each distinct template input (the exchange angle, or the bytes of the
+    unitary for KAK) is lowered once per call, and every other edge with
+    that input gets a copy of the fragment on its own qubits, so KAK runs
+    once per distinct unitary and not once per (edge, tau).  Later stages
+    that repeat (k, tau) reuse the same layer tuples of the same gates.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -447,6 +490,7 @@ def build_trotter_circuit(
             f"formula has K={formula.num_classes} but coloring has {coloring.num_classes}"
         )
     hterms = edge_hamiltonians(model.edges)
+    shared: dict = {}  # decomposed fragments by template input, for this call only
     # a stage's layers are deterministic in (k, tau) and Gates are immutable;
     # the sign of a zero tau stays in the key because uij gates record it
     stage_layers: dict[tuple[int, float, float], list[tuple[Gate, ...]]] = {}
@@ -460,7 +504,7 @@ def build_trotter_circuit(
                 pairs = [model.edges[ei].sites for ei in cls]
                 stage_layers[key] = [_uij_gates(pairs, us, stage.tau)]
             else:
-                frags = [_edge_fragment(model.edges[ei], u, stage.tau)
+                frags = [_edge_fragment(shared, model.edges[ei], u, stage.tau)
                          for ei, u in zip(cls, us)]
                 stage_layers[key] = [
                     tuple(g for f in frags if p < len(f) for g in f[p])

@@ -154,6 +154,25 @@ def edge_tau_slots(model, coloring, formula, m, t) -> tuple[set, int]:
     return set(slots), len(slots)
 
 
+def kak_inputs(model, coloring, formula, m, t) -> set[bytes]:
+    """Bytes of each distinct unitary that decomposed mode hands to the KAK
+    template: the edge exponentials of every stage, stacked by class as the
+    builder stacks them, of every edge that is not a field-free isotropic
+    exchange (those take the closed-form 3-CNOT core)."""
+    from trottersmith.model import edge_hamiltonians
+    from trottersmith.synth import _expm_herm, _plain_exchange
+    from trottersmith.trotter import expand
+
+    hterms = edge_hamiltonians(model.edges)
+    inputs = set()
+    for s in expand(formula, m, t, model.profile):
+        cls = coloring.classes[s.k - 1]
+        us = _expm_herm(hterms[list(cls)], -1j * s.tau)
+        inputs |= {u.tobytes() for ei, u in zip(cls, us)
+                   if not _plain_exchange(model.edges[ei])}
+    return inputs
+
+
 def ref_format_float(x: float) -> str:
     """The QASM and CSV float format, written the plain way: 17 significant
     digits, integral values below 1e16 with one decimal."""

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from trottersmith import circuits, resources, synth
 
-from conftest import edge_tau_slots
+from conftest import edge_tau_slots, kak_inputs
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,13 +34,17 @@ def test_tracer_swaps_and_restores_every_hook(monkeypatch):
 
 
 def test_traced_build_counts_each_decomposition(xyz_square44, monkeypatch):
-    # a memo that bound kak_decompose locally would bypass the hook and read 0
+    # a memo that bound kak_decompose locally would bypass the hook and read 0;
+    # a build without one would read the (edge, tau) count
     monkeypatch.syspath_prepend(str(BENCH))
     tracer = importlib.import_module("tracing").Tracer()
     with tracer.installed(0):
         synth.build_trotter_circuit(*xyz_square44)
+    metrics = tracer.pass_metrics(0)
+    inputs = kak_inputs(*xyz_square44)
     pairs, _ = edge_tau_slots(*xyz_square44)
-    assert tracer.pass_metrics(0)["synth.kak_calls"] == len(pairs)
+    assert metrics["synth.kak_calls"] == metrics["synth.kak_distinct"] == len(inputs)
+    assert 0 < len(inputs) < len(pairs)
 
 
 def test_traced_load_validates_each_distinct_gate_once(xyz_square44, monkeypatch):

@@ -165,6 +165,31 @@ def test_interaction_edges_sorted_and_deduped():
     assert circ.interaction_edges() == ((0, 1), (2, 3))
 
 
+class TestRepeatedLayers:
+    """Layer walks visit each distinct layer object once; results must not
+    depend on which layers share a tuple."""
+
+    def test_repeated_clash_names_its_first_index(self):
+        ok = (Gate(GateKind.H, (0,)),)
+        clash = (Gate(GateKind.H, (1,)), Gate(GateKind.CX, (0, 1)))
+        with pytest.raises(ValueError, match=r"^layer 2: qubit 1 used by two gates$"):
+            Circuit(n=2, layers=(ok, ok, clash, ok, clash, clash))
+        wide = (Gate(GateKind.H, (2,)),)
+        with pytest.raises(ValueError, match=r"^layer 1: qubit 2 out of range for n=2$"):
+            Circuit(n=2, layers=(ok, wide, wide))
+
+    @pytest.mark.parametrize("mode", ["decomposed", "scaled"])
+    def test_shared_tuples_read_like_fresh_ones(self, xyz_square44, mode):
+        model, col, f, m, t = xyz_square44
+        shared = build_trotter_circuit(model, col, f, m, t, mode=mode)
+        assert len({id(layer) for layer in shared.layers}) < shared.depth
+        fresh = Circuit(n=shared.n, layers=tuple(tuple(list(layer)) for layer in shared.layers))
+        assert len({id(layer) for layer in fresh.layers}) == fresh.depth
+        assert counts(shared) == counts(fresh)
+        assert shared.interaction_edges() == fresh.interaction_edges()
+        assert circuit_to_json(shared) == circuit_to_json(fresh)
+
+
 class TestJsonRoundTrip:
     def _sample(self, rng) -> Circuit:
         u = random_unitary(2, rng)

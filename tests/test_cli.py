@@ -609,6 +609,52 @@ class TestExitCodes:
         assert "internal error: RuntimeError" in res.stderr
 
 
+class TestListOptions:
+    """Comma-separated option values: an empty item is bad input, never skipped."""
+
+    @pytest.mark.parametrize("option,args", [
+        ("--dims", ("lattice", "--kind", "square", "--dims", "4x4x")),
+        ("--field", ("lattice", "--kind", "chain", "--dims", "4", "--field", "1,,2,3")),
+        ("--field", ("lattice", "--kind", "chain", "--dims", "4", "--field", "")),
+        ("--coupling", ("lattice", "--kind", "chain", "--dims", "4", "--coupling", ",1,1,1")),
+        ("--coupling", ("lattice", "--kind", "chain", "--dims", "4", "--coupling", "")),
+        ("--m-grid", ("verify", "--model", "{model}", "--m-grid", "2,,4")),
+        ("--compare-orders", ("estimate", "--n", "4", "--classes", "2", "--epsilon", "0.01",
+                              "--time", "1", "--compare-orders", "1,,2")),
+        ("--compare-orders", ("estimate", "--n", "4", "--classes", "2", "--epsilon", "0.01",
+                              "--time", "1", "--compare-orders", "")),
+    ], ids=["dims-trailing", "field-inner", "field-blank", "coupling-leading", "coupling-blank",
+            "m-grid-inner",
+            "compare-orders-inner", "compare-orders-blank"])
+    def test_empty_item_exits_two(self, chain4_file, option, args):
+        res = run(*(a.format(model=chain4_file) for a in args))
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert f"{option} has an empty item in " in res.stderr
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--dims", "4,a", "--dims takes int items, got '4,a'"),
+        ("--coupling", "a", "--coupling takes float items, got 'a'"),
+        ("--coupling", "1,2", "--coupling needs 1 or 3 comma-separated values, got '1,2'"),
+    ])
+    def test_bad_item_names_the_option(self, option, value, message):
+        res = run("lattice", "--kind", "chain", "--dims", "4", option, value)
+        assert res.exit_code == 2
+        assert message in res.stderr
+
+    def test_full_lists_still_parse(self, tmp_path):
+        res = run("lattice", "--kind", "square", "--dims", "2x3", "--coupling", "1,0.5,0.25",
+                  "--field", "0.1,0,0.2")
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        assert doc["n"] == 6
+        res = run("estimate", "--n", "4", "--classes", "2", "--epsilon", "0.01", "--time", "1",
+                  "--compare-orders", "1,2")
+        assert res.exit_code == 0, res.output
+        assert res.stdout.splitlines()[0] == "order,m,N,T"
+        assert [row.split(",")[0] for row in res.stdout.splitlines()[1:]] == ["1", "2"]
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=False)
     | st.text(max_size=4),

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottersmith import (
     CouplingTensor,
@@ -29,9 +31,12 @@ from trottersmith import (
     synth_general,
     synth_heisenberg,
 )
+from trottersmith.circuits import Circuit, circuit_to_json
+from trottersmith.model import CONSTANT_PROFILE, edge_hamiltonians
 from trottersmith.oracle import formula_unitary, run_circuit
 from trottersmith.synth import _core_3cnot, canonical_core_unitary, cartan_unitary, \
     synth_two_qubit
+from trottersmith.trotter import expand
 
 from conftest import (
     CX01,
@@ -41,6 +46,7 @@ from conftest import (
     dist_up_to_phase,
     edge_tau_slots,
     fragment_unitary,
+    kak_inputs,
     op_norm,
     random_unitary,
     ref_edge_hamiltonian,
@@ -299,18 +305,20 @@ class TestBuildTrotterCircuit:
         # stored matrix is the evaluated exponential of the edge term
         assert op_norm(np.asarray(g0.matrix) - ref_expm(href, -1j * g0.tau)) < 1e-12
 
-    def test_each_edge_tau_synthesized_once(self, xyz_square44, monkeypatch):
+    def test_each_distinct_input_decomposed_once(self, xyz_square44, monkeypatch):
         real = synth.kak_decompose
         calls = []
 
         def counting(u):
-            calls.append(u)
+            calls.append(u.tobytes())
             return real(u)
 
         monkeypatch.setattr(synth, "kak_decompose", counting)
         build_trotter_circuit(*xyz_square44)
-        pairs, slots = edge_tau_slots(*xyz_square44)
-        assert len(calls) == len(pairs) < slots
+        inputs = kak_inputs(*xyz_square44)
+        pairs, _ = edge_tau_slots(*xyz_square44)
+        assert sorted(calls) == sorted(inputs)
+        assert 0 < len(calls) < len(pairs)
 
     def test_repeated_profile_factor_matches_formula_unitary(self):
         # steps 0 and 2 share every tau, so the last step reuses the first's gates
@@ -369,6 +377,106 @@ class TestBuildTrotterCircuit:
             assert type(g.qubits[0]) is int and type(g.tau) is float
             with pytest.raises(ValueError):
                 g.matrix[0, 0] = 0.0
+
+
+def per_edge_reference(model, coloring, formula, m, t) -> Circuit:
+    """The decomposed build with no sharing: every (edge, tau) slot gets its
+    own synth_two_qubit or _core_3cnot fragment."""
+    hterms = edge_hamiltonians(model.edges)
+    layers = []
+    for stage in expand(formula, m, t, model.profile):
+        cls = coloring.classes[stage.k - 1]
+        us = synth._expm_herm(hterms[list(cls)], -1j * stage.tau)
+        frags = []
+        for ei, u in zip(cls, us):
+            term = model.edges[ei]
+            if synth._plain_exchange(term):
+                alpha = stage.tau * float(term.coupling.matrix[0, 0])
+                frags.append(_core_3cnot(alpha, alpha, alpha, term.i, term.j))
+            else:
+                frags.append(synth_two_qubit(u, (term.i, term.j)))
+        layers += [tuple(g for f in frags if p < len(f) for g in f[p])
+                   for p in range(max(len(f) for f in frags))]
+    return Circuit(n=model.n, layers=tuple(layers))
+
+
+def gate_record(g: Gate) -> tuple:
+    """Every field of a gate; repr keeps -0.0 apart and the matrix is compared bitwise."""
+    matrix = None if g.matrix is None else g.matrix.tobytes()
+    return (g.kind, g.qubits, tuple(map(type, g.qubits)), repr(g.angle), g.edge, repr(g.tau),
+            matrix)
+
+
+# two field-free isotropic couplings (3-CNOT core) and two general ones (KAK);
+# edges draw from this pool, so most models repeat some terms
+_COUPLINGS = (
+    CouplingTensor.heisenberg(1.0),
+    CouplingTensor.heisenberg(-0.5),
+    CouplingTensor.diagonal(1.0, 0.7, 0.4),
+    CouplingTensor(np.array([[0.2, 0.5, 0.0], [0.5, -0.3, 0.1], [0.0, 0.1, 0.9]])),
+)
+_FIELDS = ((0.0, 0.0, 0.0), (0.3, 0.0, 0.5), (0.0, 0.0, -0.2))
+
+
+@st.composite
+def shared_term_builds(draw):
+    n = draw(st.integers(3, 6))
+    pairs = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if draw(st.booleans()) else [])
+    couplings = [(i, j, draw(st.sampled_from(_COUPLINGS))) for i, j in pairs]
+    fields = [_FIELDS[draw(st.sampled_from([0, 0, 1, 2]))] for _ in range(n)]
+    m = draw(st.integers(1, 2))
+    profile = CONSTANT_PROFILE
+    if draw(st.booleans()):
+        factors = draw(st.lists(st.sampled_from([0.5, 1.0, 0.0, -1.0]), min_size=m, max_size=m))
+        profile = TimeProfile("piecewise", tuple(factors))
+    model = from_edges(n, couplings, site_fields=fields, profile=profile)
+    col = color_model(model)
+    order = draw(st.sampled_from([1, 2, 4]))
+    t = draw(st.one_of(st.sampled_from([0.0, -0.0, -0.8]),
+                       st.floats(-2.0, 2.0, allow_nan=False)))
+    return model, col, formula_for_order(order, col.num_classes), m, t
+
+
+def assert_shared_build_equals_reference(model, col, f, m, t) -> None:
+    shared = build_trotter_circuit(model, col, f, m, t)
+    ref = per_edge_reference(model, col, f, m, t)
+    assert [[gate_record(g) for g in layer] for layer in shared.layers] == \
+        [[gate_record(g) for g in layer] for layer in ref.layers]
+    assert circuit_to_json(shared) == circuit_to_json(ref)
+
+
+class TestSharedFragments:
+    @given(shared_term_builds())
+    @settings(max_examples=25, deadline=None)
+    def test_shared_build_equals_per_edge_reference(self, build):
+        assert_shared_build_equals_reference(*build)
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("t", [0.0, -0.7, 0.9])
+    def test_mixed_ring_at_every_order(self, order, t):
+        # repeated plain and general terms, and a field share on sites 0 and 3
+        c = _COUPLINGS
+        model = from_edges(5, [(0, 1, c[0]), (1, 2, c[2]), (2, 3, c[0]), (3, 4, c[2]),
+                               (0, 4, c[1])],
+                           site_fields=[_FIELDS[1], _FIELDS[0], _FIELDS[0], _FIELDS[2],
+                                        _FIELDS[0]])
+        col = color_model(model)
+        assert_shared_build_equals_reference(model, col, formula_for_order(order, col.num_classes),
+                                             3, t)
+
+    def test_equal_unitaries_of_different_templates_are_kept_apart(self, monkeypatch):
+        # make every t = 0 exponential exactly the identity, so a plain edge
+        # and a general edge hand over equal bytes: the plain edge still gives
+        # no gates and the general one a u1q layer
+        real = synth._expm_herm
+        monkeypatch.setattr(synth, "_expm_herm", lambda h, factor=-1j: (
+            np.broadcast_to(np.eye(4, dtype=complex), h.shape).copy() if factor == 0
+            else real(h, factor)))
+        model = from_edges(3, [(0, 1, _COUPLINGS[0]), (1, 2, _COUPLINGS[2])])
+        col = color_model(model)
+        circ = build_trotter_circuit(model, col, first_order(col.num_classes), 1, 0.0)
+        assert [[(g.kind, g.qubits) for g in layer] for layer in circ.layers] == \
+            [[(GateKind.U1Q, (1,)), (GateKind.U1Q, (2,))]]
 
 
 class TestTemplateCnots:
