@@ -15,8 +15,7 @@ from .model import Boundary, CouplingTensor, EdgeTerm, LatticeKind, SpinModel, \
     term_hamiltonian
 from .oracle import circuit_unitary, exact_evolution, run_circuit, spectral_norm, \
     total_hamiltonian, trotter_error
-from .resources import GateTimingModel, ResourceReport, audit, estimate_scaled, \
-    report_for_plan
+from .resources import GateTimingModel, ResourceReport, audit, report_for_plan
 from .synth import CartanCoefficients, build_trotter_circuit, kak_decompose, \
     synth_general, synth_heisenberg
 from .trotter import ProductFormula, ScheduledStage, Stage, StepPlan, expand, \
@@ -54,7 +53,6 @@ __all__ = [
     "coloring_from_json",
     "coloring_to_json",
     "counts",
-    "estimate_scaled",
     "exact_evolution",
     "expand",
     "first_order",

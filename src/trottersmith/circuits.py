@@ -12,7 +12,8 @@ The JSON document is ``{"n", "depth", "gates", "layers"}``: ``gates`` holds
 each distinct gate document once, in order of first use, and each layer is a
 list of indices into it, so size and load checks scale with distinct gates.
 A schedule repeats the same layer tuples from stage to stage; validation,
-tallies and the JSON writer visit each distinct tuple once.
+tallies, the JSON and QASM writers and the JSON loader visit each distinct
+layer once.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -299,20 +301,33 @@ def circuit_from_json(text: str) -> Circuit:
     """Parse and validate a circuit document; the trust boundary for circuits.
 
     ``n``, ``depth``, gate qubits and edges and every layer entry must be
-    JSON integers.  Each table entry goes through :class:`Gate` and its full
-    checks once, and every slot that indexes it shares that ``Gate``.  An
+    JSON integers, and every layer a list.  Each table entry goes through
+    :class:`Gate` and its full checks once, and every slot that indexes it
+    shares that ``Gate``.  Each distinct layer row is range-checked and
+    built once, and every layer that repeats it shares that tuple.  An
     index outside ``0 <= k < len(gates)`` is rejected.
     """
     with json_document(text, "circuit") as obj:
         gates = [_gate_from_obj(g) for g in obj["gates"]]
-
-        def gate(k) -> Gate:
-            k = json_int(k)
-            if not 0 <= k < len(gates):
-                raise ValueError(f"gate index {k} out of range for a table of {len(gates)}")
-            return gates[k]
-
-        layers = tuple(tuple(gate(k) for k in layer) for layer in obj["layers"])
+        rows = obj["layers"]
+        if not set(map(type, rows)) <= {list}:
+            raise ValueError("circuit layers must be lists of gate indices")
+        # one pass in C over every entry, so true, 1.0 and "1" never reach a
+        # row key; json_int then raises the loaders' message for the first one
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            json_int(next(k for k in chain.from_iterable(rows) if type(k) is not int))
+        built: dict[tuple[int, ...], tuple[Gate, ...]] = {}
+        layers = []
+        for row in rows:
+            key = tuple(row)
+            layer = built.get(key)
+            if layer is None:
+                bad = [k for k in key if not 0 <= k < len(gates)]
+                if bad:
+                    raise ValueError(
+                        f"gate index {bad[0]} out of range for a table of {len(gates)}")
+                layer = built[key] = tuple(gates[k] for k in key)
+            layers.append(layer)
         circ = Circuit(n=json_int(obj["n"]), layers=layers)
         if "depth" in obj and json_int(obj["depth"]) != circ.depth:
             raise ValueError(f"stored depth {obj['depth']} != layer count {circ.depth}")
@@ -346,12 +361,34 @@ def _zyz(u: np.ndarray) -> tuple[float, float, float, float]:
     return theta, phi, lam, gamma
 
 
+def _qasm_layer(layer: tuple[Gate, ...]) -> tuple[list[str], list[float]]:
+    """One layer's QASM lines, and the global phase of each u1q in it."""
+    lines, gammas = [], []
+    for g in layer:
+        if g.kind is GateKind.H:
+            lines.append(f"h q[{g.qubits[0]}];")
+        elif g.kind is GateKind.CX:
+            lines.append(f"cx q[{g.qubits[0]}], q[{g.qubits[1]}];")
+        elif g.kind in _ANGLE_KINDS:
+            lines.append(f"{g.kind.value}({format_float(g.angle)}) q[{g.qubits[0]}];")
+        elif g.kind is GateKind.U1Q:
+            theta, phi, lam, gamma = _zyz(g.matrix)
+            gammas.append(gamma)
+            args = ", ".join(format_float(x) for x in (theta, phi, lam))
+            lines.append(f"U({args}) q[{g.qubits[0]}];")
+        else:
+            tau = 0.0 if g.tau is None else g.tau
+            lines.append(f"uij({format_float(tau)}) q[{g.qubits[0]}], q[{g.qubits[1]}];")
+    return lines, gammas
+
+
 def circuit_to_qasm3(circuit: Circuit, model=None) -> str:
     """Text export.  Parameterized std gates reproduce the stored unitaries
     exactly (including phase, via one trailing ``gphase``).  Native ``uij``
     interactions have no std-gate body; they are emitted as named calls and
     documented in header comments, with coupling rows when ``model`` (a
     SpinModel whose edge order matches the uij edge metadata) is supplied.
+    Each distinct layer tuple is rendered once.
     """
     lines = ["OPENQASM 3.0;", 'include "stdgates.inc";']
     edges = circuit.interaction_edges()
@@ -371,27 +408,13 @@ def circuit_to_qasm3(circuit: Circuit, model=None) -> str:
         lines.append("")
     lines.append(f"qubit[{circuit.n}] q;")
     lines.append("")
+    rendered = {key: _qasm_layer(layer) for key, (layer, _) in circuit._layer_uses().items()}
     gphase_total = 0.0
     for layer in circuit.layers:
-        for g in layer:
-            if g.kind is GateKind.H:
-                lines.append(f"h q[{g.qubits[0]}];")
-            elif g.kind is GateKind.CX:
-                lines.append(f"cx q[{g.qubits[0]}], q[{g.qubits[1]}];")
-            elif g.kind in _ANGLE_KINDS:
-                lines.append(
-                    f"{g.kind.value}({format_float(g.angle)}) q[{g.qubits[0]}];"
-                )
-            elif g.kind is GateKind.U1Q:
-                theta, phi, lam, gamma = _zyz(g.matrix)
-                gphase_total += gamma
-                args = ", ".join(format_float(x) for x in (theta, phi, lam))
-                lines.append(f"U({args}) q[{g.qubits[0]}];")
-            else:
-                tau = 0.0 if g.tau is None else g.tau
-                lines.append(
-                    f"uij({format_float(tau)}) q[{g.qubits[0]}], q[{g.qubits[1]}];"
-                )
+        text, gammas = rendered[id(layer)]
+        lines.extend(text)
+        for gamma in gammas:  # in slot order, so the sum's rounding never changes
+            gphase_total += gamma
     if abs(gphase_total) > 1e-15:
         lines.append(f"gphase({format_float(gphase_total)});")
     lines.append("")

@@ -212,7 +212,8 @@ def synth_cmd(model_path, coloring_path, order, steps, epsilon, t, mode, emit, o
 @click.option("--time", "t", type=float, required=True)
 @click.option("--t-inf", type=float, default=1.0, show_default=True)
 @click.option("--slope", type=float, default=0.0, show_default=True,
-              help="Scaled-gate slope s; adds the K*s*t bound to the report.")
+              help="Scaled-gate slope s: each stage of duration tau takes "
+                   "t_inf + s*|tau|.")
 @click.option("--heisenberg", is_flag=True,
               help="Count 3 CNOTs per interaction gate (without --model, which counts "
                    "each edge's own template).")
@@ -261,23 +262,14 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
         "simulation_time": rep.simulation_time,
         "assumptions": rep.assumptions,
     }
-    if slope > 0:
-        doc["scaled_time_bound"] = resources.estimate_scaled(k_classes, slope, t)
-    table = "\n".join(
-        [
-            f"order              {rep.order}",
-            f"steps m            {rep.m}",
-            f"interaction gates  {rep.interaction_gates}",
-            f"CNOTs              {rep.cnots}",
-            f"depth              {rep.depth}",
-            f"simulation time    {format_float(rep.simulation_time)}",
-        ]
-        + (
-            [f"scaled-gate bound  {format_float(doc['scaled_time_bound'])}"]
-            if slope > 0
-            else []
-        )
-    )
+    table = "\n".join([
+        f"order              {rep.order}",
+        f"steps m            {rep.m}",
+        f"interaction gates  {rep.interaction_gates}",
+        f"CNOTs              {rep.cnots}",
+        f"depth              {rep.depth}",
+        f"simulation time    {format_float(rep.simulation_time)}",
+    ])
     _write_artifact(dump_json(doc), out, table)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .coloring import EdgeColoring
-from .model import SpinModel, edge_hamiltonians
+from .model import ID2, SpinModel, edge_hamiltonians
 from .trotter import ProductFormula, expand
 
 DEFAULT_ORACLE_LIMIT = 12
@@ -34,8 +34,6 @@ NORM_SEED = 0xC0FFEE
 NORM_MAX_ITERS = 1000
 NORM_RTOL = 1e-10
 NORM_BLOCK = 8
-
-_I2 = np.eye(2, dtype=complex)
 
 
 def _oracle_limit() -> int:
@@ -268,7 +266,7 @@ def run_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
                 block = (block[0], u @ block[1])
             else:
                 qubits, op = block
-                lifted = _kron2(u, _I2) if q == qubits[0] else _kron2(_I2, u)
+                lifted = _kron2(u, ID2) if q == qubits[0] else _kron2(ID2, u)
                 block = (qubits, lifted @ op)
         else:
             a, b = g.qubits
@@ -282,7 +280,7 @@ def run_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
                     if side is not None and len(side[0]) == 2:
                         flush(q)
                         side = None
-                    ops.append(_I2 if side is None else side[1])
+                    ops.append(ID2 if side is None else side[1])
                 block = ((a, b), u @ _kron2(ops[0], ops[1]))
         for q in block[0]:
             open_blocks[q] = block

@@ -6,9 +6,10 @@ step rule picks m, and the report counts exactly the stages that
 gates of each stage.  First order on a regular K-colorable lattice needs
 N = m * n * K / 2 interaction gates; with the error bound inverted for m
 this closes to (3/32) K^2 (K-1) t^2 n^2 J^2 / epsilon.  Each color class
-runs in one parallel layer, so the simulation time is the stage count times
-the gate time.  With natively scaled interaction gates the simulation time
-collapses to K * s * t, independent of m, n, and epsilon.
+runs in one parallel layer, and a stage of duration tau takes
+t_inf + s * |tau|, so the simulation time is depth * t_inf + s * sum |tau|.
+With t_inf = 0 at orders 1 and 2 that is K * s * |t|, independent of m, n
+and epsilon; from order 4 on, Suzuki's backward middle step makes it larger.
 """
 from __future__ import annotations
 
@@ -20,13 +21,17 @@ from .circuits import Circuit, counts
 from .model import CONSTANT_PROFILE, TimeProfile
 from .trotter import HIGHER_ORDER_C3, StepPlan, class_uses, formula_for_order
 
+# the simulation time is a float sum over stages; its rounding stays far below this
+TIME_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GateTimingModel:
-    """Gate execution time t_g = t_inf + s * tau for simulated duration tau.
+    """Stage execution time t_inf + s * |tau| for a simulated duration tau.
 
-    ``t_inf`` is the fixed part (seconds); ``s`` is the scaled-gate slope
-    in simulation seconds per simulated second.
+    ``t_inf`` is the fixed part (seconds) that every stage pays; ``s`` is
+    the scaled-gate slope in simulation seconds per simulated second.  A
+    stage's gates run in parallel, so a stage costs one such time.
     """
 
     t_inf: float = 1.0
@@ -96,7 +101,8 @@ def report_for_plan(
     gate costs 6 CNOTs, or 3 when ``heisenberg``.  CNOTs are counted only
     for steps p with t * profile.factor(p, m) != 0: the other steps run
     every stage for tau = 0, and decomposed synthesis emits no CNOT for an
-    identity.
+    identity.  Every stage takes ``timing``'s t_inf + s * |tau|, so the
+    simulation time is depth * t_inf + s * sum |tau|.
     """
     k = plan.num_classes
     formula = formula_for_order(plan.order, k)
@@ -121,10 +127,14 @@ def report_for_plan(
     # so one step stands for all m, and a piecewise profile merges no stage,
     # so each live step runs class k for uses[k] / m stages
     steps = 1 if profile.is_constant else plan.m
-    live = sum(plan.t * profile.factor(p, plan.m) != 0 for p in range(steps)) / steps
+    scales = [plan.t * profile.factor(p, plan.m) for p in range(steps)]
+    live = sum(f != 0 for f in scales) / steps
     cnots = int(round(live * sum(u * c for u, c in zip(uses, class_cnots))))
     depth = sum(uses)
-    sim_time = float(depth * timing.t_inf)
+    # step p runs each stage for |coeff * t f_p / m|; merging across a step
+    # boundary joins stages of one sign, so it leaves sum |tau| unchanged
+    abs_tau = sum(abs(stage.coeff) for stage in formula.stages) * sum(map(abs, scales)) / steps
+    sim_time = depth * timing.t_inf + timing.s * abs_tau
     assumptions = {
         "bound_used": plan.bound_used,
         "t": plan.t,
@@ -133,7 +143,6 @@ def report_for_plan(
         "n": n,
         "stages_per_step": len(formula.stages),
         "timing": {"t_inf": timing.t_inf, "s": timing.s},
-        "fixed_gate_regime": True,
         "template": template,
         # the stage count is explicit, so the gate count needs no prefactor
         "c4": 1.0,
@@ -151,32 +160,31 @@ def report_for_plan(
     )
 
 
-def estimate_scaled(num_classes: int, s: float, t: float) -> float:
-    """Simulation-time bound K*s*t with natively scaled interaction gates.
-
-    Independent of m, n, and epsilon: every class accumulates total
-    simulated duration t, executed at slope s, across however many steps.
-    """
-    if s <= 0:
-        raise ValueError("scaled-gate slope s must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return num_classes * s * t
-
-
 def audit(report: ResourceReport, circuit: Circuit) -> list[str]:
     """Compare a report's predictions against a built circuit's tallies.
 
     Returns a list of discrepancy descriptions; empty means the audit
-    passed.  Interaction-gate count and depth are checked against scaled
-    circuits (where each stage is one uij layer); the CNOT total against
-    decomposed circuits.  Every order demands exact agreement.
+    passed.  Scaled circuits (each stage one uij layer) are checked for
+    interaction gates and depth exactly, for one |tau| per layer, and for
+    the simulation time under ``assumptions["timing"]`` (ValueError if the
+    report has none) to ``TIME_REL_TOL``.  Decomposed circuits: CNOT total.
     """
     got = counts(circuit)
-    if got["interaction"] > 0:
-        checks = [("interaction gates", report.interaction_gates, got["interaction"]),
-                  ("depth", report.depth, got["depth"])]
-    else:
+    if got["interaction"] == 0:
         checks = [("cnots", report.cnots, got["cx"])]
+    else:
+        # a gate with no recorded tau counts as tau = 0
+        taus = [({abs(g.tau or 0.0) for g in layer}, uses)
+                for layer, uses in circuit._layer_uses().values()]
+        timing = report.assumptions.get("timing")
+        if timing is None:
+            raise ValueError("a scaled circuit's time needs the report's timing assumptions")
+        sim_time = got["depth"] * timing["t_inf"] + timing["s"] * sum(
+            uses * max(ts, default=0.0) for ts, uses in taus)
+        checks = [("interaction gates", report.interaction_gates, got["interaction"]),
+                  ("depth", report.depth, got["depth"]),
+                  ("layers with more than one |tau|", 0, sum(len(ts) > 1 for ts, _ in taus))]
+        if not math.isclose(sim_time, report.simulation_time, rel_tol=TIME_REL_TOL):
+            checks.append(("simulation time", report.simulation_time, sim_time))
     return [f"{name}: predicted {predicted}, circuit has {measured}"
             for name, predicted, measured in checks if measured != predicted]

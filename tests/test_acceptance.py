@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from trottersmith import (
     EdgeTerm,
     CouplingTensor,
+    GateTimingModel,
     StepPlan,
     audit,
     build_lattice,
@@ -22,7 +23,7 @@ from trottersmith import (
     circuit_unitary,
     color_model,
     counts,
-    estimate_scaled,
+    expand,
     first_order,
     first_order_error_bound,
     formula_for_order,
@@ -216,13 +217,31 @@ def test_criterion_7_worked_estimate():
     closed = first_order_gate_closed_form(2, 4, 1.0, 1.0, 0.01)
     assert closed == rep.m * 4 * 2 / 2 == 600.0
 
-    # the scaled-gate bound depends only on (K, s, t)
-    bounds = set()
-    for n, eps in [(4, 0.01), (8, 0.01), (4, 1e-4), (12, 1e-6)]:
-        report_for_plan(steps_for_accuracy(1, 2, n, 1.0, 2.0, eps), n)
-        bounds.add(estimate_scaled(2, 0.5, 2.0))
-    assert bounds == {2.0}
-    print(f"m={rep.m} N={rep.interaction_gates} closed_form={closed} scaled_bound=2.0")
+    # with t_inf = 0 the first-order scaled-gate time depends only on (K, s, t)
+    timing = GateTimingModel(t_inf=0, s=0.5)
+    times = {report_for_plan(steps_for_accuracy(1, 2, n, 1.0, 2.0, eps), n,
+                             timing=timing).simulation_time
+             for n, eps in [(4, 0.01), (8, 0.01), (4, 1e-4), (12, 1e-6)]}
+    assert times == {2.0}
+    print(f"m={rep.m} N={rep.interaction_gates} closed_form={closed} scaled_time=2.0")
+
+
+def test_criterion_7c_scaled_time_runs_the_schedule():
+    # every stage takes t_inf + s |tau|; Suzuki's backward middle step makes
+    # the order-4 schedule run each class for more than t in total
+    timing = GateTimingModel(t_inf=0, s=1.0)
+    times = {}
+    for order in (1, 2, 4, 6):
+        plan = steps_for_accuracy(order, 4, 16, 1.0, 1.0, 0.01)
+        times[order] = report_for_plan(plan, 16, timing=timing).simulation_time
+        total = sum(abs(st.tau) for st in expand(formula_for_order(order, 4), plan.m, 1.0))
+        assert abs(times[order] - total) <= 1e-12, (order, times[order], total)
+        if order == 4:
+            assert plan.m == 36
+    assert times[1] == times[2] == 4.0
+    assert 8.4347 < times[4] < 8.4348
+    assert 16.4296 < times[6] < 16.4297
+    print("K=4 scaled time: " + ", ".join(f"order {o}: {x:.4f}" for o, x in times.items()))
 
 
 def test_criterion_7b_exact_report_at_every_order():

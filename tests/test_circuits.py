@@ -24,6 +24,7 @@ from trottersmith import (
     run_circuit,
 )
 from trottersmith.circuits import _uij_gates, _zyz
+from trottersmith.cli import _guard
 from trottersmith.jsonutil import dump_json
 from trottersmith.synth import build_trotter_circuit
 
@@ -314,6 +315,40 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=f"gate index {k} out of range for a table of 2"):
             circuit_from_json(text)
 
+    def test_repeated_rows_share_one_tuple(self):
+        h0, h1 = {"kind": "h", "qubits": [0]}, {"kind": "h", "qubits": [1]}
+        text = json.dumps({"n": 2, "depth": 5, "gates": [h0, h1],
+                           "layers": [[0, 1], [1], [0, 1], [], [1]]})
+        back = circuit_from_json(text)
+        assert back.layers[0] is back.layers[2]
+        assert back.layers[1] is back.layers[4]
+        assert len({id(layer) for layer in back.layers}) == 3
+        assert circuit_to_json(back) == circuit_to_json(circuit_from_json(text))
+
+    @pytest.mark.parametrize("rows", [
+        # a bad entry in a row that repeats, before and after its first use
+        [[0], [0, True], [0, True]],
+        [[0, 1.0], [0], [0, 1.0]],
+        [[0, "1"], [0, "1"]],
+        [[0], [0, 2], [0, 2]],
+        [[0], [-1], [-1]],
+        # rows that are not lists
+        [[0], 1, 1],
+        [[0], "0", "0"],
+        [[0], {"0": 1}, {"0": 1}],
+        [[0], {}, {}],
+        [[0], ""],
+        [[0], None],
+    ], ids=["true", "float", "string-entry", "too-large", "negative", "int-row",
+            "string-row", "dict-row", "empty-dict-row", "empty-string-row", "null-row"])
+    def test_repeated_bad_rows_exit_two(self, rows, capsys):
+        gates = [{"kind": "h", "qubits": [0]}, {"kind": "h", "qubits": [1]}]
+        text = json.dumps({"n": 2, "gates": gates, "layers": rows})
+        with pytest.raises(SystemExit) as exc:
+            _guard(circuit_from_json)(text)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("text", [
         '{"n": 1e400, "layers": [], "gates": []}',
         '{"n": 2.5, "layers": [], "gates": []}',
@@ -467,6 +502,16 @@ class TestQasmExport:
             total += _zyz(layer[0].matrix)[3]
         if abs(total) > 1e-15:
             assert "gphase(" in text
+
+    @pytest.mark.parametrize("mode", ["decomposed", "scaled"])
+    def test_shared_layers_emit_like_fresh_ones(self, xyz_square44, mode):
+        model, col, f, m, t = xyz_square44
+        shared = build_trotter_circuit(model, col, f, m, t, mode=mode)
+        assert len({id(layer) for layer in shared.layers}) < shared.depth
+        fresh = Circuit(n=shared.n, layers=tuple(tuple(list(layer)) for layer in shared.layers))
+        text = circuit_to_qasm3(shared, model)
+        assert text == circuit_to_qasm3(fresh, model)
+        assert ("gphase(" in text) == (mode == "decomposed")
 
     def test_cx_line_count(self):
         circ = Circuit(

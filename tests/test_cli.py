@@ -4,7 +4,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -409,11 +412,37 @@ class TestEstimate:
         doc = json.loads(res.stdout)
         assert doc["cnots"] == 1800
 
-    def test_scaled_bound_added(self):
+    def test_slope_times_the_schedule(self):
+        # K s t = 1.0 at order 1 with t_inf = 0; with t_inf = 1 each of the
+        # 300 stages adds 1.0
+        for t_inf, want in (("0", 1.0), ("1", 301.0)):
+            res = run("estimate", "--n", "4", "--classes", "2", "--epsilon", "0.01",
+                      "--time", "1.0", "--t-inf", t_inf, "--slope", "0.5")
+            assert res.exit_code == 0, res.output
+            doc = json.loads(res.stdout)
+            assert doc["simulation_time"] == want
+            assert set(doc) == {"order", "m", "interaction_gates", "cnots", "depth",
+                                "simulation_time", "assumptions"}
+            assert f"simulation time    {want}" in res.stderr
+
+    def test_slope_at_order_four_counts_the_backward_step(self):
+        res = run("estimate", "--n", "16", "--classes", "4", "--order", "4", "--epsilon",
+                  "0.01", "--time", "1", "--t-inf", "0", "--slope", "1")
+        assert res.exit_code == 0, res.output
+        stages = expand(formula_for_order(4, 4), 36, 1.0)
+        assert json.loads(res.stdout)["simulation_time"] == pytest.approx(
+            sum(abs(s.tau) for s in stages), rel=0, abs=1e-12)
+
+    def test_compare_orders_with_slope(self):
         res = run("estimate", "--n", "4", "--classes", "2", "--epsilon", "0.01",
-                  "--time", "1.0", "--slope", "0.5")
-        doc = json.loads(res.stdout)
-        assert doc["scaled_time_bound"] == 1.0
+                  "--time", "1.0", "--compare-orders", "1,2,4", "--t-inf", "0",
+                  "--slope", "1")
+        assert res.exit_code == 0, res.output
+        lines = res.stdout.splitlines()
+        assert lines[:3] == ["order,m,N,T", "1,150,600,2.0", "2,57,230,2.0"]
+        assert lines[3].startswith("4,11,222,3.8028")
+        assert float(lines[3].split(",")[3]) == pytest.approx(
+            sum(abs(s.tau) for s in expand(formula_for_order(4, 2), 11, 1.0)), abs=1e-12)
 
     def test_compare_orders_csv(self, tmp_path):
         out = tmp_path / "orders.csv"
@@ -741,3 +770,22 @@ class TestLoaderContract:
                       "--steps", "1", "--time", "1.0")
         assert res.exit_code == 2, res.output
         assert "expected an integer, got" in res.stderr
+
+
+def _readme_commands() -> list[list[str]]:
+    """Each ``trottersmith`` line of README's usage blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("trottersmith ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # the README's walkthrough in order, so later commands read earlier files
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    assert any(cmd[0] == "estimate" for cmd in commands)
+    monkeypatch.chdir(tmp_path)
+    for cmd in commands:
+        res = run(*cmd)
+        assert res.exit_code == 0, (cmd, res.output)

@@ -1,12 +1,18 @@
 """Cost estimators, the closed-form gate count, and report audits."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trottersmith import (
+    Circuit,
     CouplingTensor,
+    Gate,
+    GateKind,
     GateTimingModel,
     ResourceReport,
     StepPlan,
@@ -16,7 +22,7 @@ from trottersmith import (
     build_trotter_circuit,
     color_model,
     counts,
-    estimate_scaled,
+    expand,
     first_order,
     formula_for_order,
     from_edges,
@@ -162,21 +168,62 @@ class TestMonotonicity:
             assert b.interaction_gates >= a.interaction_gates
 
 
-class TestScaledRegime:
-    def test_independence_of_everything_but_kst(self):
-        assert estimate_scaled(2, 2.0, 2.0) == pytest.approx(8.0)
-        assert estimate_scaled(4, 0.5, 3.0) == pytest.approx(6.0)
-        assert estimate_scaled(3, 1.0, 0.0) == 0.0
+def _scaled_time(order, k, m, t, profile=TimeProfile(), timing=GateTimingModel(0.0, 1.0)):
+    plan = StepPlan(m=m, order=order, bound_used="user", num_classes=k, t=t)
+    return report_for_plan(plan, 2 * k, timing=timing, profile=profile).simulation_time
 
-    def test_slope_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            estimate_scaled(2, 0.0, 1.0)
-        with pytest.raises(ValueError, match="positive"):
-            estimate_scaled(2, -1.0, 1.0)
 
-    def test_negative_time_rejected(self):
+class TestScaledTime:
+    """Every stage takes t_inf + s |tau|: time = depth t_inf + s sum |tau|."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(order=st.sampled_from([1, 2, 4, 6]), k=st.integers(1, 5), m=st.integers(1, 40),
+           t=st.floats(-3.0, 3.0), factors=st.none() | st.lists(
+               st.sampled_from([1.0, 0.0, -0.5, 2.0, 0.3]), min_size=1, max_size=12))
+    @example(order=4, k=4, m=36, t=1.0, factors=None)
+    @example(order=6, k=2, m=7, t=-1.5, factors=None)
+    @example(order=4, k=3, m=4, t=1.0, factors=[1.0, 0.0, -0.5, 2.0])
+    @example(order=2, k=1, m=3, t=0.0, factors=[0.0, -1.0, 0.0])
+    def test_closed_form_sum_matches_expand(self, order, k, m, t, factors):
+        profile = TimeProfile() if factors is None else TimeProfile("piecewise", tuple(factors))
+        m = m if factors is None else len(factors)
+        total = sum(abs(s.tau) for s in expand(formula_for_order(order, k), m, t, profile))
+        assert _scaled_time(order, k, m, t, profile) == pytest.approx(total, rel=1e-12,
+                                                                      abs=1e-300)
+
+    def test_fixed_part_is_paid_per_stage(self):
+        plan = StepPlan(m=36, order=4, bound_used="user", num_classes=4, t=1.0)
+        timing = GateTimingModel(t_inf=2.0, s=0.5)
+        rep = report_for_plan(plan, 16, timing=timing)
+        total = sum(abs(s.tau) for s in expand(formula_for_order(4, 4), 36, 1.0))
+        assert rep.depth == 1081
+        assert rep.simulation_time == pytest.approx(2.0 * 1081 + 0.5 * total, rel=1e-12)
+        assert rep.assumptions["timing"] == {"t_inf": 2.0, "s": 0.5}
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_orders_one_and_two_give_kst(self, order):
+        # the paper's K s t, exactly, and independent of m
+        for k, s, t, want in [(2, 2.0, 2.0, 8.0), (4, 0.5, 3.0, 6.0), (3, 1.0, 0.0, 0.0)]:
+            for m in (1, 7, 150):
+                assert _scaled_time(order, k, m, t, timing=GateTimingModel(0.0, s)) == want
+
+    def test_higher_orders_run_longer_than_kst(self):
+        times = [_scaled_time(order, 4, 36, 1.0) for order in (2, 4, 6)]
+        assert times[0] == 4.0 < times[1] < times[2]
+
+    def test_no_slope_keeps_depth_times_t_inf(self):
+        rep = report_for_plan(steps_for_accuracy(4, 4, 16, 1.0, 1.0, 0.01), 16)
+        assert rep.simulation_time == 1081.0
+        assert set(rep.assumptions) == {"bound_used", "t", "epsilon", "K", "n", "c3", "c4",
+                                        "stages_per_step", "timing", "template"}
+
+    def test_slope_and_time_validated(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            estimate_scaled(2, 1.0, -1.0)
+            GateTimingModel(t_inf=0.0, s=-1.0)
+        with pytest.raises(ValueError, match="t_inf or s positive"):
+            GateTimingModel(t_inf=0.0, s=0.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            steps_for_accuracy(1, 2, 4, 1.0, -1.0, 0.01)
 
 
 class TestReportValidation:
@@ -207,16 +254,9 @@ class TestAudit:
         )
         good = report_for_plan(plan, 4, edges_per_sweep=3)
         for delta in (-1, +1):
-            bad = ResourceReport(
-                order=good.order,
-                m=good.m,
-                interaction_gates=good.interaction_gates + delta,
-                cnots=good.cnots,
-                depth=good.depth,
-                simulation_time=good.simulation_time,
-            )
-            issues = audit(bad, circ)
-            assert any("interaction gates" in msg for msg in issues)
+            bad = dataclasses.replace(good, interaction_gates=good.interaction_gates + delta)
+            assert audit(bad, circ) == [f"interaction gates: predicted {bad.interaction_gates}, "
+                                        f"circuit has {good.interaction_gates}"]
 
     def test_decomposed_checks_cnots(self, heis_chain4):
         col = color_model(heis_chain4)
@@ -245,11 +285,12 @@ class TestAudit:
         f = formula_for_order(4, 2)
         circ = build_trotter_circuit(heis_chain4, col, f, plan.m, 1.0, mode="scaled")
         good = report_for_plan(plan, 4, edge_cnots=class_edge_cnots(heis_chain4, col))
-        bad = ResourceReport(order=4, m=plan.m, interaction_gates=good.interaction_gates + 1,
-                             cnots=good.cnots, depth=good.depth + 1, simulation_time=0.0)
+        bad = dataclasses.replace(good, interaction_gates=good.interaction_gates + 1,
+                                  depth=good.depth + 1, simulation_time=0.0)
         issues = audit(bad, circ)
         assert any("interaction gates" in msg for msg in issues)
         assert any("depth" in msg for msg in issues)
+        assert any("simulation time: predicted 0.0" in msg for msg in issues)
 
     def test_higher_order_overrun_still_flagged(self, heis_chain4):
         col = color_model(heis_chain4)
@@ -257,16 +298,83 @@ class TestAudit:
         f = formula_for_order(2, 2)
         circ = build_trotter_circuit(heis_chain4, col, f, plan.m, 1.0, mode="scaled")
         measured = counts(circ)["interaction"]
-        bad = ResourceReport(
-            order=2,
-            m=plan.m,
-            interaction_gates=measured - 1,
-            cnots=6 * (measured - 1),
-            depth=10**6,
-            simulation_time=0.0,
-        )
+        good = report_for_plan(plan, 4, edge_cnots=class_edge_cnots(heis_chain4, col))
+        bad = dataclasses.replace(good, interaction_gates=measured - 1,
+                                  cnots=6 * (measured - 1), depth=10**6, simulation_time=0.0)
         issues = audit(bad, circ)
         assert any("interaction gates" in msg for msg in issues)
+        assert any("simulation time: predicted 0.0" in msg for msg in issues)
+
+
+class TestAuditScaledTime:
+    TIMING = GateTimingModel(t_inf=1.0, s=0.5)
+
+    def _case(self, order, factors):
+        profile = TimeProfile() if factors is None else TimeProfile("piecewise", factors)
+        model = build_lattice("chain", 6, field=(0.5, 0.0, 0.3), profile=profile)
+        col = color_model(model)
+        m = 5 if factors is None else len(factors)
+        plan = StepPlan(m=m, order=order, bound_used="user", num_classes=col.num_classes,
+                        t=1.0)
+        circ = build_trotter_circuit(model, col, formula_for_order(order, col.num_classes),
+                                     m, 1.0, mode="scaled")
+        report = report_for_plan(plan, model.n, timing=self.TIMING, profile=profile,
+                                 edge_cnots=class_edge_cnots(model, col))
+        return report, circ
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("factors", [None, (1.0, 0.0, -0.5, 2.0)],
+                             ids=["constant", "piecewise"])
+    def test_honest_circuits_pass(self, order, factors):
+        report, circ = self._case(order, factors)
+        assert audit(report, circ) == []
+
+    @staticmethod
+    def _retimed(g, tau):
+        return Gate(GateKind.UIJ, g.qubits, matrix=g.matrix, edge=g.edge, tau=tau)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_one_perturbed_tau_flagged(self, sign):
+        report, circ = self._case(4, None)
+        layers = list(circ.layers)
+        li = next(i for i, layer in enumerate(layers) if len(layer) > 1)
+        g = layers[li][0]
+        layers[li] = (self._retimed(g, g.tau + sign * 1e-3),) + layers[li][1:]
+        issues = audit(report, Circuit(n=circ.n, layers=tuple(layers)))
+        assert "layers with more than one |tau|: predicted 0, circuit has 1" in issues
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_perturbed_layer_flagged(self, sign):
+        report, circ = self._case(2, (1.0, 0.0, -0.5, 2.0))
+        layers = list(circ.layers)
+        layers[-1] = tuple(self._retimed(g, g.tau * (1 + sign * 1e-3)) for g in layers[-1])
+        issues = audit(report, Circuit(n=circ.n, layers=tuple(layers)))
+        assert len(issues) == 1
+        assert issues[0].startswith(f"simulation time: predicted {report.simulation_time!r}")
+
+    def test_slope_mismatch_flagged(self):
+        report, circ = self._case(4, None)
+        other = dataclasses.replace(report, assumptions={**report.assumptions,
+                                                         "timing": {"t_inf": 1.0, "s": 0.6}})
+        assert audit(report, circ) == []
+        assert len(audit(other, circ)) == 1
+
+    def test_report_without_timing_rejected(self):
+        report, circ = self._case(1, None)
+        bare = ResourceReport(order=1, m=5, interaction_gates=report.interaction_gates,
+                              cnots=report.cnots, depth=report.depth,
+                              simulation_time=report.simulation_time)
+        with pytest.raises(ValueError, match="timing assumptions"):
+            audit(bare, circ)
+
+    def test_decomposed_circuits_keep_the_cnot_check(self):
+        model = build_lattice("chain", 6, field=(0.5, 0.0, 0.3))
+        col = color_model(model)
+        circ = build_trotter_circuit(model, col, formula_for_order(2, col.num_classes), 5, 1.0)
+        cnot_only = report_for_plan(StepPlan(m=5, order=2, bound_used="user",
+                                             num_classes=col.num_classes, t=1.0),
+                                    model.n, edge_cnots=class_edge_cnots(model, col))
+        assert audit(dataclasses.replace(cnot_only, simulation_time=0.0), circ) == []
 
 
 class TestPerEdgeCnots:
