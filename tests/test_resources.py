@@ -217,11 +217,17 @@ class TestScaledTime:
         assert set(rep.assumptions) == {"bound_used", "t", "epsilon", "K", "n", "c3", "c4",
                                         "stages_per_step", "timing", "template"}
 
-    def test_slope_and_time_validated(self):
+
+class TestScaledRegime:
+    """The paper's scaled regime: t_inf = 0, so every stage costs s |tau|."""
+
+    def test_slope_must_be_positive(self):
         with pytest.raises(ValueError, match="nonnegative"):
             GateTimingModel(t_inf=0.0, s=-1.0)
         with pytest.raises(ValueError, match="t_inf or s positive"):
             GateTimingModel(t_inf=0.0, s=0.0)
+
+    def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             steps_for_accuracy(1, 2, 4, 1.0, -1.0, 0.01)
 
