@@ -13,7 +13,9 @@ commuting real and imaginary parts of a complex symmetric matrix.
 
 Two templates lower a two-qubit exponential to CNOTs.  A general term is
 decomposed and its core runs on a six-CNOT circuit, wrapped in the
-decomposition's one-qubit locals.  A field-free isotropic term,
+decomposition's one-qubit locals; the template is written with its
+one-qubit runs fused, 13 layers with no two one-qubit layers adjacent.  A
+field-free isotropic term,
 exp(-i alpha S.S), already is the core at angles (alpha, alpha, alpha), so
 it goes straight to the closed-form three-CNOT core circuit of Vatan &
 Williams, exact with its global phase and with no decomposition at all.
@@ -22,15 +24,19 @@ The circuit builder lowers each distinct template input once per call:
 edges whose terms and durations give the same input share one fragment,
 re-targeted to each edge's qubits, so a translation-invariant lattice costs
 a handful of decompositions however large it is and however many steps run.
+Where one stage ends and the next begins with a layer of one-qubit gates
+only, the two layers fuse into one, a u1q of the product on each qubit both
+touch; each distinct product is computed once per call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .circuits import _H, Circuit, Gate, GateKind, _rotation, _uij_gates
+from .circuits import _H, Circuit, Gate, GateKind, _check_unitary, _rotation, _uij_gates
 from .coloring import EdgeColoring
 from .model import PAULIS, EdgeTerm, SpinModel, edge_hamiltonians, term_hamiltonian
 from .trotter import ProductFormula, expand
@@ -40,6 +46,8 @@ KAK_RECONSTRUCTION_TOL = 1e-8
 ZERO_ANGLE_TOL = 1e-12
 
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
+# the 6-CNOT template's quarter turn rx(pi/2) followed by a Hadamard
+_H_RX = _H @ _rotation(GateKind.RX, math.pi / 2.0)
 
 _XX, _YY, _ZZ = (np.kron(p, p) for p in PAULIS)
 
@@ -298,30 +306,6 @@ Fragment = list[list[Gate]]
 """A run of layers on one edge, ready for positional merging."""
 
 
-def _core_template(alpha: float, beta: float, gamma: float, a: int, b: int) -> Fragment:
-    """Six-CNOT realization of canonical_core_unitary on qubits (a, b).
-
-    Each coefficient becomes one CNOT-conjugated rz on qubit b; Hadamards
-    map the ZZ rotation onto XX, an extra x-axis quarter turn onto YY.
-    """
-    half = math.pi / 2.0
-    return [
-        [Gate(GateKind.H, (a,)), Gate(GateKind.H, (b,))],
-        [Gate(GateKind.CX, (a, b))],
-        [Gate(GateKind.RZ, (b,), angle=alpha / 2.0)],
-        [Gate(GateKind.CX, (a, b))],
-        [Gate(GateKind.RX, (a,), angle=-half), Gate(GateKind.RX, (b,), angle=-half)],
-        [Gate(GateKind.CX, (a, b))],
-        [Gate(GateKind.RZ, (b,), angle=beta / 2.0)],
-        [Gate(GateKind.CX, (a, b))],
-        [Gate(GateKind.RX, (a,), angle=half), Gate(GateKind.RX, (b,), angle=half)],
-        [Gate(GateKind.H, (a,)), Gate(GateKind.H, (b,))],
-        [Gate(GateKind.CX, (a, b))],
-        [Gate(GateKind.RZ, (b,), angle=gamma / 2.0)],
-        [Gate(GateKind.CX, (a, b))],
-    ]
-
-
 def _core_3cnot(alpha: float, beta: float, gamma: float, a: int, b: int) -> Fragment:
     """Three-CNOT realization of canonical_core_unitary on qubits (a, b).
 
@@ -355,22 +339,38 @@ def synth_two_qubit(u: np.ndarray, qubits: tuple[int, int] = (0, 1)) -> Fragment
 
 
 def _cartan_fragment(c: CartanCoefficients, a: int, b: int) -> Fragment:
-    """The 6-CNOT template wrapped in a decomposition's locals, on qubits (a, b)."""
+    """The 6-CNOT template wrapped in a decomposition's locals, on qubits (a, b).
+
+    Each interaction coefficient becomes one CNOT-conjugated rz on qubit b;
+    Hadamards map the ZZ rotation onto XX, an extra x-axis quarter turn onto
+    YY.  The template's one-qubit runs are written fused: the opening
+    Hadamards into the input locals u1, u2, and the closing quarter turn
+    with the Hadamards after it into the constant H rx(pi/2), so the
+    fragment has 13 layers and no two adjacent one-qubit layers.
+    """
     if all(abs(x) < ZERO_ANGLE_TOL for x in c.angles):
         return [[
             Gate(GateKind.U1Q, (a,), matrix=c.v1 @ c.u1),
             Gate(GateKind.U1Q, (b,), matrix=c.v2 @ c.u2),
         ]]
-    frag: Fragment = [[
-        Gate(GateKind.U1Q, (a,), matrix=c.u1),
-        Gate(GateKind.U1Q, (b,), matrix=c.u2),
-    ]]
-    frag.extend(_core_template(c.alpha, c.beta, c.gamma, a, b))
-    frag.append([
-        Gate(GateKind.U1Q, (a,), matrix=c.v1),
-        Gate(GateKind.U1Q, (b,), matrix=c.v2),
-    ])
-    return frag
+    half = math.pi / 2.0
+    cx = Gate(GateKind.CX, (a, b))
+
+    def locals_(ma: np.ndarray, mb: np.ndarray) -> list[Gate]:
+        return [Gate(GateKind.U1Q, (a,), matrix=ma), Gate(GateKind.U1Q, (b,), matrix=mb)]
+
+    def rz(theta: float) -> list[Gate]:
+        return [Gate(GateKind.RZ, (b,), angle=theta / 2.0)]
+
+    return [
+        locals_(_H @ c.u1, _H @ c.u2),
+        [cx], rz(c.alpha), [cx],
+        [Gate(GateKind.RX, (a,), angle=-half), Gate(GateKind.RX, (b,), angle=-half)],
+        [cx], rz(c.beta), [cx],
+        locals_(_H_RX, _H_RX),
+        [cx], rz(c.gamma), [cx],
+        locals_(c.v1, c.v2),
+    ]
 
 
 def _fragment_circuit(frag: Fragment, n: int = 2) -> Circuit:
@@ -457,6 +457,45 @@ def _retarget(frag: Fragment, to: dict[int, int]) -> Fragment:
     return out
 
 
+def _fuse_layers(first: tuple[Gate, ...], then: tuple[Gate, ...],
+                 products: dict) -> tuple[Gate, ...] | None:
+    """One layer that runs ``first`` and then ``then``, or None unless both
+    hold only one-qubit gates.
+
+    A qubit that both layers touch gets one u1q of the two gates' product;
+    a qubit that only one touches keeps its gate.  The fused gates come in
+    ``first``'s order, then ``then``'s gates on the other qubits in theirs.
+    """
+    if any(len(g.qubits) != 1 for g in chain(first, then)):
+        return None
+    later = {g.qubits[0]: g for g in then}
+    out = [g if (h := later.pop(g.qubits[0], None)) is None else _fuse_gates(g, h, products)
+           for g in first]
+    out.extend(later.values())
+    return tuple(out)
+
+
+def _fuse_gates(g: Gate, h: Gate, products: dict) -> Gate:
+    """A u1q running one-qubit gate g and then h on g's qubit.
+
+    ``products`` memoises h @ g on the identities of the two gates'
+    matrices, which re-targeted copies share (of the gates themselves when
+    they hold none), so each product is computed and checked for unitarity
+    once.  The gate skips :class:`Gate`'s checks, as :func:`_retarget` does.
+    """
+    key = (id(g if g.matrix is None else g.matrix), id(h if h.matrix is None else h.matrix))
+    m = products.get(key)
+    if m is None:
+        m = h.unitary() @ g.unitary()
+        _check_unitary(m, GateKind.U1Q)
+        m.flags.writeable = False
+        products[key] = m
+    fused = object.__new__(Gate)
+    fused.__dict__.update(kind=GateKind.U1Q, qubits=g.qubits, angle=None, matrix=m,
+                          edge=None, tau=None)
+    return fused
+
+
 def build_trotter_circuit(
     model: SpinModel,
     coloring: EdgeColoring,
@@ -482,6 +521,12 @@ def build_trotter_circuit(
     that input gets a copy of the fragment on its own qubits, so KAK runs
     once per distinct unitary and not once per (edge, tau).  Later stages
     that repeat (k, tau) reuse the same layer tuples of the same gates.
+    In ``decomposed`` mode, when the last layer so far and a stage's first
+    layer both hold only one-qubit gates, they become one layer
+    (:func:`_fuse_layers`): the KAK template opens and closes on one-qubit
+    locals, so each such stage adds 12 layers, not 13.  The fused layer is
+    memoised on the identities of the two layers, and each 2x2 product on
+    the identities of the two matrices, so a repeated boundary is a lookup.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -494,6 +539,10 @@ def build_trotter_circuit(
     # a stage's layers are deterministic in (k, tau) and Gates are immutable;
     # the sign of a zero tau stays in the key because uij gates record it
     stage_layers: dict[tuple[int, float, float], list[tuple[Gate, ...]]] = {}
+    # fused boundary layers by the identities of the two layers they join,
+    # and their 2x2 products; every key is an object this call holds
+    fused: dict[tuple[int, int], tuple[Gate, ...] | None] = {}
+    products: dict[tuple[int, int], np.ndarray] = {}
     layers: list[tuple[Gate, ...]] = []
     for stage in expand(formula, m, t, model.profile):
         key = (stage.k, stage.tau, math.copysign(1.0, stage.tau))
@@ -510,5 +559,13 @@ def build_trotter_circuit(
                     tuple(g for f in frags if p < len(f) for g in f[p])
                     for p in range(max(len(f) for f in frags))
                 ]
-        layers.extend(stage_layers[key])
+        run = stage_layers[key]
+        if mode == "decomposed" and layers and run:
+            pair = (id(layers[-1]), id(run[0]))
+            if pair not in fused:
+                fused[pair] = _fuse_layers(layers[-1], run[0], products)
+            if fused[pair] is not None:
+                layers[-1] = fused[pair]
+                run = run[1:]
+        layers.extend(run)
     return Circuit(n=model.n, layers=tuple(layers))

@@ -325,9 +325,9 @@ class TestSynth:
                      id=f"{'heisenberg-' if heisenberg else ''}{mode}-{emit}-{digest}")
         for heisenberg, mode, emit, digest in [
             (False, "decomposed", "json",
-             "b7996c7efb6f63316580f524495517339379c4f292856be7f11c9f85ebcdeac3"),
+             "799bcac89eb8b4de9f537941f73a40a75aa2087a750371847072f21937d16e71"),
             (False, "decomposed", "qasm",
-             "ca18bef39776e1b5a8bb5aae3328ad267a3015408a2aa8d68983ab926be65124"),
+             "beffb833c1afb5567f7815424499959c40cc087f8889a05838d043ffad4574f8"),
             (False, "scaled", "json",
              "e5c6d4cf27d5b5303daf7400a7215204ae90f2600b71f84fbab2ec3f958b6fcc"),
             (False, "scaled", "qasm",

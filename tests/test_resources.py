@@ -95,6 +95,25 @@ class TestFirstOrderEstimate:
         full = report_for_plan(steps_for_accuracy(1, 2, 4, 1.0, 1.0, 0.01), 4)
         assert full.interaction_gates == 600
 
+    @pytest.mark.parametrize("m, gates", [(1, 5), (2, 8), (3, 11)])
+    def test_uneven_edges_per_sweep_needs_class_sizes(self, heis_chain4, m, gates):
+        # chain-4's classes hold 2 and 1 edges, and order 2 runs the 2-edge
+        # class m + 1 times and the other m times: 3 / 2 per class would
+        # predict 4 and 10 gates at m = 1 and 3, so the count is refused
+        col = color_model(heis_chain4)
+        plan = StepPlan(m=m, order=2, bound_used="user", num_classes=2, t=1.0)
+        with pytest.raises(ValueError, match="pass edge_cnots"):
+            report_for_plan(plan, 4, edges_per_sweep=3)
+        circ = build_trotter_circuit(heis_chain4, col, formula_for_order(2, 2), m, 1.0,
+                                     mode="scaled")
+        report = report_for_plan(plan, 4, edges_per_sweep=3,
+                                 edge_cnots=class_edge_cnots(heis_chain4, col))
+        assert report.interaction_gates == counts(circ)["interaction"] == gates
+        assert audit(report, circ) == []
+        # first order runs every class m times, so the even spread is exact
+        first = dataclasses.replace(plan, order=1)
+        assert report_for_plan(first, 4, edges_per_sweep=3).interaction_gates == 3 * m
+
 
 class TestHigherOrderEstimate:
     def test_worked_fourth_order_example(self):

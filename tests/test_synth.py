@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from trottersmith import (
     CouplingTensor,
+    StepPlan,
     EdgeTerm,
     Gate,
     GateKind,
     TimeProfile,
+    audit,
     build_lattice,
     build_trotter_circuit,
     circuit_unitary,
@@ -26,6 +28,7 @@ from trottersmith import (
     formula_for_order,
     from_edges,
     kak_decompose,
+    report_for_plan,
     second_order,
     synth,
     synth_general,
@@ -40,6 +43,7 @@ from trottersmith.trotter import expand
 
 from conftest import (
     CX01,
+    class_edge_cnots,
     SX,
     SY,
     SZ,
@@ -124,6 +128,8 @@ class TestSynthTwoQubit:
             u = random_unitary(4, rng)
             frag = synth_two_qubit(u)
             assert frag_cx_count(frag) == 6
+            # the template's one-qubit runs are fused: no two adjacent one-qubit layers
+            assert len(frag) == 13
             assert op_norm(fragment_unitary(frag) - u) < 1e-9
 
     def test_product_input_needs_no_cnots(self, rng):
@@ -379,11 +385,32 @@ class TestBuildTrotterCircuit:
                 g.matrix[0, 0] = 0.0
 
 
-def per_edge_reference(model, coloring, formula, m, t) -> Circuit:
-    """The decomposed build with no sharing: every (edge, tau) slot gets its
-    own synth_two_qubit or _core_3cnot fragment."""
+def unfused_cartan_fragment(u: np.ndarray, qubits: tuple[int, int]) -> list[list[Gate]]:
+    """The 6-CNOT template with its one-qubit runs written out, 15 layers:
+    locals u, Hadamards, the XX, YY and ZZ cores, locals v."""
+    c = kak_decompose(u)
+    if max(abs(x) for x in c.angles) < synth.ZERO_ANGLE_TOL:
+        return synth_two_qubit(u, qubits)
+    a, b = qubits
+    half = math.pi / 2.0
+
+    def pair(kind, **kw):
+        return [Gate(kind, (a,), **kw), Gate(kind, (b,), **kw)]
+
+    def core(theta):
+        return [[Gate(GateKind.CX, (a, b))], [Gate(GateKind.RZ, (b,), angle=theta / 2.0)],
+                [Gate(GateKind.CX, (a, b))]]
+
+    return [[Gate(GateKind.U1Q, (a,), matrix=c.u1), Gate(GateKind.U1Q, (b,), matrix=c.u2)],
+            pair(GateKind.H), *core(c.alpha), pair(GateKind.RX, angle=-half), *core(c.beta),
+            pair(GateKind.RX, angle=half), pair(GateKind.H), *core(c.gamma),
+            [Gate(GateKind.U1Q, (a,), matrix=c.v1), Gate(GateKind.U1Q, (b,), matrix=c.v2)]]
+
+
+def per_edge_stages(model, coloring, formula, m, t, general=synth_two_qubit):
+    """Each stage's layers with no sharing: every (edge, tau) slot gets its
+    own ``general(u, (i, j))`` or _core_3cnot fragment."""
     hterms = edge_hamiltonians(model.edges)
-    layers = []
     for stage in expand(formula, m, t, model.profile):
         cls = coloring.classes[stage.k - 1]
         us = synth._expm_herm(hterms[list(cls)], -1j * stage.tau)
@@ -394,10 +421,39 @@ def per_edge_reference(model, coloring, formula, m, t) -> Circuit:
                 alpha = stage.tau * float(term.coupling.matrix[0, 0])
                 frags.append(_core_3cnot(alpha, alpha, alpha, term.i, term.j))
             else:
-                frags.append(synth_two_qubit(u, (term.i, term.j)))
-        layers += [tuple(g for f in frags if p < len(f) for g in f[p])
-                   for p in range(max(len(f) for f in frags))]
+                frags.append(general(u, (term.i, term.j)))
+        yield [tuple(g for f in frags if p < len(f) for g in f[p])
+               for p in range(max(len(f) for f in frags))]
+
+
+def one_qubit_only(layer) -> bool:
+    return all(len(g.qubits) == 1 for g in layer)
+
+
+def per_edge_reference(model, coloring, formula, m, t) -> Circuit:
+    """The decomposed build with no sharing and no memo: stages from
+    :func:`per_edge_stages`, and where the last layer so far and a stage's
+    first both hold only one-qubit gates, one layer of them, each shared
+    qubit getting a fully checked u1q of one plain matmul, in slot order."""
+    layers = []
+    for run in per_edge_stages(model, coloring, formula, m, t):
+        if layers and run and one_qubit_only(layers[-1] + run[0]):
+            later = {g.qubits[0]: g for g in run[0]}
+            joined = []
+            for g in layers[-1]:
+                h = later.pop(g.qubits[0], None)
+                joined.append(g if h is None else
+                              Gate(GateKind.U1Q, g.qubits, matrix=h.unitary() @ g.unitary()))
+            layers[-1] = tuple(joined) + tuple(later.values())
+            run = run[1:]
+        layers += run
     return Circuit(n=model.n, layers=tuple(layers))
+
+
+def unfused_reference(model, coloring, formula, m, t) -> Circuit:
+    """The per-edge build on the 15-layer template, with no fusion at all."""
+    stages = per_edge_stages(model, coloring, formula, m, t, unfused_cartan_fragment)
+    return Circuit(n=model.n, layers=tuple(layer for run in stages for layer in run))
 
 
 def gate_record(g: Gate) -> tuple:
@@ -419,7 +475,10 @@ _FIELDS = ((0.0, 0.0, 0.0), (0.3, 0.0, 0.5), (0.0, 0.0, -0.2))
 
 
 @st.composite
-def shared_term_builds(draw):
+def small_models(draw, zero_factor=False):
+    """(model, m): a random 3-6-site chain or ring drawing from the pools
+    above, m <= 2, and a constant or piecewise profile, the latter with a
+    zero factor when ``zero_factor``."""
     n = draw(st.integers(3, 6))
     pairs = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if draw(st.booleans()) else [])
     couplings = [(i, j, draw(st.sampled_from(_COUPLINGS))) for i, j in pairs]
@@ -428,8 +487,15 @@ def shared_term_builds(draw):
     profile = CONSTANT_PROFILE
     if draw(st.booleans()):
         factors = draw(st.lists(st.sampled_from([0.5, 1.0, 0.0, -1.0]), min_size=m, max_size=m))
+        if zero_factor:
+            factors[draw(st.integers(0, m - 1))] = 0.0
         profile = TimeProfile("piecewise", tuple(factors))
-    model = from_edges(n, couplings, site_fields=fields, profile=profile)
+    return from_edges(n, couplings, site_fields=fields, profile=profile), m
+
+
+@st.composite
+def shared_term_builds(draw):
+    model, m = draw(small_models())
     col = color_model(model)
     order = draw(st.sampled_from([1, 2, 4]))
     t = draw(st.one_of(st.sampled_from([0.0, -0.0, -0.8]),
@@ -477,6 +543,46 @@ class TestSharedFragments:
         circ = build_trotter_circuit(model, col, first_order(col.num_classes), 1, 0.0)
         assert [[(g.kind, g.qubits) for g in layer] for layer in circ.layers] == \
             [[(GateKind.U1Q, (1,)), (GateKind.U1Q, (2,))]]
+
+
+@st.composite
+def fusion_builds(draw):
+    """(model, coloring, m, t) with t of 0, -0, negative or positive."""
+    model, m = draw(small_models(zero_factor=True))
+    t = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, -0.05), st.floats(0.05, 2.0)))
+    return model, color_model(model), m, t
+
+
+class TestOneQubitFusion:
+    @given(fusion_builds())
+    @settings(max_examples=20, deadline=None)
+    def test_fusion_keeps_the_unitary(self, build):
+        model, col, m, t = build
+        for order in (1, 2, 4):
+            f = formula_for_order(order, col.num_classes)
+            circ = build_trotter_circuit(model, col, f, m, t)
+            ref = unfused_reference(model, col, f, m, t)
+            assert np.max(np.abs(circuit_unitary(circ) - circuit_unitary(ref))) < 1e-12
+            assert counts(circ)["cx"] == counts(ref)["cx"]
+            plan = StepPlan(m=m, order=order, bound_used="user", num_classes=col.num_classes,
+                            t=t)
+            report = report_for_plan(plan, model.n, edge_cnots=class_edge_cnots(model, col),
+                                     profile=model.profile)
+            assert audit(report, circ) == audit(report, ref) == []
+            assert not any(one_qubit_only(a) and one_qubit_only(b)
+                           for a, b in zip(circ.layers, circ.layers[1:]))
+
+    def test_torus_depth_is_12_layers_per_stage_plus_one(self):
+        # the benchmark's 8x8 XYZ+field torus: 121 stages of 13 layers, each
+        # stage's opening locals fused into the previous stage's closing ones
+        model = build_lattice("square", (8, 8), "periodic",
+                              coupling=CouplingTensor.diagonal(1.0, 0.7, 0.4),
+                              field=(0.3, 0.0, 0.5))
+        col = color_model(model)
+        circ = build_trotter_circuit(model, col, formula_for_order(2, col.num_classes), 20, 1.0)
+        tally = counts(circ)
+        assert tally["depth"] == 12 * 121 + 1 == 1453
+        assert tally["cx"] == 23232
 
 
 class TestTemplateCnots:
