@@ -204,13 +204,6 @@ class Circuit:
         uses = Counter(map(id, self.layers))
         return {id(layer): (layer, uses[id(layer)]) for layer in self.layers}
 
-    def interaction_edges(self) -> tuple[tuple[int, int], ...]:
-        """Distinct (i, j) pairs touched by uij gates, sorted."""
-        edges = {g.edge if g.edge is not None else g.qubits
-                 for layer, _ in self._layer_uses().values() for g in layer
-                 if g.kind is GateKind.UIJ}
-        return tuple(sorted(edges))
-
 
 def counts(circuit: Circuit) -> dict:
     """Tally of a circuit: depth, totals, and per-kind gate counts."""
@@ -382,33 +375,24 @@ def _qasm_layer(layer: tuple[Gate, ...]) -> tuple[list[str], list[float]]:
     return lines, gammas
 
 
-def circuit_to_qasm3(circuit: Circuit, model=None) -> str:
+def circuit_to_qasm3(circuit: Circuit, model_sha256: str | None = None) -> str:
     """Text export.  Parameterized std gates reproduce the stored unitaries
     exactly (including phase, via one trailing ``gphase``).  Native ``uij``
     interactions have no std-gate body; they are emitted as named calls and
-    documented in header comments, with coupling rows when ``model`` (a
-    SpinModel whose edge order matches the uij edge metadata) is supplied.
-    Each distinct layer tuple is rendered once.
+    defined in a header comment, which names the model by ``model_sha256``,
+    the hex SHA-256 of its file's bytes, when that is supplied.  Each
+    distinct layer tuple is rendered once.
     """
     lines = ["OPENQASM 3.0;", 'include "stdgates.inc";']
-    edges = circuit.interaction_edges()
-    if edges:
+    uses = circuit._layer_uses()
+    if any(g.kind is GateKind.UIJ for layer, _ in uses.values() for g in layer):
         lines.append("// uij(tau) a, b is the target-defined interaction exp(-i tau H_ab):")
-        by_pair = {}
-        if model is not None:
-            for term in model.edges:
-                by_pair[(term.i, term.j)] = term
-        for i, j in edges:
-            lines.append(f"//   edge ({i}, {j})")
-            term = by_pair.get((i, j))
-            if term is not None:
-                for a, row in zip("xyz", np.asarray(term.coupling.matrix)):
-                    vals = ", ".join(format_float(float(x)) for x in row)
-                    lines.append(f"//     J[{a},:] = [{vals}]")
+        if model_sha256 is not None:
+            lines.append(f"// model sha256={model_sha256}")
         lines.append("")
     lines.append(f"qubit[{circuit.n}] q;")
     lines.append("")
-    rendered = {key: _qasm_layer(layer) for key, (layer, _) in circuit._layer_uses().items()}
+    rendered = {key: _qasm_layer(layer) for key, (layer, _) in uses.items()}
     gphase_total = 0.0
     for layer in circuit.layers:
         text, gammas = rendered[id(layer)]

@@ -8,6 +8,7 @@ oracle size cap), 1 on an internal failure.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import re
 import sys
@@ -58,7 +59,7 @@ def _write_artifact(text: str, out: str | None, summary: str | None = None) -> N
 
 
 def _load_model(path: str) -> model_mod.SpinModel:
-    return model_mod.model_from_json(Path(path).read_text())
+    return model_mod.model_from_json(Path(path).read_bytes())
 
 
 def _parse_list(text: str, option: str, convert, sep: str = ",") -> list:
@@ -175,8 +176,13 @@ def plan(model_path, order, epsilon, t, out) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def synth_cmd(model_path, coloring_path, order, steps, epsilon, t, mode, emit, out) -> None:
-    """Compile a Trotter circuit for a model."""
-    model = _load_model(model_path)
+    """Compile a Trotter circuit for a model.
+
+    QASM output names the model by the SHA-256 of the bytes read from
+    ``--model``, which ``sha256sum`` of that file reproduces.
+    """
+    data = Path(model_path).read_bytes()
+    model = model_mod.model_from_json(data)
     if coloring_path is None:
         coloring = coloring_mod.color_model(model)
     else:
@@ -196,7 +202,8 @@ def synth_cmd(model_path, coloring_path, order, steps, epsilon, t, mode, emit, o
         f"cx={tally['cx']} interaction={tally['interaction']}"
     )
     if emit == "qasm":
-        _write_artifact(circuit_to_qasm3(circuit, model), out, summary)
+        _write_artifact(circuit_to_qasm3(circuit, hashlib.sha256(data).hexdigest()), out,
+                        summary)
     else:
         _write_artifact(circuit_to_json(circuit), out, summary)
 

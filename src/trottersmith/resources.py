@@ -97,11 +97,12 @@ def report_for_plan(
     holds one sequence per color class of each edge's template CNOTs (see
     :func:`trottersmith.synth.template_cnots`), which fixes class sizes and
     CNOTs exactly.  Without it each class has ``edges_per_sweep`` / K
-    edges, or n/2 as on a regular lattice with every class full, and each
-    gate costs 6 CNOTs, or 3 when ``heisenberg``; an ``edges_per_sweep``
-    that K does not divide raises ValueError when the schedule runs the
-    classes unequally often (orders >= 2), since the count then depends on
-    which class holds the extra edges.  CNOTs are counted only
+    edges, which defaults to n*K/2 as on a regular lattice with every class
+    full (ValueError when n*K is odd), and each gate costs 6 CNOTs, or 3
+    when ``heisenberg``; an ``edges_per_sweep`` that K does not divide
+    raises ValueError when the schedule runs the classes unequally often
+    (orders >= 2), since the count then depends on which class holds the
+    extra edges.  CNOTs are counted only
     for steps p with t * profile.factor(p, m) != 0: the other steps run
     every stage for tau = 0, and decomposed synthesis emits no CNOT for an
     identity.  Every stage takes ``timing``'s t_inf + s * |tau|, so the
@@ -111,14 +112,20 @@ def report_for_plan(
     formula = formula_for_order(plan.order, k)
     uses = class_uses(formula, plan.m, profile)
     if edge_cnots is None:
-        if edges_per_sweep is not None and edges_per_sweep % k and len(set(uses)) > 1:
+        if edges_per_sweep is None:
+            if n * k % 2:
+                raise ValueError(
+                    f"n={n} sites in K={k} full classes would hold n*K/2 = {n * k / 2} "
+                    "edges; pass edges_per_sweep or edge_cnots")
+            edges_per_sweep = n * k // 2
+        if edges_per_sweep % k and len(set(uses)) > 1:
             # which class holds the extra edges decides the count; only the
             # coloring knows, so an even spread would price a fractional gate
             raise ValueError(
                 f"edges_per_sweep={edges_per_sweep} does not split evenly over K={k} "
                 "classes that this schedule runs unequally often; pass edge_cnots "
                 "to give each class's edges")
-        size = edges_per_sweep / k if edges_per_sweep is not None else n / 2.0
+        size = edges_per_sweep / k
         sizes, class_cnots = [size] * k, [(3 if heisenberg else 6) * size] * k
         template = "heisenberg-3cnot" if heisenberg else "general-6cnot"
     else:
@@ -154,8 +161,6 @@ def report_for_plan(
         "stages_per_step": len(formula.stages),
         "timing": {"t_inf": timing.t_inf, "s": timing.s},
         "template": template,
-        # the stage count is explicit, so the gate count needs no prefactor
-        "c4": 1.0,
     }
     if plan.bound_used == "higher_order_scaling":
         assumptions["c3"] = HIGHER_ORDER_C3

@@ -20,7 +20,6 @@ from trottersmith import (
     color_model,
     counts,
     formula_for_order,
-    from_edges,
     run_circuit,
 )
 from trottersmith.circuits import _uij_gates, _zyz
@@ -158,14 +157,6 @@ def test_counts_tally():
     assert c["by_kind"]["u1q"] == 0
 
 
-def test_interaction_edges_sorted_and_deduped():
-    g1 = Gate(GateKind.UIJ, (2, 3), matrix=CX, edge=(2, 3), tau=0.1)
-    g2 = Gate(GateKind.UIJ, (0, 1), matrix=CX, edge=(0, 1), tau=0.1)
-    g3 = Gate(GateKind.UIJ, (0, 1), matrix=CX, edge=(0, 1), tau=0.2)
-    circ = Circuit(n=4, layers=((g1, g2), (g3,)))
-    assert circ.interaction_edges() == ((0, 1), (2, 3))
-
-
 class TestRepeatedLayers:
     """Layer walks visit each distinct layer object once; results must not
     depend on which layers share a tuple."""
@@ -187,7 +178,6 @@ class TestRepeatedLayers:
         fresh = Circuit(n=shared.n, layers=tuple(tuple(list(layer)) for layer in shared.layers))
         assert len({id(layer) for layer in fresh.layers}) == fresh.depth
         assert counts(shared) == counts(fresh)
-        assert shared.interaction_edges() == fresh.interaction_edges()
         assert circuit_to_json(shared) == circuit_to_json(fresh)
 
 
@@ -472,21 +462,21 @@ class TestQasmExport:
         assert "rz(0.5) q[1];" in lines
         assert "gphase" not in text
 
+    UIJ_DEFINITION = "// uij(tau) a, b is the target-defined interaction exp(-i tau H_ab):"
+
     def test_uij_call_and_header_comment(self):
         gate = Gate(GateKind.UIJ, (0, 1), matrix=CX, edge=(0, 1), tau=0.25)
         circ = Circuit(n=2, layers=((gate,),))
-        model = from_edges(2, [(0, 1, CouplingTensor.heisenberg(2.0))])
-        text = circuit_to_qasm3(circ, model=model)
-        assert "uij(0.25) q[0], q[1];" in text
-        assert "exp(-i tau H_ab)" in text
-        assert "//   edge (0, 1)" in text
-        assert "J[x,:] = [2.0, 0.0, 0.0]" in text
+        digest = "0123456789abcdef" * 4
+        lines = circuit_to_qasm3(circ, model_sha256=digest).splitlines()
+        assert lines[2:6] == [self.UIJ_DEFINITION, f"// model sha256={digest}", "",
+                              "qubit[2] q;"]
+        assert "uij(0.25) q[0], q[1];" in lines
 
     def test_uij_without_model_skips_coupling_rows(self):
         gate = Gate(GateKind.UIJ, (0, 1), matrix=CX, edge=(0, 1), tau=0.25)
-        text = circuit_to_qasm3(Circuit(n=2, layers=((gate,),)))
-        assert "//   edge (0, 1)" in text
-        assert "J[" not in text
+        lines = circuit_to_qasm3(Circuit(n=2, layers=((gate,),))).splitlines()
+        assert lines[2:5] == [self.UIJ_DEFINITION, "", "qubit[2] q;"]
 
     def test_u1q_emits_one_trailing_gphase(self, rng):
         gates = tuple(
@@ -509,8 +499,8 @@ class TestQasmExport:
         shared = build_trotter_circuit(model, col, f, m, t, mode=mode)
         assert len({id(layer) for layer in shared.layers}) < shared.depth
         fresh = Circuit(n=shared.n, layers=tuple(tuple(list(layer)) for layer in shared.layers))
-        text = circuit_to_qasm3(shared, model)
-        assert text == circuit_to_qasm3(fresh, model)
+        text = circuit_to_qasm3(shared, "0" * 64)
+        assert text == circuit_to_qasm3(fresh, "0" * 64)
         assert ("gphase(" in text) == (mode == "decomposed")
 
     def test_cx_line_count(self):

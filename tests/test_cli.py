@@ -319,36 +319,75 @@ class TestSynth:
 
     # chain-4, order 2, m=2, t=1: XYZ (1, 0.7, 0.4) with field (0.3, 0, 0.5),
     # and a field-free Heisenberg chain that runs on the 3-CNOT core circuit;
-    # a digest changes only through a deliberate change of an artifact
-    @pytest.mark.parametrize("heisenberg, mode, emit, digest", [
-        pytest.param(heisenberg, mode, emit, digest,
+    # a digest changes only through a deliberate change of an artifact.  A
+    # QASM text's body, from "qubit[" down, has its own digest, so a change
+    # of the header alone shows as one
+    @pytest.mark.parametrize("heisenberg, mode, emit, digest, body", [
+        pytest.param(heisenberg, mode, emit, digest, body,
                      id=f"{'heisenberg-' if heisenberg else ''}{mode}-{emit}-{digest}")
-        for heisenberg, mode, emit, digest in [
+        for heisenberg, mode, emit, digest, body in [
             (False, "decomposed", "json",
-             "799bcac89eb8b4de9f537941f73a40a75aa2087a750371847072f21937d16e71"),
+             "799bcac89eb8b4de9f537941f73a40a75aa2087a750371847072f21937d16e71", None),
             (False, "decomposed", "qasm",
-             "beffb833c1afb5567f7815424499959c40cc087f8889a05838d043ffad4574f8"),
+             "beffb833c1afb5567f7815424499959c40cc087f8889a05838d043ffad4574f8",
+             "bbe3e42644239dbd4d9cf7f22bc045d68f028d6bc74c4ea305731cdc25e1d5cb"),
             (False, "scaled", "json",
-             "e5c6d4cf27d5b5303daf7400a7215204ae90f2600b71f84fbab2ec3f958b6fcc"),
+             "e5c6d4cf27d5b5303daf7400a7215204ae90f2600b71f84fbab2ec3f958b6fcc", None),
             (False, "scaled", "qasm",
-             "6be6a7e5177ff96c625df3a2e7e5adb14717b8326b20ad1d4ecdc9f94410a4d3"),
+             "ee4324fa9d7f762cdf33ba5f6e7239b4aabe0df4a2e8a362329820d4a86cd23d",
+             "9ebd9665a157636c0fa48efaeee383d9785e397c091861b9de1418744d0d71ea"),
             (True, "decomposed", "json",
-             "e099c9482a5fc8a36e7a386b44a1f1113a65aa2bebba8a365b15009782a0f944"),
+             "e099c9482a5fc8a36e7a386b44a1f1113a65aa2bebba8a365b15009782a0f944", None),
             (True, "decomposed", "qasm",
-             "9e1ed531eeaa8ed7a40a45593ad8af00b565e0541034968a81e4700ebb6262bc"),
+             "9e1ed531eeaa8ed7a40a45593ad8af00b565e0541034968a81e4700ebb6262bc",
+             "9cc6d8955b8caa78210d071b8408f4f8521b65781ed23d87e142ed6e4fce2675"),
         ]
     ])
-    def test_golden_artifact_bytes(self, tmp_path, heisenberg, mode, emit, digest):
+    def test_golden_artifact_bytes(self, tmp_path, heisenberg, mode, emit, digest, body):
         model, out = tmp_path / "chain4.json", tmp_path / f"circuit.{emit}"
         args = () if heisenberg else ("--coupling", "1.0,0.7,0.4", "--field", "0.3,0,0.5")
         run("lattice", "--kind", "chain", "--dims", "4", *args, "--out", str(model))
         res = run("synth", "--model", str(model), "--order", "2", "--steps", "2",
                   "--time", "1", "--mode", mode, "--emit", emit, "--out", str(out))
         assert res.exit_code == 0, res.output
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        if body is not None:
+            assert hashlib.sha256(data[data.index(b"qubit["):]).hexdigest() == body
+
+    def test_qasm_header_names_the_model_file_by_digest(self, tmp_path):
+        # a 4x4 XYZ+field torus as written, and re-indented with CRLF line
+        # ends: the header holds the uij definition and the digest of the
+        # bytes on disk, and no edge or coupling rows
+        lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+        run("lattice", "--kind", "square", "--dims", "4x4", "--boundary", "periodic",
+            "--coupling", "1.0,0.7,0.4", "--field", "0.3,0,0.5", "--out", str(lf))
+        doc = json.dumps(json.loads(lf.read_bytes()), indent=1)
+        crlf.write_bytes(doc.replace("\n", "\r\n").encode())
+        bodies = []
+        for path in (lf, crlf):
+            out = path.with_suffix(".qasm")
+            res = run("synth", "--model", str(path), "--steps", "2", "--time", "1",
+                      "--mode", "scaled", "--emit", "qasm", "--out", str(out))
+            assert res.exit_code == 0, res.output
+            header, body = out.read_text().split("qubit[", 1)
+            assert header.splitlines()[2:] == [
+                "// uij(tau) a, b is the target-defined interaction exp(-i tau H_ab):",
+                f"// model sha256={hashlib.sha256(path.read_bytes()).hexdigest()}",
+                "",
+            ]
+            bodies.append(body)
+        assert bodies[0] == bodies[1]
 
 
 class TestEstimate:
+    def test_odd_site_count_with_unequal_classes_exits_two(self):
+        # n*K/2 = 5 edges cannot fill the 2 classes that order 2 runs unequally often
+        res = run("estimate", "--n", "5", "--classes", "2", "--order", "2",
+                  "--epsilon", "0.01", "--time", "1")
+        assert res.exit_code == 2, res.output
+        assert "does not split evenly over K=2" in res.stderr
+
     def test_regular_lattice_numbers(self):
         res = run("estimate", "--n", "4", "--classes", "2", "--epsilon", "0.01",
                   "--time", "1.0")

@@ -115,6 +115,27 @@ class TestFirstOrderEstimate:
         assert report_for_plan(first, 4, edges_per_sweep=3).interaction_gates == 3 * m
 
 
+class TestOddSiteCount:
+    """Without class sizes the report assumes n*K/2 edges per sweep."""
+
+    def test_uneven_classes_at_second_order_refused(self):
+        plan = StepPlan(m=2, order=2, bound_used="user", num_classes=2, t=1.0)
+        with pytest.raises(ValueError, match="edges_per_sweep=5 does not split evenly"):
+            report_for_plan(plan, 5)
+
+    def test_odd_edge_total_refused(self):
+        plan = StepPlan(m=2, order=1, bound_used="user", num_classes=3, t=1.0)
+        with pytest.raises(ValueError, match=r"n\*K/2 = 7\.5 edges"):
+            report_for_plan(plan, 5)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 188])
+    def test_first_order_prices_whole_sweeps(self, m):
+        rep = report_for_plan(StepPlan(m=m, order=1, bound_used="user", num_classes=2,
+                                       t=1.0), 5)
+        assert rep.interaction_gates == 5 * m
+        assert rep.cnots == 30 * m
+
+
 class TestHigherOrderEstimate:
     def test_worked_fourth_order_example(self):
         # 11 stages per step, the first and last on class 1, so the m steps
@@ -128,7 +149,7 @@ class TestHigherOrderEstimate:
         assert rep.simulation_time == pytest.approx(111.0)
         assert rep.assumptions["bound_used"] == "higher_order_scaling"
         assert rep.assumptions["stages_per_step"] == 11
-        assert rep.assumptions["c3"] == rep.assumptions["c4"] == 1.0
+        assert rep.assumptions["c3"] == 1.0
 
     def test_worked_second_order_example(self):
         rep = report_for_plan(steps_for_accuracy(2, 2, 4, 1.0, 1.0, 0.01), 4)
@@ -233,7 +254,7 @@ class TestScaledTime:
     def test_no_slope_keeps_depth_times_t_inf(self):
         rep = report_for_plan(steps_for_accuracy(4, 4, 16, 1.0, 1.0, 0.01), 16)
         assert rep.simulation_time == 1081.0
-        assert set(rep.assumptions) == {"bound_used", "t", "epsilon", "K", "n", "c3", "c4",
+        assert set(rep.assumptions) == {"bound_used", "t", "epsilon", "K", "n", "c3",
                                         "stages_per_step", "timing", "template"}
 
 
