@@ -16,8 +16,7 @@ from .model import Boundary, CouplingTensor, EdgeTerm, LatticeKind, SpinModel, \
 from .oracle import circuit_unitary, exact_evolution, run_circuit, spectral_norm, \
     total_hamiltonian, trotter_error
 from .resources import GateTimingModel, ResourceReport, audit, report_for_plan
-from .synth import CartanCoefficients, build_trotter_circuit, kak_decompose, \
-    synth_general, synth_heisenberg
+from .synth import CartanCoefficients, build_trotter_circuit, kak_decompose, synth_edge
 from .trotter import ProductFormula, ScheduledStage, Stage, StepPlan, expand, \
     first_order, first_order_error_bound, formula_for_order, second_order, \
     steps_for_accuracy, suzuki
@@ -68,8 +67,7 @@ __all__ = [
     "spectral_norm",
     "steps_for_accuracy",
     "suzuki",
-    "synth_general",
-    "synth_heisenberg",
+    "synth_edge",
     "term_hamiltonian",
     "total_hamiltonian",
     "trotter_error",

@@ -86,7 +86,6 @@ class Gate:
     qubits: tuple[int, ...]
     angle: float | None = None
     matrix: np.ndarray | None = None
-    edge: tuple[int, int] | None = None
     tau: float | None = None
 
     def __post_init__(self):
@@ -116,11 +115,6 @@ class Gate:
             object.__setattr__(self, "matrix", m)
         elif self.matrix is not None:
             raise ValueError(f"{self.kind.value} takes no matrix")
-        if self.edge is not None:
-            if self.kind is not GateKind.UIJ:
-                raise ValueError("edge metadata is only valid on uij gates")
-            edge = (json_int(self.edge[0]), json_int(self.edge[1]))
-            object.__setattr__(self, "edge", edge)
         if self.tau is not None:
             if self.kind is not GateKind.UIJ:
                 raise ValueError("tau metadata is only valid on uij gates")
@@ -155,9 +149,9 @@ def _uij_gates(pairs, us: np.ndarray, tau: float) -> tuple[Gate, ...]:
     us.flags.writeable = False
     gates = []
     for (i, j), u in zip(pairs, us):
-        ij = (int(i), int(j))
         g = object.__new__(Gate)
-        g.__dict__.update(kind=GateKind.UIJ, qubits=ij, angle=None, matrix=u, edge=ij, tau=tau)
+        g.__dict__.update(kind=GateKind.UIJ, qubits=(int(i), int(j)), angle=None, matrix=u,
+                          tau=tau)
         gates.append(g)
     return tuple(gates)
 
@@ -232,8 +226,6 @@ def _gate_to_obj(g: Gate) -> dict:
         obj["angle"] = g.angle
     if g.matrix is not None:
         obj["matrix"] = _complex_matrix_to_lists(g.matrix)
-    if g.edge is not None:
-        obj["edge"] = list(g.edge)
     if g.tau is not None:
         obj["tau"] = g.tau
     return obj
@@ -249,13 +241,11 @@ def _gate_from_obj(obj: dict) -> Gate:
         matrix = np.array(
             [[complex(re, im) for re, im in row] for row in obj["matrix"]]
         )
-    edge = tuple(obj["edge"]) if "edge" in obj else None
     return Gate(
         kind=GateKind(obj["kind"]),
         qubits=tuple(obj["qubits"]),
         angle=obj.get("angle"),
         matrix=matrix,
-        edge=edge,
         tau=obj.get("tau"),
     )
 
@@ -263,7 +253,7 @@ def _gate_from_obj(obj: dict) -> Gate:
 def _gate_key(g: Gate) -> tuple:
     """Equal for two gates exactly when their documents are equal; floats
     enter by their bits, which tells -0.0 from 0.0."""
-    return (g.kind, g.qubits, g.edge,
+    return (g.kind, g.qubits,
             None if g.angle is None else g.angle.hex(),
             None if g.tau is None else g.tau.hex(),
             None if g.matrix is None else g.matrix.tobytes())
@@ -293,7 +283,7 @@ def circuit_to_json(circuit: Circuit) -> str:
 def circuit_from_json(text: str) -> Circuit:
     """Parse and validate a circuit document; the trust boundary for circuits.
 
-    ``n``, ``depth``, gate qubits and edges and every layer entry must be
+    ``n``, ``depth``, gate qubits and every layer entry must be
     JSON integers, and every layer a list.  Each table entry goes through
     :class:`Gate` and its full checks once, and every slot that indexes it
     shares that ``Gate``.  Each distinct layer row is range-checked and
@@ -379,16 +369,18 @@ def circuit_to_qasm3(circuit: Circuit, model_sha256: str | None = None) -> str:
     """Text export.  Parameterized std gates reproduce the stored unitaries
     exactly (including phase, via one trailing ``gphase``).  Native ``uij``
     interactions have no std-gate body; they are emitted as named calls and
-    defined in a header comment, which names the model by ``model_sha256``,
-    the hex SHA-256 of its file's bytes, when that is supplied.  Each
-    distinct layer tuple is rendered once.
+    defined in a header comment.  When ``model_sha256``, the hex SHA-256 of
+    the model file's bytes, is supplied, a header line names the model by
+    it, after the ``uij`` definition if there is one.  Each distinct layer
+    tuple is rendered once.
     """
     lines = ["OPENQASM 3.0;", 'include "stdgates.inc";']
     uses = circuit._layer_uses()
     if any(g.kind is GateKind.UIJ for layer, _ in uses.values() for g in layer):
         lines.append("// uij(tau) a, b is the target-defined interaction exp(-i tau H_ab):")
-        if model_sha256 is not None:
-            lines.append(f"// model sha256={model_sha256}")
+    if model_sha256 is not None:
+        lines.append(f"// model sha256={model_sha256}")
+    if len(lines) > 2:  # a header ends in a blank line
         lines.append("")
     lines.append(f"qubit[{circuit.n}] q;")
     lines.append("")

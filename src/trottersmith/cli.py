@@ -249,9 +249,21 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
         _parse_list(compare_orders, "--compare-orders", int)
     plans = [trotter.steps_for_accuracy(o, k_classes, n_sites, j_val, t, epsilon, profile)
              for o in orders]
-    reports = [resources.report_for_plan(p, n_sites, timing=timing, heisenberg=heisenberg,
-                                         edge_cnots=edge_cnots, profile=profile)
-               for p in plans]
+    try:
+        reports = [resources.report_for_plan(p, n_sites, timing=timing, heisenberg=heisenberg,
+                                             edge_cnots=edge_cnots, profile=profile)
+                   for p in plans]
+    except ValueError:
+        if edge_cnots is not None:
+            raise
+        # without a model the report can fail only on the n*K/2 edges it spreads
+        # evenly over the classes, and only a model gives each class its edges
+        edges = n_sites * k_classes / 2
+        why = (f"n*K/2 = {edges} is no whole number of edges" if n_sites * k_classes % 2 else
+               f"n*K/2 = {edges:.0f} does not split evenly over K={k_classes} classes that "
+               f"this schedule runs unequally often")
+        raise ValueError(f"--n {n_sites} and --classes {k_classes} give no class sizes: {why}; "
+                         "pass --model to count each class's own edges") from None
     if compare_orders is not None:
         lines = ["order,m,N,T"] + [
             f"{rep.order},{rep.m},{rep.interaction_gates},{format_float(rep.simulation_time)}"

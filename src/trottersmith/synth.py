@@ -19,6 +19,7 @@ field-free isotropic term,
 exp(-i alpha S.S), already is the core at angles (alpha, alpha, alpha), so
 it goes straight to the closed-form three-CNOT core circuit of Vatan &
 Williams, exact with its global phase and with no decomposition at all.
+:func:`synth_edge` lowers one term on its own through the builder's choice.
 
 The circuit builder lowers each distinct template input once per call:
 edges whose terms and durations give the same input share one fragment,
@@ -253,9 +254,10 @@ def _canonicalize(g, left, right, k):
         negate(1, 2)
     into_band(2)
     if k[0] > math.pi / 4.0 - 1e-12 and k[2] < -1e-15:
-        # boundary of the cell: prefer k2 >= 0 when k0 = pi/4
+        # boundary of the cell: prefer k2 >= 0 when k0 = pi/4; the negation
+        # takes k0 to -pi/4, and a quarter turn brings it back to pi/4
         negate(0, 2)
-        into_band(0)
+        shift(0, +1)
     return g, l1, l2, k, r1, r2
 
 
@@ -373,31 +375,6 @@ def _cartan_fragment(c: CartanCoefficients, a: int, b: int) -> Fragment:
     ]
 
 
-def _fragment_circuit(frag: Fragment, n: int = 2) -> Circuit:
-    return Circuit(n=n, layers=tuple(tuple(layer) for layer in frag))
-
-
-def synth_general(term: EdgeTerm, tau: float) -> Circuit:
-    """Two-qubit circuit for exp(-i tau H_ij) via the six-CNOT template.
-
-    Field shares are absorbed into the outer one-qubit unitaries by
-    decomposing the full 4x4 exponential.  Qubit 0 plays site i, qubit 1
-    site j.  All six CNOTs are emitted whenever any interaction
-    coefficient survives, even if others vanish.
-    """
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
-    u = _expm_herm(term_hamiltonian(term), -1j * tau)
-    return _fragment_circuit(synth_two_qubit(u, (0, 1)))
-
-
-def synth_heisenberg(alpha: float) -> Circuit:
-    """Two-qubit circuit for exp(-i alpha S.S) via the three-CNOT core circuit."""
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    return _fragment_circuit(_core_3cnot(alpha, alpha, alpha, 0, 1))
-
-
 # --- Trotter circuit assembly ----------------------------------------------
 
 MODES = ("decomposed", "scaled")
@@ -457,6 +434,19 @@ def _retarget(frag: Fragment, to: dict[int, int]) -> Fragment:
     return out
 
 
+def synth_edge(term: EdgeTerm, tau: float) -> Circuit:
+    """Two-qubit circuit for exp(-i tau H_ij), qubit 0 playing site i and 1 site j.
+
+    The term goes through the builder's own template choice
+    (:func:`template_cnots`), so it costs what it costs in a decomposed
+    build.  Raises ValueError unless tau is finite.
+    """
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
+    u = _expm_herm(term_hamiltonian(term), -1j * tau)
+    return Circuit(n=2, layers=_retarget(_edge_fragment({}, term, u, tau), {term.i: 0, term.j: 1}))
+
+
 def _fuse_layers(first: tuple[Gate, ...], then: tuple[Gate, ...],
                  products: dict) -> tuple[Gate, ...] | None:
     """One layer that runs ``first`` and then ``then``, or None unless both
@@ -491,8 +481,7 @@ def _fuse_gates(g: Gate, h: Gate, products: dict) -> Gate:
         m.flags.writeable = False
         products[key] = m
     fused = object.__new__(Gate)
-    fused.__dict__.update(kind=GateKind.U1Q, qubits=g.qubits, angle=None, matrix=m,
-                          edge=None, tau=None)
+    fused.__dict__.update(kind=GateKind.U1Q, qubits=g.qubits, angle=None, matrix=m, tau=None)
     return fused
 
 

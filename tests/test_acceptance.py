@@ -29,8 +29,7 @@ from trottersmith import (
     formula_for_order,
     report_for_plan,
     steps_for_accuracy,
-    synth_general,
-    synth_heisenberg,
+    synth_edge,
 )
 from trottersmith.cli import main as cli_main
 from trottersmith.coloring import validate
@@ -121,7 +120,7 @@ def test_criterion_3_synthesis_exactness():
         h_j = rng.standard_normal(3)
         tau = float(rng.uniform(0.1, 1.5) * rng.choice([-1.0, 1.0]))
         term = EdgeTerm(0, 1, CouplingTensor(jmat), h_i=h_i, h_j=h_j)
-        circ = synth_general(term, tau)
+        circ = synth_edge(term, tau)
         assert counts(circ)["cx"] == 6
         target = ref_expm(
             ref_edge_hamiltonian(0, 1, 2, jmat, h_i, h_j), -1j * tau
@@ -130,10 +129,11 @@ def test_criterion_3_synthesis_exactness():
             worst_general, dist_up_to_phase(fragment_unitary(circ.layers), target)
         )
     ss = sum(np.kron(p, p) for p in PAULIS) / 4.0
+    exchange = EdgeTerm(0, 1, CouplingTensor.heisenberg())
     worst_heis = 0.0
     for _ in range(50):
         alpha = float(rng.uniform(0.05, math.pi) * rng.choice([-1.0, 1.0]))
-        circ = synth_heisenberg(alpha)
+        circ = synth_edge(exchange, alpha)
         assert counts(circ)["cx"] == 3
         target = ref_expm(ss, -1j * alpha)
         worst_heis = max(

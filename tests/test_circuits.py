@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 
@@ -87,17 +88,15 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 2.0
 
-    def test_edge_and_tau_only_on_uij(self):
-        Gate(GateKind.UIJ, (0, 1), matrix=CX, edge=(0, 1), tau=0.5)
-        with pytest.raises(ValueError, match="edge metadata"):
-            Gate(GateKind.CX, (0, 1), edge=(0, 1))
+    def test_tau_only_on_uij(self):
+        Gate(GateKind.UIJ, (0, 1), matrix=CX, tau=0.5)
         with pytest.raises(ValueError, match="tau metadata"):
             Gate(GateKind.RZ, (0,), angle=0.1, tau=0.5)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_tau_must_be_finite(self, tau):
         with pytest.raises(ValueError, match="tau must be finite"):
-            Gate(GateKind.UIJ, (0, 1), matrix=CX, edge=(0, 1), tau=tau)
+            Gate(GateKind.UIJ, (0, 1), matrix=CX, tau=tau)
 
     def test_string_kind_coerced(self):
         assert Gate("h", (0,)).kind is GateKind.H
@@ -144,7 +143,7 @@ def test_counts_tally():
         layers=(
             (Gate(GateKind.H, (0,)), Gate(GateKind.RZ, (2,), angle=1.0)),
             (Gate(GateKind.CX, (0, 1)),),
-            (Gate(GateKind.UIJ, (1, 2), matrix=CX, edge=(1, 2), tau=0.3),),
+            (Gate(GateKind.UIJ, (1, 2), matrix=CX, tau=0.3),),
         ),
     )
     c = counts(circ)
@@ -190,7 +189,7 @@ class TestJsonRoundTrip:
             layers=(
                 (Gate(GateKind.H, (0,)), Gate(GateKind.RY, (1,), angle=0.25)),
                 (Gate(GateKind.U1Q, (2,), matrix=u),),
-                (Gate(GateKind.UIJ, (1, 3), matrix=v, edge=(1, 3), tau=0.125),),
+                (Gate(GateKind.UIJ, (1, 3), matrix=v, tau=0.125),),
                 (Gate(GateKind.CX, (3, 0)),),
             ),
         )
@@ -204,7 +203,6 @@ class TestJsonRoundTrip:
             assert a.kind is b.kind
             assert a.qubits == b.qubits
             assert a.angle == b.angle
-            assert a.edge == b.edge
             assert a.tau == b.tau
             if b.matrix is not None:
                 assert np.array_equal(a.matrix, b.matrix)
@@ -356,10 +354,10 @@ class TestJsonRoundTrip:
 
     @pytest.mark.parametrize("gate", [
         {"kind": "rz", "qubits": [0], "angle": True},
-        {"kind": "uij", "qubits": [0, 1], "edge": [0, 1], "tau": False,
+        {"kind": "uij", "qubits": [0, 1], "tau": False,
          "matrix": [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]},
         {"kind": "u1q", "qubits": [0], "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
-        {"kind": "uij", "qubits": [0, 1], "edge": [0, 1], "tau": "0",
+        {"kind": "uij", "qubits": [0, 1], "tau": "0",
          "matrix": [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]},
     ], ids=["rz-angle-bool", "uij-tau-bool", "u1q-matrix-bool", "uij-tau-string"])
     def test_booleans_and_strings_are_not_numbers(self, gate):
@@ -386,12 +384,30 @@ class TestJsonRoundTrip:
         assert np.max(np.abs(run_circuit(states, back) - run_circuit(states, built))) <= 1e-12
 
 
+    def test_documents_with_edge_keys_still_load(self):
+        # uij gate documents used to repeat their qubits as "edge", between
+        # "matrix" and "tau"; put them back and the bytes are those of the
+        # scaled chain-4 artifact as it was written then (its old golden digest)
+        model = build_lattice("chain", 4, coupling=CouplingTensor.diagonal(1.0, 0.7, 0.4),
+                              field=(0.3, 0.0, 0.5))
+        col = color_model(model)
+        text = circuit_to_json(build_trotter_circuit(
+            model, col, formula_for_order(2, col.num_classes), 2, 1.0, mode="scaled"))
+        doc = json.loads(text)
+        doc["gates"] = [{**{k: v for k, v in g.items() if k != "tau"}, "edge": g["qubits"],
+                         "tau": g["tau"]} for g in doc["gates"]]
+        old = dump_json(doc)
+        assert hashlib.sha256(old.encode()).hexdigest() == \
+            "e5c6d4cf27d5b5303daf7400a7215204ae90f2600b71f84fbab2ec3f958b6fcc"
+        assert circuit_to_json(circuit_from_json(old)) == text
+
+
 class TestStageGates:
     def test_stack_check_fails_like_a_gate(self, rng):
         good = random_unitary(4, rng)
         for bad in (1.001 * good, np.full((4, 4), np.nan, dtype=complex)):
             with pytest.raises(ValueError) as single:
-                Gate(GateKind.UIJ, (0, 1), matrix=bad, edge=(0, 1), tau=0.5)
+                Gate(GateKind.UIJ, (0, 1), matrix=bad, tau=0.5)
             with pytest.raises(ValueError) as stacked:
                 _uij_gates([(0, 1), (2, 3)], np.array([good, bad]), 0.5)
             assert str(stacked.value) == str(single.value)
@@ -465,7 +481,7 @@ class TestQasmExport:
     UIJ_DEFINITION = "// uij(tau) a, b is the target-defined interaction exp(-i tau H_ab):"
 
     def test_uij_call_and_header_comment(self):
-        gate = Gate(GateKind.UIJ, (0, 1), matrix=CX, edge=(0, 1), tau=0.25)
+        gate = Gate(GateKind.UIJ, (0, 1), matrix=CX, tau=0.25)
         circ = Circuit(n=2, layers=((gate,),))
         digest = "0123456789abcdef" * 4
         lines = circuit_to_qasm3(circ, model_sha256=digest).splitlines()
@@ -474,7 +490,7 @@ class TestQasmExport:
         assert "uij(0.25) q[0], q[1];" in lines
 
     def test_uij_without_model_skips_coupling_rows(self):
-        gate = Gate(GateKind.UIJ, (0, 1), matrix=CX, edge=(0, 1), tau=0.25)
+        gate = Gate(GateKind.UIJ, (0, 1), matrix=CX, tau=0.25)
         lines = circuit_to_qasm3(Circuit(n=2, layers=((gate,),))).splitlines()
         assert lines[2:5] == [self.UIJ_DEFINITION, "", "qubit[2] q;"]
 

@@ -9,6 +9,7 @@ import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -18,10 +19,13 @@ from trottersmith import (
     Circuit,
     Gate,
     GateKind,
+    StepPlan,
     TimeProfile,
+    audit,
     build_lattice,
     circuit_from_json,
     circuit_to_json,
+    circuit_unitary,
     color_model,
     coloring_from_json,
     counts,
@@ -29,12 +33,13 @@ from trottersmith import (
     formula_for_order,
     model_from_json,
     model_to_json,
+    report_for_plan,
     term_hamiltonian,
 )
 from trottersmith.cli import main
 from trottersmith.oracle import exact_evolution, formula_unitary, spectral_norm
 
-from conftest import ref_expm
+from conftest import class_edge_cnots, ref_expm
 
 
 def run(*args, **kwargs):
@@ -223,6 +228,27 @@ class TestSynth:
         cx_lines = [ln for ln in res.stdout.splitlines() if ln.startswith("cx ")]
         assert len(cx_lines) == 9
 
+    def test_coupling_on_a_face_of_the_kak_cell(self, tmp_path):
+        # (pi, 0.4, -0.2) for tau = 1 is the KAK core at alpha = pi with
+        # gamma < 0, which canonicalizes to gamma > 0 on that face of the cell
+        model_path, out = tmp_path / "chain2.json", tmp_path / "circ.json"
+        run("lattice", "--kind", "chain", "--dims", "2",
+            "--coupling", f"{math.pi!r},0.4,-0.2", "--out", str(model_path))
+        res = run("synth", "--model", str(model_path), "--steps", "1", "--time", "1",
+                  "--out", str(out))
+        assert res.exit_code == 0, res.output
+        model = model_from_json(model_path.read_text())
+        col = color_model(model)
+        f = formula_for_order(1, col.num_classes)
+        circ = circuit_from_json(out.read_text())
+        assert counts(circ)["cx"] == 6
+        report = report_for_plan(StepPlan(m=1, order=1, bound_used="user",
+                                          num_classes=col.num_classes, t=1.0),
+                                 model.n, edge_cnots=class_edge_cnots(model, col))
+        assert audit(report, circ) == []
+        want = formula_unitary(model, col, f, 1, 1.0)
+        assert np.max(np.abs(circuit_unitary(circ) - want)) < 1e-9
+
     def test_heisenberg_is_not_a_mode(self, chain4_file):
         res = run("synth", "--model", str(chain4_file), "--steps", "1",
                   "--time", "1.0", "--mode", "heisenberg")
@@ -286,7 +312,7 @@ class TestSynth:
         layers = [
             tuple(
                 Gate(GateKind.UIJ, e.sites, matrix=ref_expm(term_hamiltonian(e), -1j * s.tau),
-                     edge=e.sites, tau=s.tau)
+                     tau=s.tau)
                 for e in (model.edges[ei] for ei in col.classes[s.k - 1])
             )
             for s in expand(formula_for_order(4, col.num_classes), 2, 0.0)
@@ -329,17 +355,17 @@ class TestSynth:
             (False, "decomposed", "json",
              "799bcac89eb8b4de9f537941f73a40a75aa2087a750371847072f21937d16e71", None),
             (False, "decomposed", "qasm",
-             "beffb833c1afb5567f7815424499959c40cc087f8889a05838d043ffad4574f8",
+             "0465c8000df81110bae5208f14a63ad5df4d78532d24cb62bdabb791b7aa9ea6",
              "bbe3e42644239dbd4d9cf7f22bc045d68f028d6bc74c4ea305731cdc25e1d5cb"),
             (False, "scaled", "json",
-             "e5c6d4cf27d5b5303daf7400a7215204ae90f2600b71f84fbab2ec3f958b6fcc", None),
+             "37a0428afbc80a02586c397cf685f4bd1b8a105e6a25e20837104d5014265fc5", None),
             (False, "scaled", "qasm",
              "ee4324fa9d7f762cdf33ba5f6e7239b4aabe0df4a2e8a362329820d4a86cd23d",
              "9ebd9665a157636c0fa48efaeee383d9785e397c091861b9de1418744d0d71ea"),
             (True, "decomposed", "json",
              "e099c9482a5fc8a36e7a386b44a1f1113a65aa2bebba8a365b15009782a0f944", None),
             (True, "decomposed", "qasm",
-             "9e1ed531eeaa8ed7a40a45593ad8af00b565e0541034968a81e4700ebb6262bc",
+             "5ee44a441adc794edf6f57d3099ae2eac0ce445b0d1c982058e4c591bb7db38e",
              "9cc6d8955b8caa78210d071b8408f4f8521b65781ed23d87e142ed6e4fce2675"),
         ]
     ])
@@ -357,36 +383,43 @@ class TestSynth:
 
     def test_qasm_header_names_the_model_file_by_digest(self, tmp_path):
         # a 4x4 XYZ+field torus as written, and re-indented with CRLF line
-        # ends: the header holds the uij definition and the digest of the
-        # bytes on disk, and no edge or coupling rows
+        # ends: the header holds the digest of the bytes on disk, after the
+        # uij definition in scaled mode, and no edge or coupling rows
         lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
         run("lattice", "--kind", "square", "--dims", "4x4", "--boundary", "periodic",
             "--coupling", "1.0,0.7,0.4", "--field", "0.3,0,0.5", "--out", str(lf))
         doc = json.dumps(json.loads(lf.read_bytes()), indent=1)
         crlf.write_bytes(doc.replace("\n", "\r\n").encode())
-        bodies = []
-        for path in (lf, crlf):
-            out = path.with_suffix(".qasm")
-            res = run("synth", "--model", str(path), "--steps", "2", "--time", "1",
-                      "--mode", "scaled", "--emit", "qasm", "--out", str(out))
-            assert res.exit_code == 0, res.output
-            header, body = out.read_text().split("qubit[", 1)
-            assert header.splitlines()[2:] == [
-                "// uij(tau) a, b is the target-defined interaction exp(-i tau H_ab):",
-                f"// model sha256={hashlib.sha256(path.read_bytes()).hexdigest()}",
-                "",
-            ]
-            bodies.append(body)
-        assert bodies[0] == bodies[1]
+        uij = ["// uij(tau) a, b is the target-defined interaction exp(-i tau H_ab):"]
+        for mode, definition in (("scaled", uij), ("decomposed", [])):
+            bodies = []
+            for path in (lf, crlf):
+                out = path.with_suffix(f".{mode}.qasm")
+                res = run("synth", "--model", str(path), "--steps", "2", "--time", "1",
+                          "--mode", mode, "--emit", "qasm", "--out", str(out))
+                assert res.exit_code == 0, res.output
+                header, body = out.read_text().split("qubit[", 1)
+                assert header.splitlines()[2:] == definition + [
+                    f"// model sha256={hashlib.sha256(path.read_bytes()).hexdigest()}",
+                    "",
+                ]
+                bodies.append(body)
+            assert bodies[0] == bodies[1]
 
 
 class TestEstimate:
     def test_odd_site_count_with_unequal_classes_exits_two(self):
-        # n*K/2 = 5 edges cannot fill the 2 classes that order 2 runs unequally often
-        res = run("estimate", "--n", "5", "--classes", "2", "--order", "2",
-                  "--epsilon", "0.01", "--time", "1")
-        assert res.exit_code == 2, res.output
-        assert "does not split evenly over K=2" in res.stderr
+        # n*K/2 = 5 edges cannot fill the 2 classes that order 2 runs unequally
+        # often, and 7.5 edges no classes at all; the command line has no
+        # edge_cnots to pass, so the message names the options it does have
+        for k, order, why in (("2", "2", "n*K/2 = 5 does not split evenly over K=2 classes "
+                                         "that this schedule runs unequally often"),
+                              ("3", "1", "n*K/2 = 7.5 is no whole number of edges")):
+            res = run("estimate", "--n", "5", "--classes", k, "--order", order,
+                      "--epsilon", "0.01", "--time", "1")
+            assert res.exit_code == 2, res.output
+            assert res.stderr == (f"error: --n 5 and --classes {k} give no class sizes: {why}; "
+                                  "pass --model to count each class's own edges\n")
 
     def test_regular_lattice_numbers(self):
         res = run("estimate", "--n", "4", "--classes", "2", "--epsilon", "0.01",

@@ -377,7 +377,7 @@ class TestAuditScaledTime:
 
     @staticmethod
     def _retimed(g, tau):
-        return Gate(GateKind.UIJ, g.qubits, matrix=g.matrix, edge=g.edge, tau=tau)
+        return Gate(GateKind.UIJ, g.qubits, matrix=g.matrix, tau=tau)
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_one_perturbed_tau_flagged(self, sign):

@@ -15,6 +15,7 @@ from trottersmith import (
     CouplingTensor,
     StepPlan,
     EdgeTerm,
+    SpinModel,
     Gate,
     GateKind,
     TimeProfile,
@@ -31,14 +32,13 @@ from trottersmith import (
     report_for_plan,
     second_order,
     synth,
-    synth_general,
-    synth_heisenberg,
+    synth_edge,
 )
 from trottersmith.circuits import Circuit, circuit_to_json
 from trottersmith.model import CONSTANT_PROFILE, edge_hamiltonians
 from trottersmith.oracle import formula_unitary, run_circuit
 from trottersmith.synth import _core_3cnot, canonical_core_unitary, cartan_unitary, \
-    synth_two_qubit
+    synth_two_qubit, template_cnots
 from trottersmith.trotter import expand
 
 from conftest import (
@@ -67,6 +67,9 @@ def circ2_unitary(circ) -> np.ndarray:
 
 def frag_cx_count(frag) -> int:
     return sum(1 for layer in frag for g in layer if g.kind is GateKind.CX)
+
+
+EXCHANGE = EdgeTerm(0, 1, CouplingTensor.heisenberg())
 
 
 def exchange_target(alpha: float) -> np.ndarray:
@@ -102,6 +105,31 @@ class TestKakDecompose:
             assert a <= math.pi + 1e-9
             assert a >= b - 1e-9
             assert b >= abs(g) - 1e-9
+
+    @pytest.mark.parametrize("face", ["alpha-pi", "alpha-beta", "beta-minus-gamma"])
+    def test_faces_of_the_cell(self, face, rng):
+        # points on a face of the cell, gamma < 0 where the face allows it,
+        # wrapped in random locals; alpha = pi must come back with gamma >= 0
+        for _ in range(100):
+            a, b, g = np.sort(rng.uniform(0.0, math.pi, 3))[::-1] * [1.0, 1.0, -1.0]
+            if face == "alpha-pi":
+                a = math.pi
+            elif face == "alpha-beta":
+                b = a
+            else:
+                g = -b
+            locals_ = [np.kron(random_unitary(2, rng), random_unitary(2, rng)) for _ in "lr"]
+            u = locals_[0] @ canonical_core_unitary(a, b, g) @ locals_[1]
+            c = kak_decompose(u)
+            assert np.max(np.abs(cartan_unitary(c) - u)) < 1e-9
+            ca, cb, cg = c.angles
+            assert math.pi + 1e-9 >= ca >= cb - 1e-9 and cb >= abs(cg) - 1e-9
+            if ca > math.pi - 1e-9:
+                assert cg >= -1e-9
+
+    def test_alpha_pi_face_with_negative_gamma(self):
+        c = kak_decompose(canonical_core_unitary(math.pi, 0.4, -0.2))
+        assert np.allclose(c.angles, (math.pi, 0.4, 0.2), atol=1e-9)
 
     def test_deterministic(self, rng):
         u = random_unitary(4, rng)
@@ -145,7 +173,7 @@ class TestSynthGeneral:
         term = EdgeTerm(0, 1, CouplingTensor.diagonal(1.0, 1.0, 0.0))
         target = ref_expm(ref_edge_hamiltonian(0, 1, 2, term.coupling.matrix), -1j * 0.8)
         assert abs(kak_decompose(target).gamma) < 1e-9
-        circ = synth_general(term, 0.8)
+        circ = synth_edge(term, 0.8)
         assert counts(circ)["cx"] == 6
         assert op_norm(circ2_unitary(circ) - target) < 1e-9
 
@@ -160,7 +188,7 @@ class TestSynthGeneral:
             ref_edge_hamiltonian(0, 1, 2, term.coupling.matrix, term.h_i, term.h_j),
             -1j * 0.5,
         )
-        circ = synth_general(term, 0.5)
+        circ = synth_edge(term, 0.5)
         assert counts(circ)["cx"] == 0
         assert op_norm(circ2_unitary(circ) - target) < 1e-9
 
@@ -172,38 +200,70 @@ class TestSynthGeneral:
             ref_edge_hamiltonian(0, 1, 2, term.coupling.matrix, term.h_i, term.h_j),
             -1j * 1.1,
         )
-        circ = synth_general(term, 1.1)
+        circ = synth_edge(term, 1.1)
         assert counts(circ)["cx"] == 6
         assert op_norm(circ2_unitary(circ) - target) < 1e-9
 
     def test_nonfinite_tau(self):
         term = EdgeTerm(0, 1, CouplingTensor.heisenberg())
         with pytest.raises(ValueError, match="finite"):
-            synth_general(term, float("nan"))
+            synth_edge(term, float("nan"))
 
 
 class TestSynthExchange:
     def test_zero_angle_elided(self):
-        circ = synth_heisenberg(0.0)
+        circ = synth_edge(EXCHANGE, 0.0)
         assert circ.layers == ()
         assert circ.gate_count() == 0
         assert np.allclose(circ2_unitary(circ), np.eye(4), atol=1e-15)
 
     @pytest.mark.parametrize("alpha", [-2.5, -0.9, 0.3, 1.0, math.pi / 2, 2.2, math.pi])
     def test_exact_with_three_cnots(self, alpha):
-        circ = synth_heisenberg(alpha)
+        circ = synth_edge(EXCHANGE, alpha)
         assert counts(circ)["cx"] == 3
         assert op_norm(circ2_unitary(circ) - exchange_target(alpha)) < 1e-9
 
     def test_pi_gives_swap(self):
-        got = circ2_unitary(synth_heisenberg(math.pi))
+        got = circ2_unitary(synth_edge(EXCHANGE, math.pi))
         assert dist_up_to_phase(got, SWAP) < 1e-9
         # phase convention: exp(-i pi S.S) = e^{-i pi/4} SWAP
         assert op_norm(got - np.exp(-0.25j * math.pi) * SWAP) < 1e-9
 
     def test_nonfinite_alpha(self):
         with pytest.raises(ValueError, match="finite"):
-            synth_heisenberg(float("inf"))
+            synth_edge(EXCHANGE, float("inf"))
+
+
+# the four kinds of term the builder tells apart: field-free isotropic (3-CNOT
+# core), general (KAK), field only and all zero (both local)
+_EDGE_TERMS = {
+    "isotropic": EdgeTerm(0, 1, CouplingTensor.heisenberg(-0.8)),
+    "xyz-field": EdgeTerm(0, 1, CouplingTensor.diagonal(1.0, 0.7, 0.4),
+                          h_i=[0.3, 0.0, 0.5], h_j=[0.0, -0.2, 0.1]),
+    "field-only": EdgeTerm(0, 1, CouplingTensor(np.zeros((3, 3))), h_i=[0.0, 0.0, 0.9]),
+    "zero": EdgeTerm(0, 1, CouplingTensor(np.zeros((3, 3)))),
+}
+
+
+class TestSynthEdge:
+    @pytest.mark.parametrize("sites", [(0, 1), (2, 5)])
+    @pytest.mark.parametrize("tau", [0.7, -0.7, 0.0])
+    @pytest.mark.parametrize("name", list(_EDGE_TERMS))
+    def test_gates_are_the_one_edge_build(self, name, tau, sites):
+        base = _EDGE_TERMS[name]
+        term = EdgeTerm(*sites, base.coupling, h_i=base.h_i, h_j=base.h_j)
+        model = SpinModel(n=sites[1] + 1, edges=(term,))
+        built = build_trotter_circuit(model, color_model(model), first_order(1), 1, tau)
+        circ = synth_edge(term, tau)
+        assert circ.n == 2
+        moved = synth._retarget(circ.layers, {0: sites[0], 1: sites[1]})
+        assert [[gate_record(g) for g in layer] for layer in moved] == \
+            [[gate_record(g) for g in layer] for layer in built.layers]
+        # at tau = 0 every template gives an identity, which needs no CNOT
+        assert counts(circ)["cx"] == (template_cnots(term) if tau else 0)
+
+    def test_heisenberg_term_costs_its_template(self):
+        assert counts(synth_edge(EXCHANGE, 0.7))["cx"] == template_cnots(EXCHANGE) == 3
 
 
 class TestCore3Cnot:
@@ -250,7 +310,6 @@ class TestBuildTrotterCircuit:
         assert len(circ.layers[0]) == 2
         assert len(circ.layers[1]) == 1
         for g in circ.all_gates():
-            assert g.edge == g.qubits
             assert g.tau == pytest.approx(1.0)
 
     def test_square_scaled_counts(self):
@@ -306,7 +365,7 @@ class TestBuildTrotterCircuit:
         taus = [g.tau for g in circ.all_gates()]
         assert taus == pytest.approx([0.125, 0.25, 0.125, 0.25, 0.5, 0.25])
         g0 = circ.layers[0][0]
-        assert g0.edge == (0, 1)
+        assert g0.qubits == (0, 1)
         href = ref_edge_hamiltonian(0, 1, 2, np.eye(3))
         # stored matrix is the evaluated exponential of the edge term
         assert op_norm(np.asarray(g0.matrix) - ref_expm(href, -1j * g0.tau)) < 1e-12
@@ -343,7 +402,7 @@ class TestBuildTrotterCircuit:
         gates = {id(g): g for layer in circ.layers for g in layer}
         pairs, slots = edge_tau_slots(model, col, f, m, t)
         assert len(gates) == len(pairs) < slots
-        keys = {(model.edge_pairs().index(g.edge), g.tau, math.copysign(1.0, g.tau))
+        keys = {(model.edge_pairs().index(g.qubits), g.tau, math.copysign(1.0, g.tau))
                 for g in gates.values()}
         assert keys == pairs
 
@@ -376,9 +435,9 @@ class TestBuildTrotterCircuit:
         model, col, f, m, t = xyz_square44
         circ = build_trotter_circuit(model, col, f, m, t, mode="scaled")
         for g in circ.all_gates():
-            full = Gate(g.kind, g.qubits, matrix=g.matrix, edge=g.edge, tau=g.tau)
-            assert (full.kind, full.qubits, full.angle, full.edge, full.tau) == \
-                (g.kind, g.qubits, g.angle, g.edge, g.tau)
+            full = Gate(g.kind, g.qubits, matrix=g.matrix, tau=g.tau)
+            assert (full.kind, full.qubits, full.angle, full.tau) == \
+                (g.kind, g.qubits, g.angle, g.tau)
             assert full.matrix.tobytes() == g.matrix.tobytes()
             assert type(g.qubits[0]) is int and type(g.tau) is float
             with pytest.raises(ValueError):
@@ -459,8 +518,7 @@ def unfused_reference(model, coloring, formula, m, t) -> Circuit:
 def gate_record(g: Gate) -> tuple:
     """Every field of a gate; repr keeps -0.0 apart and the matrix is compared bitwise."""
     matrix = None if g.matrix is None else g.matrix.tobytes()
-    return (g.kind, g.qubits, tuple(map(type, g.qubits)), repr(g.angle), g.edge, repr(g.tau),
-            matrix)
+    return (g.kind, g.qubits, tuple(map(type, g.qubits)), repr(g.angle), repr(g.tau), matrix)
 
 
 # two field-free isotropic couplings (3-CNOT core) and two general ones (KAK);
