@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .jsonutil import dump_json, format_float, has_bool, json_document, json_int
+from .jsonutil import dump_json, format_float, has_bool, json_document, json_int, known_fields
 
 UNITARITY_TOL = 1e-12
 
@@ -280,6 +280,11 @@ def circuit_to_json(circuit: Circuit) -> str:
     return dump_json({"n": circuit.n, "depth": circuit.depth, "gates": gates, "layers": layers})
 
 
+_CIRCUIT_FIELDS = frozenset({"n", "depth", "gates", "layers"})
+# older uij documents repeat ``qubits`` as ``edge``; it is accepted and ignored
+_GATE_FIELDS = frozenset({"kind", "qubits", "angle", "matrix", "tau", "edge"})
+
+
 def circuit_from_json(text: str) -> Circuit:
     """Parse and validate a circuit document; the trust boundary for circuits.
 
@@ -291,6 +296,8 @@ def circuit_from_json(text: str) -> Circuit:
     index outside ``0 <= k < len(gates)`` is rejected.
     """
     with json_document(text, "circuit") as obj:
+        known_fields([obj], _CIRCUIT_FIELDS, "circuit document")
+        known_fields(obj["gates"], _GATE_FIELDS, "gate")
         gates = [_gate_from_obj(g) for g in obj["gates"]]
         rows = obj["layers"]
         if not set(map(type, rows)) <= {list}:

@@ -74,13 +74,6 @@ def _parse_list(text: str, option: str, convert, sep: str = ",") -> list:
         raise ValueError(f"{option} takes {convert.__name__} items, got {text!r}") from None
 
 
-def _parse_floats(text: str, want: int, what: str) -> tuple[float, ...]:
-    parts = _parse_list(text, what, float, "[,x]")
-    if len(parts) != want:
-        raise ValueError(f"{what} needs {want} comma-separated values, got {text!r}")
-    return tuple(parts)
-
-
 @click.group()
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
               help="Seed for every stochastic ingredient (norm power iteration).")
@@ -110,7 +103,11 @@ def lattice(kind, dims, boundary, coupling_spec, field_spec, out) -> None:
         coupling = model_mod.CouplingTensor.diagonal(*values)
     else:
         raise ValueError(f"--coupling needs 1 or 3 comma-separated values, got {coupling_spec!r}")
-    field = None if field_spec is None else _parse_floats(field_spec, 3, "--field")
+    field = None
+    if field_spec is not None:
+        field = tuple(_parse_list(field_spec, "--field", float, "[,x]"))
+        if len(field) != 3:
+            raise ValueError(f"--field needs 3 comma-separated values, got {field_spec!r}")
     dims = tuple(_parse_list(dims, "--dims", int, "[,x]"))
     model = model_mod.build_lattice(kind, dims, boundary, coupling, field)
     summary = f"n={model.n} edges={len(model.edges)} lattice={model.lattice.value}"

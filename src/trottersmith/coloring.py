@@ -3,16 +3,16 @@
 Edges that share no site carry commuting Hamiltonian terms, so a proper edge
 coloring splits H into K internally-commuting groups H_1..H_K that can each
 be exponentiated in a single parallel layer.  One colorer serves every model,
-built-in or custom: a bipartite bond graph gets exactly max-degree classes
-(Koenig's theorem; chain 2, even square 4, honeycomb 3), any other graph at
-most max-degree + 1 (Misra-Gries).
+built-in or custom: Koenig's step gives max-degree classes on every graph it
+completes, which includes every bipartite one (chain 2, even square 4,
+honeycomb 3); any other graph gets at most max-degree + 1 (Misra-Gries).
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
 
-from .jsonutil import dump_json, json_document, json_int
+from .jsonutil import dump_json, json_document, json_int, known_fields
 from .model import SpinModel
 
 logger = logging.getLogger(__name__)
@@ -72,53 +72,38 @@ def validate(model: SpinModel, coloring: EdgeColoring) -> None:
         )
 
 
-def _classes_from_labels(labels: dict[int, int]) -> tuple[tuple[int, ...], ...]:
-    """Group edge indices by label, dropping empty labels, preserving label order."""
-    buckets: dict[int, list[int]] = {}
-    for edge_idx in sorted(labels):
-        buckets.setdefault(labels[edge_idx], []).append(edge_idx)
-    return tuple(tuple(buckets[label]) for label in sorted(buckets))
-
-
-def _is_bipartite(n: int, pairs: list[tuple[int, int]]) -> bool:
-    """BFS 2-coloring of the sites; True iff no edge joins two same-side sites."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in pairs:
-        adj[i].append(j)
-        adj[j].append(i)
-    side = [-1] * n
-    for root in range(n):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        queue = [root]
-        for u in queue:
-            for w in adj[u]:
-                if side[w] < 0:
-                    side[w] = 1 - side[u]
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return False
-    return True
-
-
 def color_model(model: SpinModel) -> EdgeColoring:
     """Proper edge coloring of a model's bond graph by alternating-path swaps.
 
-    Bipartite graphs (open lattices, even rings and tori, honeycombs) get
-    exactly max_degree classes, as Koenig's theorem allows: each edge (u, v)
-    takes a color free at both ends, after inverting one c/d alternating path
-    from u, which by parity never reaches v.  Other graphs go through
-    Misra-Gries, which never needs more than max_degree + 1 classes.
+    Koenig's step runs first, on every graph, with max_degree colors: each
+    edge (u, v) takes a color free at both ends, after inverting one d/c
+    alternating path from u.  On a bipartite graph (open lattices, even
+    rings and tori, honeycombs) parity keeps that path from reaching v; on
+    another graph it may, and then the attempt is dropped and Misra-Gries
+    colors the graph afresh with at most max_degree + 1 classes.  So every
+    graph that Koenig's step completes gets max_degree classes.
     Deterministic: edges are processed in sorted order and free colors are
     always the smallest available.
     """
     pairs = model.edge_pairs()
-    bipartite = _is_bipartite(model.n, pairs)
-    logger.info("coloring path: %s", "bipartite" if bipartite else "misra-gries")
-    palette = model.max_degree + (0 if bipartite else 1)
+    path = "koenig"
+    color_of = _edge_colors(model.n, pairs, model.max_degree, koenig=True)
+    if color_of is None:
+        path = "misra-gries"
+        color_of = _edge_colors(model.n, pairs, model.max_degree + 1, koenig=False)
+    logger.info("coloring path: %s", path)
+    classes: dict[int, list[int]] = {}
+    for idx, pair in enumerate(pairs):
+        classes.setdefault(color_of[pair], []).append(idx)
+    return EdgeColoring(model.n, tuple(tuple(classes[c]) for c in sorted(classes)))
+
+
+def _edge_colors(n: int, pairs: list[tuple[int, int]], palette: int,
+                 koenig: bool) -> dict[tuple[int, int], int] | None:
+    """Color each pair from ``range(palette)`` by Koenig's step or by
+    Misra-Gries fans; None when a Koenig path reaches the edge's far end."""
     # vertex -> {color: neighbor}, edge (i,j) -> color
-    at: list[dict[int, int]] = [dict() for _ in range(model.n)]
+    at: list[dict[int, int]] = [dict() for _ in range(n)]
     color_of: dict[tuple[int, int], int] = {}
 
     def free(v: int) -> int:
@@ -154,40 +139,34 @@ def color_model(model: SpinModel) -> EdgeColoring:
         while cur is not None:
             chain.append((prev, cur, want))
             want = c if want == d else d
-            nxt = at[cur].get(want)
-            if nxt == prev:
-                nxt = None
-            prev, cur = cur, nxt
+            prev, cur = cur, at[cur].get(want)
         for a, b, col in chain:
             uncolor(a, b)
         for a, b, col in chain:
             set_color(a, b, d if col == c else c)
 
     for (u, v) in pairs:
-        if bipartite:
-            # fan is just [v]: free d at u by swapping the path, which by
-            # parity cannot end at v, so d stays free at v
+        if koenig:
+            # fan is just [v]: free d at u by inverting the d/c path from u,
+            # which can end at v by a c edge only off a bipartite graph
             c = free(u)
             if not is_free(v, c):
                 d = free(v)
                 invert(u, d, c)
+                if not is_free(v, d):
+                    return None
                 c = d
             set_color(u, v, c)
             continue
         # maximal fan of u starting at v: each next leaf's edge color is free
         # on the previous leaf
         fan = [v]
-        in_fan = {v}
         while True:
-            ext = None
-            for c, w in sorted(at[u].items()):
-                if w not in in_fan and is_free(fan[-1], c):
-                    ext = w
-                    break
+            ext = next((w for c, w in sorted(at[u].items())
+                        if w not in fan and is_free(fan[-1], c)), None)
             if ext is None:
                 break
             fan.append(ext)
-            in_fan.add(ext)
         c = free(u)
         d = free(fan[-1])
         if c != d:
@@ -195,10 +174,8 @@ def color_model(model: SpinModel) -> EdgeColoring:
         # w: last fan prefix vertex (post-inversion) with d free on it
         w_idx = None
         for idx, w in enumerate(fan):
-            if idx > 0:
-                ec = get_color(u, fan[idx])
-                if ec is None or not is_free(fan[idx - 1], ec):
-                    break  # fan property broken past here
+            if idx > 0 and not is_free(fan[idx - 1], get_color(u, w)):
+                break  # fan property broken past here
             if is_free(w, d):
                 w_idx = idx
         if w_idx is None:
@@ -206,15 +183,13 @@ def color_model(model: SpinModel) -> EdgeColoring:
         # rotate: shift each fan edge's color down one slot, then color (u, w)
         # with d; uncolor everything first so no color aliases two edges at u
         rot = [get_color(u, fan[idx + 1]) for idx in range(w_idx)]
-        for idx in range(w_idx + 1):
-            if get_color(u, fan[idx]) is not None:
-                uncolor(u, fan[idx])
+        for w in fan[1:w_idx + 1]:
+            uncolor(u, w)
         for idx in range(w_idx):
             set_color(u, fan[idx], rot[idx])
         set_color(u, fan[w_idx], d)
 
-    labels = {idx: color_of[pair] for idx, pair in enumerate(pairs)}
-    return EdgeColoring(model.n, _classes_from_labels(labels))
+    return color_of
 
 
 # --- JSON serialization -----------------------------------------------------
@@ -227,8 +202,12 @@ def coloring_to_json(coloring: EdgeColoring) -> str:
     })
 
 
+_COLORING_FIELDS = frozenset({"n", "K", "classes"})
+
+
 def coloring_from_json(text: str) -> EdgeColoring:
     with json_document(text, "coloring") as doc:
+        known_fields([doc], _COLORING_FIELDS, "coloring document")
         classes = tuple(tuple(json_int(e) for e in c) for c in doc["classes"])
         coloring = EdgeColoring(json_int(doc["n"]), classes)
         if doc.get("K") is not None and json_int(doc["K"]) != coloring.num_classes:

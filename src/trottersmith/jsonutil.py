@@ -7,8 +7,8 @@ and infinity with ValueError and any other type with TypeError.  The same
 document always gives the same bytes.  :func:`format_float` is the fixed
 17-significant-digit format of QASM angles and ``verify`` CSVs.  Reading
 goes through :func:`json_document`, which turns every malformed document
-into a ValueError; integer fields go through :func:`json_int` and numeric
-arrays through :func:`has_bool`.
+into a ValueError; integer fields go through :func:`json_int`, numeric
+arrays through :func:`has_bool` and field names through :func:`known_fields`.
 """
 from __future__ import annotations
 
@@ -55,6 +55,16 @@ def has_bool(rows, depth: int) -> bool:
     for _ in range(depth - 1):
         rows = chain.from_iterable(rows)
     return bool in map(type, rows)
+
+
+def known_fields(objs, fields: frozenset, what: str) -> None:
+    """Reject the first field, in any of the JSON objects ``objs``, outside
+    ``fields``: a loader reads only the fields it knows, so a misspelled one
+    would pass silently.  The common case is one set union in C."""
+    extra = set().union(*objs) - fields
+    if extra:  # a non-object among objs fails dict.keys, as malformed
+        key = next(k for keys in map(dict.keys, objs) for k in keys if k in extra)
+        raise ValueError(f"{what} has unknown field {key!r}")
 
 
 @contextmanager

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .jsonutil import dump_json, has_bool, json_document, json_int
+from .jsonutil import dump_json, has_bool, json_document, json_int, known_fields
 
 ISOTROPY_TOL = 1e-12
 
@@ -505,6 +505,9 @@ def model_to_json(model: SpinModel) -> str:
 
 
 _NO_FIELD = (0.0, 0.0, 0.0)
+_MODEL_FIELDS = frozenset({"n", "lattice", "boundary", "edges", "profile"})
+_EDGE_FIELDS = frozenset({"i", "j", "J", "hi", "hj"})
+_PROFILE_FIELDS = frozenset({"kind", "factors"})
 
 
 def model_from_json(text: str) -> SpinModel:
@@ -518,13 +521,16 @@ def model_from_json(text: str) -> SpinModel:
     every edge term gets read-only row views of the stacks.
     """
     with json_document(text, "model") as doc:
+        known_fields([doc], _MODEL_FIELDS, "model document")
         prof_doc = doc.get("profile", {"kind": "constant"})
+        known_fields([prof_doc], _PROFILE_FIELDS, "model profile")
         profile = (
             CONSTANT_PROFILE
             if prof_doc["kind"] == "constant"
             else TimeProfile("piecewise", tuple(prof_doc["factors"]))
         )
         docs = doc["edges"]
+        known_fields(docs, _EDGE_FIELDS, "model edge")
         pairs, jmat, h_i, h_j = _validated_edges(
             [(e["i"], e["j"]) for e in docs],
             [e["J"] for e in docs],

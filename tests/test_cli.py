@@ -23,11 +23,13 @@ from trottersmith import (
     TimeProfile,
     audit,
     build_lattice,
+    build_trotter_circuit,
     circuit_from_json,
     circuit_to_json,
     circuit_unitary,
     color_model,
     coloring_from_json,
+    coloring_to_json,
     counts,
     expand,
     formula_for_order,
@@ -737,6 +739,7 @@ class TestListOptions:
         ("--dims", "4,a", "--dims takes int items, got '4,a'"),
         ("--coupling", "a", "--coupling takes float items, got 'a'"),
         ("--coupling", "1,2", "--coupling needs 1 or 3 comma-separated values, got '1,2'"),
+        ("--field", "1,2", "--field needs 3 comma-separated values, got '1,2'"),
     ])
     def test_bad_item_names_the_option(self, option, value, message):
         res = run("lattice", "--kind", "chain", "--dims", "4", option, value)
@@ -842,6 +845,68 @@ class TestLoaderContract:
                       "--steps", "1", "--time", "1.0")
         assert res.exit_code == 2, res.output
         assert "expected an integer, got" in res.stderr
+
+
+    @pytest.mark.parametrize("what, edit, key", [
+        ("circuit", lambda d: d["gates"][0].update(tua=d["gates"][0].pop("tau")), "tua"),
+        ("circuit", lambda d: d.update(dpeth=d.pop("depth")), "dpeth"),
+        ("model", lambda d: d["edges"][-1].update(h_i=[5, 0, 0]), "h_i"),
+        ("model", lambda d: d.update(profle={"kind": "piecewise", "factors": [1.0]}), "profle"),
+        ("model", lambda d: d["profile"].update(factor=[1.0]), "factor"),
+        ("coloring", lambda d: d.update(k=d.pop("K")), "k"),
+    ], ids=["gate-tau", "circuit-depth", "model-edge-field", "model-profile",
+            "profile-factors", "coloring-k"])
+    def test_unknown_fields_are_rejected(self, tmp_path, chain4_file, what, edit, key):
+        # a loader reads only the fields it knows; a misspelled one used to
+        # load as if absent (a uij gate with no tau, a constant profile, ...)
+        model = model_from_json(chain4_file.read_text())
+        col = color_model(model)
+        text = {
+            "circuit": lambda: circuit_to_json(build_trotter_circuit(
+                model, col, formula_for_order(1, col.num_classes), 1, 1.0, mode="scaled")),
+            "model": lambda: chain4_file.read_text(),
+            "coloring": lambda: coloring_to_json(col),
+        }[what]()
+        doc = json.loads(text)
+        edit(doc)
+        text = json.dumps(doc)
+        loader = {"circuit": circuit_from_json, "model": model_from_json,
+                  "coloring": coloring_from_json}[what]
+        with pytest.raises(ValueError, match=f"has unknown field '{key}'"):
+            loader(text)
+        if what == "circuit":
+            return  # no command reads a circuit
+        path = tmp_path / f"{what}.json"
+        path.write_text(text)
+        if what == "model":
+            res = run("color", "--model", str(path))
+        else:
+            res = run("synth", "--model", str(chain4_file), "--coloring", str(path),
+                      "--steps", "1", "--time", "1.0")
+        assert res.exit_code == 2, res.output
+        assert f"has unknown field '{key}'" in res.stderr
+
+    @pytest.mark.parametrize("what, doc, message", [
+        ("model", {"n": 1, "edges": [{"i": 0, "j": 1, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]},
+         "model needs at least 2 sites, got n=1"),
+        ("model", {"n": 2, "edges": []}, "model has no edges"),
+        ("model", {"n": 2, "edges": [{"i": 0, "j": 1, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
+                   "profile": {"kind": "piecewise", "factors": [float("nan")]}},
+         "profile factors must be finite"),
+        ("coloring", {"n": 4, "classes": [[0, 2], [], [1]]}, "coloring contains an empty class"),
+        ("coloring", {"n": 4, "classes": [[0, 2], [1, 3]]}, "class 2 references unknown edge index 3"),
+    ], ids=["model-one-site", "model-no-edges", "model-nan-factor", "coloring-empty-class",
+            "coloring-edge-past-model"])
+    def test_out_of_range_documents_exit_two(self, tmp_path, chain4_file, what, doc, message):
+        path = tmp_path / f"{what}.json"
+        path.write_text(json.dumps(doc))  # Python's json writes and reads NaN
+        if what == "model":
+            res = run("color", "--model", str(path))
+        else:
+            res = run("synth", "--model", str(chain4_file), "--coloring", str(path),
+                      "--steps", "1", "--time", "1.0")
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: {message}\n"
 
 
 def _readme_commands() -> list[list[str]]:

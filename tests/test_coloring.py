@@ -1,10 +1,11 @@
-"""Edge colorings: lattice classes, bipartite and Misra-Gries paths, validation."""
+"""Edge colorings: lattice classes, Koenig and Misra-Gries paths, validation."""
 from __future__ import annotations
 
 import itertools
+import logging
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trottersmith import (
@@ -70,12 +71,27 @@ class TestBuiltinColorings:
 
     @pytest.mark.parametrize("rows", range(3, 13))
     def test_periodic_squares_validate(self, rows):
-        # a torus is bipartite iff both sides are even; then K = degree 4
+        # Koenig's step completes, with K = degree 4, exactly when the column
+        # count is even; the 4x3, 6x3, 6x5 and 8x5 tori are 4-colorable too
+        # but go through Misra-Gries
         for cols in range(3, 13):
             model = build_lattice("square", (rows, cols), "periodic")
             col = color_model(model)
             validate(model, col)
-            assert (col.num_classes == 4) == (rows % 2 == 0 and cols % 2 == 0), (rows, cols)
+            assert col.num_classes == (4 if cols % 2 == 0 else 5), (rows, cols)
+
+    @pytest.mark.parametrize("shape, path, k", [
+        ((3, 4), "koenig", 4),
+        ((3, 3), "misra-gries", 5),
+    ])
+    def test_logged_path_on_odd_tori(self, caplog, shape, path, k):
+        model = build_lattice("square", shape, "periodic")
+        assert not is_bipartite(model.n, model.edge_pairs())
+        with caplog.at_level(logging.INFO, logger="trottersmith.coloring"):
+            col = color_model(model)
+        assert caplog.messages == [f"coloring path: {path}"]
+        validate(model, col)
+        assert col.num_classes == k
 
     def test_custom_chain_k2(self):
         model = from_edges(6, [(i, i + 1, J1) for i in range(5)])
@@ -85,9 +101,11 @@ class TestBuiltinColorings:
 
 
 class TestColorGeneral:
-    def test_five_cycle_needs_three_colors(self):
+    def test_five_cycle_needs_three_colors(self, caplog):
         model = cycle_model(5)
-        col = color_model(model)
+        with caplog.at_level(logging.INFO, logger="trottersmith.coloring"):
+            col = color_model(model)
+        assert caplog.messages == ["coloring path: misra-gries"]
         validate(model, col)
         assert col.num_classes == 3
         # brute-force oracle: no proper 2-coloring of C5's edges exists
@@ -112,18 +130,23 @@ class TestColorGeneral:
         assert col.num_classes == 5
 
     @given(st.integers(3, 8), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_random_graphs_validate(self, n, data):
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_graphs_validate(self, caplog, n, data):
         all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         chosen = data.draw(
             st.lists(st.sampled_from(all_pairs), min_size=1, max_size=len(all_pairs),
                      unique=True)
         )
         model = from_edges(n, [(i, j, J1) for i, j in chosen])
-        col = color_model(model)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="trottersmith.coloring"):
+            col = color_model(model)
         validate(model, col)
         assert col.num_classes <= model.max_degree + 1
         if is_bipartite(n, chosen):
+            assert col.num_classes == model.max_degree
+        if caplog.messages == ["coloring path: koenig"]:
             assert col.num_classes == model.max_degree
 
 

@@ -23,6 +23,9 @@ from trottersmith import (
     model_from_json,
     model_to_json,
 )
+from trottersmith import circuits as circuits_mod
+from trottersmith import coloring as coloring_mod
+from trottersmith import model as model_mod
 from trottersmith.jsonutil import dump_json, format_float
 
 from conftest import ref_format_float
@@ -120,6 +123,24 @@ class TestArtifactFixedPoint:
         text = emit(make())
         assert emit(load(text)) == text
         assert text == dump_json(json.loads(text))
+
+
+class TestWrittenFieldsAreRead:
+    def test_each_writer_emits_the_fields_its_reader_accepts(self):
+        # loaders reject unknown fields, so a field a writer emits but its
+        # reader does not know would break the round trip; the one field read
+        # but never written is the legacy uij ``edge``
+        piecewise = json.loads(model_to_json(_chain6()))
+        constant = json.loads(model_to_json(build_lattice("chain", 4)))
+        assert set(piecewise) == set(constant) == model_mod._MODEL_FIELDS
+        assert set().union(*piecewise["edges"], *constant["edges"]) == model_mod._EDGE_FIELDS
+        assert set(piecewise["profile"]) | set(constant["profile"]) == model_mod._PROFILE_FIELDS
+        col = json.loads(coloring_to_json(color_model(_chain6())))
+        assert set(col) == coloring_mod._COLORING_FIELDS
+        docs = [json.loads(circuit_to_json(_circuit(mode))) for mode in ("decomposed", "scaled")]
+        assert all(set(doc) == circuits_mod._CIRCUIT_FIELDS for doc in docs)
+        gates = set().union(*(g for doc in docs for g in doc["gates"]))
+        assert gates == circuits_mod._GATE_FIELDS - {"edge"}
 
 
 class TestFormatFloat:

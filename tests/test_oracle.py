@@ -255,6 +255,11 @@ class TestTrotterError:
         e64 = trotter_error(heis_chain4, col, f, 64, 1.0)
         assert 1.7 <= e32 / e64 <= 2.3
 
+    def test_formula_must_match_the_coloring(self, heis_chain4):
+        col = color_model(heis_chain4)
+        with pytest.raises(ValueError, match="formula has K=3 but coloring has 2"):
+            formula_unitary(heis_chain4, col, first_order(3), 1, 1.0)
+
     def test_formula_unitary_matches_manual_product(self, heis_chain4):
         from conftest import ref_edge_hamiltonian
 
@@ -463,6 +468,10 @@ class TestStatevector:
         state[0] = 1.0
         with pytest.raises(ValueError, match="does not fit"):
             apply_gate(state, Gate(GateKind.H, (2,)))
+
+    def test_state_length_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
+            apply_gate(np.ones(3, dtype=complex), Gate(GateKind.H, (0,)))
 
     def test_empty_circuit_identity(self):
         circ = Circuit(n=2, layers=())

@@ -72,6 +72,10 @@ class TestSuzuki:
     def test_p2_value(self):
         assert suzuki_p(2) == pytest.approx(0.4144907717, abs=1e-9)
 
+    def test_p_starts_at_two(self):
+        with pytest.raises(ValueError, match="q >= 2"):
+            suzuki_p(1)
+
     def test_middle_coefficient_negative(self):
         assert 1.0 - 4.0 * suzuki_p(2) == pytest.approx(-0.6579630868, abs=1e-9)
         assert any(c < 0 for _, c in stage_tuples(suzuki(2, 2)))
@@ -122,6 +126,10 @@ class TestFormulaForOrder:
 
 
 class TestValidation:
+    def test_class_index_below_one_rejected(self):
+        with pytest.raises(ValueError, match="class index must be >= 1"):
+            Stage(0, 1.0)
+
     def test_zero_coeff_rejected(self):
         with pytest.raises(ValueError):
             Stage(1, 0.0)
@@ -294,3 +302,5 @@ class TestClassUses:
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError, match="m must be >= 1"):
             class_uses(first_order(2), 0)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            expand(first_order(2), 0, 1.0)
