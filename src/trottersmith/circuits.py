@@ -134,6 +134,17 @@ class Gate:
         return self.matrix.copy()
 
 
+def _unchecked_gate(kind: GateKind, qubits: tuple[int, ...], angle: float | None = None,
+                    matrix: np.ndarray | None = None, tau: float | None = None) -> Gate:
+    """A Gate that skips :class:`Gate`'s checks, for fields already checked:
+    a stack of matrices checked as a whole, a checked gate moved to other
+    qubits, or a checked product.  The fields must be what the checks leave:
+    a GateKind, a tuple of ints, floats and a read-only complex matrix."""
+    g = object.__new__(Gate)
+    g.__dict__.update(kind=kind, qubits=qubits, angle=angle, matrix=matrix, tau=tau)
+    return g
+
+
 def _uij_gates(pairs, us: np.ndarray, tau: float) -> tuple[Gate, ...]:
     """One uij gate per edge (i, j) with 0 <= i < j, all run for one tau.
 
@@ -147,13 +158,8 @@ def _uij_gates(pairs, us: np.ndarray, tau: float) -> tuple[Gate, ...]:
     if not math.isfinite(tau):
         raise ValueError("uij tau must be finite")
     us.flags.writeable = False
-    gates = []
-    for (i, j), u in zip(pairs, us):
-        g = object.__new__(Gate)
-        g.__dict__.update(kind=GateKind.UIJ, qubits=(int(i), int(j)), angle=None, matrix=u,
-                          tau=tau)
-        gates.append(g)
-    return tuple(gates)
+    return tuple(_unchecked_gate(GateKind.UIJ, (int(i), int(j)), matrix=u, tau=tau)
+                 for (i, j), u in zip(pairs, us))
 
 
 @dataclass(frozen=True, eq=False)

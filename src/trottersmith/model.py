@@ -522,13 +522,9 @@ def model_from_json(text: str) -> SpinModel:
     """
     with json_document(text, "model") as doc:
         known_fields([doc], _MODEL_FIELDS, "model document")
-        prof_doc = doc.get("profile", {"kind": "constant"})
-        known_fields([prof_doc], _PROFILE_FIELDS, "model profile")
-        profile = (
-            CONSTANT_PROFILE
-            if prof_doc["kind"] == "constant"
-            else TimeProfile("piecewise", tuple(prof_doc["factors"]))
-        )
+        prof = doc.get("profile", {"kind": "constant"})
+        known_fields([prof], _PROFILE_FIELDS, "model profile")
+        profile = TimeProfile(prof["kind"], prof.get("factors"))
         docs = doc["edges"]
         known_fields(docs, _EDGE_FIELDS, "model edge")
         pairs, jmat, h_i, h_j = _validated_edges(

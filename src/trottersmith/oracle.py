@@ -18,6 +18,7 @@ steps of a piecewise table commute into one exponential.
 """
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -95,9 +96,15 @@ def exact_evolution(model: SpinModel, t: float) -> np.ndarray:
 
     A profile scales all of H, so the steps of its table commute and their
     product is this one exponential: the target a piecewise circuit aims at.
+    Raises ValueError unless t is finite, and when t f overflows a float.
     """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     factors = model.profile.factors or (1.0,)
-    return expm_hermitian(total_hamiltonian(model), -1j * t * (sum(factors) / len(factors)))
+    mean = sum(factors) / len(factors)
+    if not math.isfinite(t * mean):
+        raise ValueError(f"t={t} times the mean profile factor {mean} overflows a float")
+    return expm_hermitian(total_hamiltonian(model), -1j * t * mean)
 
 
 def spectral_norm(

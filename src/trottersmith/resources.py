@@ -151,6 +151,8 @@ def report_for_plan(
     # step p runs each stage for |coeff * t f_p / m|; merging across a step
     # boundary joins stages of one sign, so it leaves sum |tau| unchanged
     abs_tau = sum(abs(stage.coeff) for stage in formula.stages) * sum(map(abs, scales)) / steps
+    if not math.isfinite(abs_tau):
+        raise ValueError(f"the sum of |tau| over the schedule overflows a float: t={plan.t}")
     sim_time = depth * timing.t_inf + timing.s * abs_tau
     assumptions = {
         "bound_used": plan.bound_used,

@@ -37,7 +37,8 @@ from itertools import chain
 
 import numpy as np
 
-from .circuits import _H, Circuit, Gate, GateKind, _check_unitary, _rotation, _uij_gates
+from .circuits import (_H, Circuit, Gate, GateKind, _check_unitary, _rotation, _uij_gates,
+                       _unchecked_gate)
 from .coloring import EdgeColoring
 from .model import PAULIS, EdgeTerm, SpinModel, edge_hamiltonians, term_hamiltonian
 from .trotter import ProductFormula, expand
@@ -423,15 +424,8 @@ def _retarget(frag: Fragment, to: dict[int, int]) -> Fragment:
     The copies skip :class:`Gate`'s checks: kind, angle and matrix were
     checked on the originals, and the new qubits are a model edge's sites.
     """
-    out = []
-    for layer in frag:
-        row = []
-        for g in layer:
-            moved = object.__new__(Gate)
-            moved.__dict__.update(g.__dict__, qubits=tuple([to[q] for q in g.qubits]))
-            row.append(moved)
-        out.append(row)
-    return out
+    return [[_unchecked_gate(g.kind, tuple([to[q] for q in g.qubits]), g.angle, g.matrix, g.tau)
+             for g in layer] for layer in frag]
 
 
 def synth_edge(term: EdgeTerm, tau: float) -> Circuit:
@@ -480,9 +474,7 @@ def _fuse_gates(g: Gate, h: Gate, products: dict) -> Gate:
         _check_unitary(m, GateKind.U1Q)
         m.flags.writeable = False
         products[key] = m
-    fused = object.__new__(Gate)
-    fused.__dict__.update(kind=GateKind.U1Q, qubits=g.qubits, angle=None, matrix=m, tau=None)
-    return fused
+    return _unchecked_gate(GateKind.U1Q, g.qubits, matrix=m)
 
 
 def build_trotter_circuit(

@@ -2,9 +2,9 @@
 
 A product formula approximates exp(-itH) for H = H_1 + .. + H_K by a sequence
 of stages, each stage exponentiating one class H_k for a signed fraction of
-the step duration t/m.  First order uses one stage per class; second order is
-the palindromic splitting with the middle stages merged; higher even orders
-come from the recursive construction
+the step duration t/m.  First order S_1 uses one stage per class; second
+order is S_2(t) = S_1(t/2) S_1^rev(t/2), the palindrome of half steps with its
+middle stages merged; higher even orders come from the recursive construction
 
     S_2q(t) = S_{2q-2}(p_q t)^2  S_{2q-2}((1 - 4 p_q) t)  S_{2q-2}(p_q t)^2,
     p_q = (4 - 4^{1/(2q-1)})^{-1},
@@ -98,14 +98,11 @@ def first_order(num_classes: int) -> ProductFormula:
 
 
 def second_order(num_classes: int) -> ProductFormula:
-    """S2: half-steps up then down, middle class merged to a full step."""
-    _check_k(num_classes)
-    if num_classes == 1:
-        return ProductFormula(order=2, num_classes=1, stages=(Stage(1, 1.0),))
-    up = [Stage(k, 0.5) for k in range(1, num_classes)]
-    down = [Stage(k, 0.5) for k in range(num_classes - 1, 0, -1)]
-    stages = tuple(up + [Stage(num_classes, 1.0)] + down)
-    return ProductFormula(order=2, num_classes=num_classes, stages=stages)
+    """S2(t) = S1(t/2) S1_rev(t/2): half steps up then down, the middle class merged."""
+    half = [(s.k, 0.5) for s in first_order(num_classes).stages]
+    stages = _merge_adjacent(half + half[::-1])
+    return ProductFormula(order=2, num_classes=num_classes,
+                          stages=tuple(Stage(k, c) for k, c in stages))
 
 
 def suzuki(q: int, num_classes: int) -> ProductFormula:
@@ -161,16 +158,23 @@ def _check_k(num_classes: int) -> None:
 
 # --- error bounds and step counts ------------------------------------------
 
-def first_order_error_bound(num_classes: int, n: int, j: float, t: float, m: int) -> float:
+def first_order_error_bound(num_classes: int, n: int, j: float, t: float, m: int,
+                            profile: TimeProfile = CONSTANT_PROFILE) -> float:
     """First-order Trotter error bound (3/16) K (K-1) t^2 n J^2 / m.
 
     Follows from summing the pairwise class commutator bound
     ||[H_k, H_l]|| <= (3/4) n J^2 over the K(K-1)/2 class pairs at second
-    order in t/m.
+    order in t/m.  Step p of a piecewise ``profile`` runs H scaled by f_p,
+    and the bound is quadratic in step length, so it gains the factor
+    sum f_p^2 / m; the table must have m entries.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return (3.0 / 16.0) * num_classes * (num_classes - 1) * t * t * n * j * j / m
+    bound = (3.0 / 16.0) * num_classes * (num_classes - 1) * t * t * n * j * j / m
+    if not profile.is_constant:
+        factors = [profile.factor(p, m) for p in range(m)]
+        bound *= sum(f * f for f in factors) / m
+    return bound
 
 
 def _ceil_guarded(x: float) -> int:
@@ -245,22 +249,22 @@ def expand(
     the time profile's factor for that step (left-endpoint sampling).
     Adjacent stages on the same class are merged across step boundaries,
     but only under a constant profile, where neighboring steps agree.
+    Raises ValueError when a duration overflows a float.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     dt = t / m
-    out: list[ScheduledStage] = []
+    stages: list[tuple[int, float]] = []
     for p in range(m):
         scale = profile.factor(p, m)
-        for s in formula.stages:
-            tau = s.coeff * dt * scale
-            if out and out[-1].k == s.k and profile.is_constant:
-                out[-1] = ScheduledStage(s.k, out[-1].tau + tau)
-            else:
-                out.append(ScheduledStage(s.k, tau))
-    return tuple(out)
+        stages += [(s.k, s.coeff * dt * scale) for s in formula.stages]
+    if profile.is_constant:
+        stages = _merge_adjacent(stages)
+    if not all(math.isfinite(tau) for _, tau in stages):
+        raise ValueError(f"a stage duration overflows a float: t={t}, m={m}")
+    return tuple(ScheduledStage(k, tau) for k, tau in stages)
 
 
 def class_uses(

@@ -121,6 +121,16 @@ class TestLattice:
         res = run("lattice", "--kind", "chain", "--dims", "4", "--coupling", "1,2")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("kind,dims,message", [
+        ("chain", "1", "chain needs n >= 2"),
+        ("square", "1x1", "square lattice needs at least 2 sites"),
+        ("hexagonal", "0x1", "honeycomb lattice needs at least 1x1 cells"),
+    ])
+    def test_too_few_sites_exits_two(self, kind, dims, message):
+        res = run("lattice", "--kind", kind, "--dims", dims)
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: {message}\n"
+
 
 class TestColor:
     def test_square_coloring(self, square44_file, tmp_path):
@@ -666,6 +676,23 @@ class TestVerify:
         res = run("verify", "--model", str(model), "--m-grid", "2,4", "--jobs", "0")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_nonfinite_time_exits_two(self, tmp_path, t):
+        model = tmp_path / "chain3.json"
+        run("lattice", "--kind", "chain", "--dims", "3", "--out", str(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run("verify", "--model", str(model), "--m-grid", "2", "--time", t)
+        assert res.exit_code == 2, res.output
+        assert res.stderr == "error: t must be finite\n"
+
+    def test_jobs_is_not_listed(self):
+        # the grid is measured serially; --jobs is still accepted, and ignored
+        res = run("verify", "--help")
+        assert res.exit_code == 0
+        assert "--m-grid" in res.stdout
+        assert "--jobs" not in res.stdout
+
 
 PIECEWISE_TABLES = [(1.0,), (1.0, 0.0), (0.5, -1.0, 0.0), (0.0, -0.4, 1.0, 2.5),
                     (0.5, 2.0, -1.0, 0.0, 1.3)]
@@ -697,6 +724,26 @@ class TestPiecewiseProfile:
             assert res.exit_code == 0, res.output
             assert f"m={len(factors)} " in res.stdout
             assert f"cx={doc['cnots']} " in res.stdout
+
+    @pytest.mark.parametrize("args", [
+        ("synth", "--steps", "1", "--time", "10"),
+        ("synth", "--steps", "1", "--time", "10", "--mode", "scaled"),
+        ("verify", "--m-grid", "1", "--time", "10"),
+        ("estimate", "--epsilon", "0.01", "--time", "10"),
+    ], ids=["synth-decomposed", "synth-scaled", "verify", "estimate"])
+    def test_overflowing_stage_durations_exit_two(self, tmp_path, args):
+        # 1e308 is a finite factor, but 10 * 1e308 is not; the duration is
+        # refused where it is formed, before numpy warns on it
+        path = tmp_path / "pw.json"
+        path.write_text(model_to_json(build_lattice(
+            "chain", 3, profile=TimeProfile("piecewise", (1e308,)))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(args[0], "--model", str(path), *args[1:])
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert "overflows a float" in res.stderr
 
 
 class TestExitCodes:
@@ -893,9 +940,16 @@ class TestLoaderContract:
         ("model", {"n": 2, "edges": [{"i": 0, "j": 1, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
                    "profile": {"kind": "piecewise", "factors": [float("nan")]}},
          "profile factors must be finite"),
+        ("model", {"n": 2, "edges": [{"i": 0, "j": 1, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
+                   "profile": {"kind": "ramp", "factors": [1.0, 2.0]}},
+         "unknown profile kind 'ramp'"),
+        ("model", {"n": 2, "edges": [{"i": 0, "j": 1, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
+                   "profile": {"kind": "constant", "factors": [1.0, 2.0]}},
+         "constant profile takes no factor table"),
         ("coloring", {"n": 4, "classes": [[0, 2], [], [1]]}, "coloring contains an empty class"),
         ("coloring", {"n": 4, "classes": [[0, 2], [1, 3]]}, "class 2 references unknown edge index 3"),
-    ], ids=["model-one-site", "model-no-edges", "model-nan-factor", "coloring-empty-class",
+    ], ids=["model-one-site", "model-no-edges", "model-nan-factor", "model-unknown-profile-kind",
+            "model-constant-profile-with-table", "coloring-empty-class",
             "coloring-edge-past-model"])
     def test_out_of_range_documents_exit_two(self, tmp_path, chain4_file, what, doc, message):
         path = tmp_path / f"{what}.json"

@@ -169,6 +169,10 @@ class TestBuildLattice:
         with pytest.raises(ValueError):
             build_lattice("hexagonal", (1, 2), "periodic")
 
+    def test_custom_kind_is_built_from_edges(self):
+        with pytest.raises(ValueError, match="built with from_edges"):
+            build_lattice("custom", 3)
+
     def test_uniform_coupling_everywhere(self):
         j = CouplingTensor.diagonal(1.0, 0.5, 0.25)
         model = build_lattice("chain", 5, coupling=j)
@@ -204,6 +208,10 @@ class TestAssignFields:
         housed = sum(float(np.sum(np.abs(e.h_i) > 0) > 0) + float(np.sum(np.abs(e.h_j) > 0) > 0)
                      for e in model.edges)
         assert housed == model.n
+
+    def test_site_fields_need_one_row_per_site(self):
+        with pytest.raises(ValueError, match=r"must have shape \(3, 3\), got \(2, 3\)"):
+            from_edges(3, [(0, 1, CouplingTensor.heisenberg())], np.zeros((2, 3)))
 
     def test_isolated_fielded_site_rejected(self):
         with pytest.raises(ValueError, match="touches no edge"):
@@ -292,6 +300,20 @@ class TestJson:
             assert np.array_equal(a.coupling.matrix, b.coupling.matrix)
             assert np.array_equal(a.h_i, b.h_i)
             assert np.array_equal(a.h_j, b.h_j)
+
+    @pytest.mark.parametrize("text", [
+        '{"n":2,"lattice":"chain","boundary":"open","edges":[{"i":0,"j":1,"J":[[1.0,0.0,0.0],'
+        '[0.0,1.0,0.0],[0.0,0.0,1.0]],"hi":[0.5,0.0,-0.25],"hj":[0.5,0.0,-0.25]}],'
+        '"profile":{"kind":"constant"}}\n',
+        '{"n":2,"lattice":"chain","boundary":"open","edges":[{"i":0,"j":1,"J":[[1.0,0.0,0.0],'
+        '[0.0,1.0,0.0],[0.0,0.0,1.0]],"hi":[0.0,0.0,0.0],"hj":[0.0,0.0,0.0]}],'
+        '"profile":{"kind":"piecewise","factors":[1.0,-0.5]}}\n',
+    ], ids=["constant", "piecewise"])
+    def test_written_documents_read_back_byte_identical(self, text):
+        # documents as model_to_json has written them, each profile kind
+        model = model_from_json(text)
+        assert model.profile.is_constant == ('"constant"' in text)
+        assert model_to_json(model) == text
 
     def test_missing_field_is_value_error(self):
         with pytest.raises(ValueError, match="missing"):

@@ -239,6 +239,10 @@ class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="expects a matrix"):
+            spectral_norm(np.ones(3))
+
 
 class TestTrotterError:
     def test_single_class_is_exact(self):

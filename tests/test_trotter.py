@@ -165,6 +165,18 @@ class TestErrorBound:
         b2 = first_order_error_bound(4, 16, 1.0, 2.0, 200)
         assert b2 == pytest.approx(b1 / 2, rel=1e-15)
 
+    def test_m_must_be_positive(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            first_order_error_bound(2, 4, 1.0, 1.0, 0)
+
+    def test_piecewise_profile_scales_by_mean_square_factor(self):
+        # step p runs H scaled by f_p, and the bound is quadratic in step length
+        profile = TimeProfile("piecewise", (1.0, 0.5))
+        bound = first_order_error_bound(2, 4, 1.0, 1.0, 2, profile)
+        assert bound == first_order_error_bound(2, 4, 1.0, 1.0, 2) * ((1.0 + 0.25) / 2)
+        with pytest.raises(ValueError, match="table has 2 entries but the plan has 3"):
+            first_order_error_bound(2, 4, 1.0, 1.0, 3, profile)
+
 
 class TestStepsForAccuracy:
     def test_first_order_worked_examples(self):
@@ -263,6 +275,12 @@ class TestExpand:
         profile = TimeProfile("piecewise", (1.0, 1.0))
         out = expand(second_order(2), 2, 1.0, profile)
         assert len(out) == 6
+
+    def test_overflowing_duration_rejected(self):
+        # every factor is finite, but 10 / 2 * 1e308 is not
+        profile = TimeProfile("piecewise", (1.0, 1e308))
+        with pytest.raises(ValueError, match="stage duration overflows a float"):
+            expand(second_order(2), 2, 10.0, profile)
 
     def test_piecewise_scales_each_step(self):
         profile = TimeProfile("piecewise", (1.0, 0.5))
