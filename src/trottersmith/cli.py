@@ -109,7 +109,7 @@ def lattice(kind, dims, boundary, coupling_spec, field_spec, out) -> None:
             raise ValueError(f"--field needs 3 comma-separated values, got {field_spec!r}")
     dims = tuple(_parse_list(dims, "--dims", int, "[,x]"))
     model = model_mod.build_lattice(kind, dims, boundary, coupling, field)
-    summary = f"n={model.n} edges={len(model.edges)} lattice={model.lattice.value}"
+    summary = f"n={model.n} edges={len(model.pairs)} lattice={model.lattice.value}"
     _write_artifact(model_mod.model_to_json(model), out, summary)
 
 

@@ -22,7 +22,7 @@ logger = logging.getLogger(__name__)
 class EdgeColoring:
     """Partition of edge indices into vertex-disjoint classes.
 
-    ``classes[k]`` holds the indices (into ``model.edges``) of class k+1;
+    ``classes[k]`` holds the indices into the model's edge stacks of class k+1;
     class labels are 1-based in schedules.  Classes are never empty.
     """
 
@@ -47,23 +47,24 @@ def validate(model: SpinModel, coloring: EdgeColoring) -> None:
     """
     if coloring.n != model.n:
         raise ValueError(f"coloring is for n={coloring.n}, model has n={model.n}")
+    pairs = model.edge_pairs()
     seen: dict[int, int] = {}
     for k, cls in enumerate(coloring.classes):
         touched: dict[int, int] = {}
         for idx in cls:
-            if not (0 <= idx < len(model.edges)):
+            if not (0 <= idx < len(pairs)):
                 raise ValueError(f"class {k + 1} references unknown edge index {idx}")
             if idx in seen:
                 raise ValueError(f"edge {idx} appears in classes {seen[idx] + 1} and {k + 1}")
             seen[idx] = k
-            for site in model.edges[idx].sites:
+            for site in pairs[idx]:
                 if site in touched:
                     raise ValueError(
                         f"class {k + 1} is not vertex-disjoint: edges {touched[site]} and "
                         f"{idx} share site {site}"
                     )
                 touched[site] = idx
-    missing = [idx for idx in range(len(model.edges)) if idx not in seen]
+    missing = [idx for idx in range(len(pairs)) if idx not in seen]
     if missing:
         raise ValueError(f"edge {missing[0]} is not covered by any class")
     if coloring.num_classes > model.max_degree + 1:

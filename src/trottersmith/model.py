@@ -11,6 +11,11 @@ where every site's local field vector has been folded whole into exactly one
 edge term incident to that site.  Folding fields into edges keeps the
 Hamiltonian strictly two-local, which is what lets an edge coloring partition
 it into internally commuting classes.
+
+A :class:`SpinModel` is its stacks: read-only (E, 2) endpoints, (E, 3, 3)
+couplings and (E, 3) field shares, checked once as wholes.  Whole-model
+code reads the stacks; ``model.edges`` gives per-edge :class:`EdgeTerm`
+views of the same rows, built on first use, for one-edge consumers.
 """
 from __future__ import annotations
 
@@ -63,21 +68,29 @@ def _readonly_stack(rows, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def _validated_edges(pairs, couplings, h_i, h_j):
-    """Check E edge terms at once; return int pairs and read-only (E, 3, 3), (E, 3), (E, 3) stacks.
+    """Check E edge terms at once; return read-only (E, 2), (E, 3, 3), (E, 3), (E, 3) stacks.
 
-    ``pairs`` holds the integer (i, j) endpoints; ``couplings``, ``h_i`` and ``h_j``
-    hold one array-like per edge, and ``couplings`` may be None when the
-    tensors are checked already.  The checks run in the order a
-    one-edge document meets them (coupling shape and finiteness,
-    0 <= i < j, then each field share), so :class:`CouplingTensor`,
-    :class:`EdgeTerm` and a stack of one raise the same message.
+    ``pairs`` holds the (i, j) endpoints, each an integer and never a bool;
+    ``couplings``, ``h_i`` and ``h_j`` hold one array-like per edge, and
+    ``couplings`` may be None when the tensors are checked already.  The
+    checks run in the order a one-edge document meets them (coupling shape
+    and finiteness, 0 <= i < j, then each field share), so
+    :class:`CouplingTensor`, :class:`EdgeTerm` and a stack of one raise the
+    same message.
     """
     jmat = None if couplings is None else _readonly_stack(couplings, (3, 3), "coupling tensor")
-    pairs = [(json_int(a), json_int(b)) for a, b in pairs]
-    for a, b in pairs:
-        if not (0 <= a < b):
-            raise ValueError(f"edge must satisfy 0 <= i < j, got ({a}, {b})")
-    return pairs, jmat, _readonly_stack(h_i, (3,), "h_i"), _readonly_stack(h_j, (3,), "h_j")
+    ij = np.array(pairs) if len(pairs) else np.empty((0, 2), dtype=np.int64)
+    if ij.dtype.kind != "i" or not isinstance(pairs, np.ndarray) and has_bool(pairs, 2):
+        # json_int names the first entry that is not an integer, as the
+        # one-edge check does; an integer beyond int64 raises OverflowError
+        ij = np.array([[json_int(a), json_int(b)] for a, b in pairs], dtype=np.int64)
+    if ij.shape[1:] != (2,):
+        raise ValueError(f"edge pairs must have shape (2,), got {ij.shape[1:]}")
+    bad = np.flatnonzero((ij[:, 0] < 0) | (ij[:, 0] >= ij[:, 1]))
+    if len(bad):
+        raise ValueError(f"edge must satisfy 0 <= i < j, got {tuple(ij[bad[0]].tolist())}")
+    ij.flags.writeable = False
+    return ij, jmat, _readonly_stack(h_i, (3,), "h_i"), _readonly_stack(h_j, (3,), "h_j")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,12 +141,10 @@ class EdgeTerm:
     h_j: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        [(i, j)], _, h_i, h_j = _validated_edges([(self.i, self.j)], None, [self.h_i], [self.h_j])
+        pairs, _, h_i, h_j = _validated_edges([(self.i, self.j)], None, [self.h_i], [self.h_j])
         _check_couplings((self.coupling,))
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "h_i", h_i[0])
-        object.__setattr__(self, "h_j", h_j[0])
+        for name, value in zip(("i", "j", "h_i", "h_j"), (*pairs[0].tolist(), h_i[0], h_j[0])):
+            object.__setattr__(self, name, value)
 
     @property
     def sites(self) -> tuple[int, int]:
@@ -144,20 +155,6 @@ def _check_couplings(couplings) -> None:
     for c in couplings:
         if not isinstance(c, CouplingTensor):
             raise TypeError(f"coupling must be a CouplingTensor, got {type(c).__name__}")
-
-
-def _edge_terms(pairs, couplings, h_i, h_j) -> tuple[EdgeTerm, ...]:
-    """EdgeTerms over stacks that :func:`_validated_edges` has checked.
-
-    Each term gets read-only row views of the stacks and skips the
-    per-edge checks, which the stacks have passed once already.
-    """
-    terms = []
-    for (i, j), c, hi, hj in zip(pairs, couplings, h_i, h_j):
-        term = object.__new__(EdgeTerm)
-        term.__dict__.update(i=i, j=j, coupling=c, h_i=hi, h_j=hj)
-        terms.append(term)
-    return tuple(terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,48 +206,68 @@ CONSTANT_PROFILE = TimeProfile()
 
 @dataclass(frozen=True, eq=False)
 class SpinModel:
-    """A spin-1/2 system as a list of edge terms on n sites."""
+    """A spin-1/2 system on n sites; row k of each stack is edge k, with
+    ``pairs[k]`` = (i, j) and 0 <= i < j < n.  The constructor takes
+    array-likes and is the one place a model is checked."""
 
     n: int
-    edges: tuple[EdgeTerm, ...]
+    pairs: np.ndarray
+    coupling: np.ndarray
+    h_i: np.ndarray
+    h_j: np.ndarray
     lattice: LatticeKind = LatticeKind.CUSTOM
     boundary: Boundary = Boundary.OPEN
     profile: TimeProfile = CONSTANT_PROFILE
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"model needs at least 2 sites, got n={self.n}")
-        object.__setattr__(self, "edges", tuple(self.edges))
-        seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            pair = (e.i, e.j)
-            if e.j >= self.n:
-                raise ValueError(f"edge ({e.i}, {e.j}) out of range for n={self.n}")
-            if pair in seen:
-                raise ValueError(f"duplicate edge ({e.i}, {e.j})")
-            seen.add(pair)
-        if not self.edges:
+        pairs, jmat, h_i, h_j = _validated_edges(self.pairs, self.coupling, self.h_i, self.h_j)
+        if not len(pairs) == len(jmat) == len(h_i) == len(h_j):
+            raise ValueError("pairs, coupling, h_i and h_j must have one row per edge")
+        n = json_int(self.n)
+        if n < 2:
+            raise ValueError(f"model needs at least 2 sites, got n={n}")
+        out = np.flatnonzero(pairs[:, 1] >= n)
+        if len(out):
+            raise ValueError(f"edge {tuple(pairs[out[0]].tolist())} out of range for n={n}")
+        _, first = np.unique(pairs, axis=0, return_index=True)
+        if len(first) < len(pairs):  # name the earliest repeat
+            k = np.setdiff1d(np.arange(len(pairs)), first)[0]
+            raise ValueError(f"duplicate edge {tuple(pairs[k].tolist())}")
+        if not len(pairs):
             raise ValueError("model has no edges")
+        for name, value in (("n", n), ("pairs", pairs), ("coupling", jmat), ("h_i", h_i),
+                            ("h_j", h_j), ("lattice", LatticeKind(self.lattice)),
+                            ("boundary", Boundary(self.boundary))):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def edges(self) -> tuple[EdgeTerm, ...]:
+        """One :class:`EdgeTerm` per row for one-edge consumers: read-only row
+        views that skip the per-edge checks, which the stacks have passed."""
+        terms = []
+        for (i, j), jmat, h_i, h_j in zip(self.pairs.tolist(), self.coupling, self.h_i, self.h_j):
+            coupling = object.__new__(CouplingTensor)
+            coupling.__dict__["matrix"] = jmat
+            term = object.__new__(EdgeTerm)
+            term.__dict__.update(i=i, j=j, coupling=coupling, h_i=h_i, h_j=h_j)
+            terms.append(term)
+        return tuple(terms)
 
     @functools.cached_property
     def j_max(self) -> float:
         """Largest per-edge interaction strength (max spectral norm of J tensors)."""
-        return max(e.coupling.norm for e in self.edges)
+        return float(np.linalg.norm(self.coupling, 2, axis=(1, 2)).max())
 
     @functools.cached_property
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for e in self.edges:
-            deg[e.i] += 1
-            deg[e.j] += 1
-        return tuple(deg)
+        return tuple(np.bincount(self.pairs.ravel(), minlength=self.n).tolist())
 
     @property
     def max_degree(self) -> int:
         return max(self.degrees)
 
     def edge_pairs(self) -> list[tuple[int, int]]:
-        return [e.sites for e in self.edges]
+        return list(map(tuple, self.pairs.tolist()))
 
 
 # constant 4x4 tables ordered (site i, site j): S^a x S^b, S^a x 1, 1 x S^a
@@ -260,21 +277,17 @@ _SPIN_I = np.array([np.kron(s, ID2) for s in _SPINS])
 _SPIN_J = np.array([np.kron(ID2, s) for s in _SPINS])
 
 
-def edge_hamiltonians(edges) -> np.ndarray:
-    """Dense 4x4 Hamiltonians of a sequence of edge terms, stacked (E, 4, 4).
+def edge_hamiltonians(coupling: np.ndarray, h_i: np.ndarray, h_j: np.ndarray) -> np.ndarray:
+    """Dense 4x4 Hamiltonians of (E, 3, 3) couplings and (E, 3) field shares, stacked (E, 4, 4).
 
     One vectorized pass adds, for a = x, y, z in turn, the J^{ab} S^a S^b
     products and then the h_i^a and h_j^a shares, so slice k depends only
-    on ``edges[k]``.  Hermitian, since every coefficient is real.
+    on row k.  Hermitian, since every coefficient is real.
     """
-    edges = tuple(edges)
-    jmat = np.array([e.coupling.matrix for e in edges]).reshape(-1, 3, 3)
-    h_i = np.array([e.h_i for e in edges]).reshape(-1, 3)
-    h_j = np.array([e.h_j for e in edges]).reshape(-1, 3)
-    h4 = np.zeros((len(edges), 4, 4), dtype=complex)
+    h4 = np.zeros((len(coupling), 4, 4), dtype=complex)
     for a in range(3):
         for b in range(3):
-            h4 += jmat[:, a, b, None, None] * _SPIN_PAIRS[a, b]
+            h4 += coupling[:, a, b, None, None] * _SPIN_PAIRS[a, b]
         h4 += h_i[:, a, None, None] * _SPIN_I[a]
         h4 += h_j[:, a, None, None] * _SPIN_J[a]
     return h4
@@ -282,7 +295,7 @@ def edge_hamiltonians(edges) -> np.ndarray:
 
 def term_hamiltonian(term: EdgeTerm) -> np.ndarray:
     """Dense 4x4 Hamiltonian of one edge term; one slice of :func:`edge_hamiltonians`."""
-    return edge_hamiltonians((term,))[0]
+    return edge_hamiltonians(term.coupling.matrix[None], term.h_i[None], term.h_j[None])[0]
 
 
 def _field_shares(n: int, pairs, site_fields) -> tuple[np.ndarray, np.ndarray]:
@@ -297,15 +310,16 @@ def _field_shares(n: int, pairs, site_fields) -> tuple[np.ndarray, np.ndarray]:
     Args:
         n: number of sites.
         pairs: sorted list of (i, j) edges with i < j.
-        site_fields: (n, 3) array of field vectors.
+        site_fields: (n, 3) array-like of field vectors, checked as a stack.
 
     Returns:
         (E, 3) stacks of the h_i and h_j shares, row k for ``pairs[k]``.
 
     Raises:
-        ValueError: if a site with a nonzero field touches no edge.
+        ValueError: on a field entry that is not a finite number, or a site
+            with a nonzero field that touches no edge.
     """
-    site_fields = np.asarray(site_fields, dtype=float)
+    site_fields = _readonly_stack(site_fields, (3,), "site field")
     if site_fields.shape != (n, 3):
         raise ValueError(f"site_fields must have shape ({n}, 3), got {site_fields.shape}")
     # first edge in which each site is the lower / the upper endpoint
@@ -397,21 +411,15 @@ def _honeycomb_pairs(lx: int, ly: int, boundary: Boundary) -> list[tuple[int, in
 
 
 def _parse_dims(kind: LatticeKind, dims) -> tuple[int, ...]:
-    if isinstance(dims, int):
-        dims = (dims,)
-    dims = tuple(int(d) for d in dims)
+    dims = (dims,) if np.ndim(dims) == 0 else tuple(dims)
+    try:
+        dims = tuple(map(json_int, dims))
+    except TypeError:
+        raise TypeError(f"{kind.value} lattice dimensions must be integers, got {dims}") from None
     want = 1 if kind is LatticeKind.CHAIN else 2
     if len(dims) != want:
         raise ValueError(f"{kind.value} lattice takes {want} dimension(s), got {dims}")
     return dims
-
-
-def _folded_edges(n: int, pairs, couplings, site_fields) -> tuple[EdgeTerm, ...]:
-    """Edge terms of sorted pairs with the site fields folded in, checked as stacks."""
-    h_i, h_j = _field_shares(n, pairs, site_fields)
-    _check_couplings(couplings)
-    pairs, _, h_i, h_j = _validated_edges(pairs, None, h_i, h_j)
-    return _edge_terms(pairs, couplings, h_i, h_j)
 
 
 def build_lattice(
@@ -451,11 +459,10 @@ def build_lattice(
         n = 2 * dims[0] * dims[1]
         pairs = _honeycomb_pairs(dims[0], dims[1], boundary)
     coupling = coupling if coupling is not None else CouplingTensor.heisenberg(1.0)
-    site_fields = np.zeros((n, 3))
-    if field is not None:
-        site_fields[:] = np.asarray(field, dtype=float)
-    edges = _folded_edges(n, pairs, [coupling] * len(pairs), site_fields)
-    return SpinModel(n=n, edges=edges, lattice=kind, boundary=boundary, profile=profile)
+    _check_couplings((coupling,))
+    h_i, h_j = _field_shares(n, pairs, np.zeros((n, 3)) if field is None else [field] * n)
+    return SpinModel(n, pairs, np.broadcast_to(coupling.matrix, (len(pairs), 3, 3)), h_i, h_j,
+                     lattice=kind, boundary=boundary, profile=profile)
 
 
 def from_edges(
@@ -472,9 +479,9 @@ def from_edges(
             raise ValueError(f"duplicate edge {pair}")
         by_pair[pair] = J
     pairs = sorted(by_pair)
-    fields = np.zeros((n, 3)) if site_fields is None else np.asarray(site_fields, dtype=float)
-    edges = _folded_edges(n, pairs, [by_pair[p] for p in pairs], fields)
-    return SpinModel(n=n, edges=edges, lattice=LatticeKind.CUSTOM, boundary=Boundary.OPEN,
+    h_i, h_j = _field_shares(n, pairs, np.zeros((n, 3)) if site_fields is None else site_fields)
+    _check_couplings(by_pair.values())
+    return SpinModel(n, pairs, np.array([by_pair[p].matrix for p in pairs]), h_i, h_j,
                      profile=profile)
 
 
@@ -482,19 +489,15 @@ def from_edges(
 
 def model_to_json(model: SpinModel) -> str:
     """Serialize a model as compact JSON; every float reads back bit for bit."""
-    edges = model.edges
-    # .tolist() yields the same Python floats as float() on each entry
-    jmat = np.array([e.coupling.matrix for e in edges]).tolist()
-    h_i = np.array([e.h_i for e in edges]).tolist()
-    h_j = np.array([e.h_j for e in edges]).tolist()
+    # .tolist() yields the same Python ints and floats as int() and float() on each entry
+    rows = zip(model.pairs.tolist(), model.coupling.tolist(), model.h_i.tolist(),
+               model.h_j.tolist())
     doc = {
         "n": model.n,
         "lattice": model.lattice.value,
         "boundary": model.boundary.value,
-        "edges": [
-            {"i": e.i, "j": e.j, "J": jmat[k], "hi": h_i[k], "hj": h_j[k]}
-            for k, e in enumerate(edges)
-        ],
+        "edges": [{"i": i, "j": j, "J": jmat, "hi": h_i, "hj": h_j}
+                  for (i, j), jmat, h_i, h_j in rows],
         "profile": (
             {"kind": "constant"}
             if model.profile.is_constant
@@ -515,10 +518,10 @@ def model_from_json(text: str) -> SpinModel:
 
     Integer fields (``n``, each edge's ``i`` and ``j``) must be JSON
     integers, and the profile's factors and every coupling and field entry
-    JSON numbers, never ``true`` or ``false``.  Each of the couplings,
-    ``hi`` and ``hj`` is read into one (E, 3, 3) or (E, 3) stack and checked
-    once as a whole, with the messages of the one-edge constructors, and
-    every edge term gets read-only row views of the stacks.
+    JSON numbers, never ``true`` or ``false``.  The endpoints, couplings,
+    ``hi`` and ``hj`` are read into one (E, 2), (E, 3, 3) or (E, 3) stack
+    each and checked once as wholes by :class:`SpinModel`, with the
+    messages of the one-edge constructors.
     """
     with json_document(text, "model") as doc:
         known_fields([doc], _MODEL_FIELDS, "model document")
@@ -527,21 +530,13 @@ def model_from_json(text: str) -> SpinModel:
         profile = TimeProfile(prof["kind"], prof.get("factors"))
         docs = doc["edges"]
         known_fields(docs, _EDGE_FIELDS, "model edge")
-        pairs, jmat, h_i, h_j = _validated_edges(
-            [(e["i"], e["j"]) for e in docs],
-            [e["J"] for e in docs],
-            [e.get("hi", _NO_FIELD) for e in docs],
-            [e.get("hj", _NO_FIELD) for e in docs],
-        )
-        couplings = []
-        for row in jmat:
-            c = object.__new__(CouplingTensor)
-            c.__dict__["matrix"] = row
-            couplings.append(c)
         return SpinModel(
-            n=json_int(doc["n"]),
-            edges=_edge_terms(pairs, couplings, h_i, h_j),
-            lattice=LatticeKind(doc.get("lattice", "custom")),
-            boundary=Boundary(doc.get("boundary", "open")),
+            n=doc["n"],
+            pairs=[(e["i"], e["j"]) for e in docs],
+            coupling=[e["J"] for e in docs],
+            h_i=[e.get("hi", _NO_FIELD) for e in docs],
+            h_j=[e.get("hj", _NO_FIELD) for e in docs],
+            lattice=doc.get("lattice", "custom"),
+            boundary=doc.get("boundary", "open"),
             profile=profile,
         )

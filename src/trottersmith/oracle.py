@@ -86,8 +86,9 @@ def total_hamiltonian(model: SpinModel) -> np.ndarray:
     _check_dense(model.n)
     eye = np.eye(2**model.n, dtype=complex)
     h = np.zeros_like(eye)
-    for term, h4 in zip(model.edges, edge_hamiltonians(model.edges)):
-        h += _apply_local(h4, (term.i, term.j), eye)
+    hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
+    for pair, h4 in zip(model.edge_pairs(), hterms):
+        h += _apply_local(h4, pair, eye)
     return h
 
 
@@ -164,8 +165,9 @@ def formula_unitary(
             f"formula has K={formula.num_classes} but coloring has {coloring.num_classes}"
         )
     _check_dense(model.n)
-    hterms = edge_hamiltonians(model.edges)
-    pairs = [[model.edges[ei].sites for ei in cls] for cls in coloring.classes]
+    hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
+    sites = model.edge_pairs()
+    pairs = [[sites[ei] for ei in cls] for cls in coloring.classes]
     terms = [hterms[list(cls)] for cls in coloring.classes]
     stage_ops: dict[tuple[int, float], np.ndarray] = {}
     u = np.eye(2**model.n, dtype=complex)

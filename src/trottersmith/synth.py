@@ -515,7 +515,7 @@ def build_trotter_circuit(
         raise ValueError(
             f"formula has K={formula.num_classes} but coloring has {coloring.num_classes}"
         )
-    hterms = edge_hamiltonians(model.edges)
+    hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
     shared: dict = {}  # decomposed fragments by template input, for this call only
     # a stage's layers are deterministic in (k, tau) and Gates are immutable;
     # the sign of a zero tau stays in the key because uij gates record it
@@ -531,8 +531,7 @@ def build_trotter_circuit(
             cls = coloring.classes[stage.k - 1]
             us = _expm_herm(hterms[list(cls)], -1j * stage.tau)
             if mode == "scaled":
-                pairs = [model.edges[ei].sites for ei in cls]
-                stage_layers[key] = [_uij_gates(pairs, us, stage.tau)]
+                stage_layers[key] = [_uij_gates(model.pairs[list(cls)].tolist(), us, stage.tau)]
             else:
                 frags = [_edge_fragment(shared, model.edges[ei], u, stage.tau)
                          for ei, u in zip(cls, us)]

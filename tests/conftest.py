@@ -163,7 +163,7 @@ def kak_inputs(model, coloring, formula, m, t) -> set[bytes]:
     from trottersmith.synth import _expm_herm, _plain_exchange
     from trottersmith.trotter import expand
 
-    hterms = edge_hamiltonians(model.edges)
+    hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
     inputs = set()
     for s in expand(formula, m, t, model.profile):
         cls = coloring.classes[s.k - 1]

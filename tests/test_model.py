@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,7 +126,9 @@ class TestEdgeHamiltonians:
     def test_stack_matches_reference_and_single_edges(self, raw, tau):
         edges = [EdgeTerm(0, 1, CouplingTensor(np.reshape(j, (3, 3))), h_i=hi, h_j=hj)
                  for j, hi, hj in raw]
-        stack = edge_hamiltonians(edges)
+        stack = edge_hamiltonians(np.array([e.coupling.matrix for e in edges]),
+                                  np.array([e.h_i for e in edges]),
+                                  np.array([e.h_j for e in edges]))
         assert stack.shape == (len(edges), 4, 4)
         us = _expm_herm(stack, -1j * tau)
         for k, e in enumerate(edges):
@@ -135,7 +138,8 @@ class TestEdgeHamiltonians:
             assert us[k].tobytes() == _expm_herm(stack[k], -1j * tau).tobytes()
 
     def test_empty_sequence(self):
-        assert edge_hamiltonians(()).shape == (0, 4, 4)
+        assert edge_hamiltonians(np.empty((0, 3, 3)), np.empty((0, 3)),
+                                 np.empty((0, 3))).shape == (0, 4, 4)
 
 
 class TestBuildLattice:
@@ -168,6 +172,19 @@ class TestBuildLattice:
             build_lattice("square", (2, 4), "periodic")
         with pytest.raises(ValueError):
             build_lattice("hexagonal", (1, 2), "periodic")
+
+    @pytest.mark.parametrize("kind, dims, shown", [
+        ("square", (3.9, 3), "(3.9, 3)"),  # used to build a 3x3 square
+        ("chain", 4.7, "(4.7,)"),  # used to fail as "not iterable"
+        ("chain", (True,), "(True,)"),
+    ])
+    def test_dims_must_be_integers(self, kind, dims, shown):
+        with pytest.raises(TypeError, match=f"dimensions must be integers, got {re.escape(shown)}"):
+            build_lattice(kind, dims)
+
+    def test_integer_dims_of_any_integer_type(self):
+        assert model_to_json(build_lattice("chain", np.int64(4))) == \
+            model_to_json(build_lattice("chain", 4))
 
     def test_custom_kind_is_built_from_edges(self):
         with pytest.raises(ValueError, match="built with from_edges"):
@@ -213,6 +230,18 @@ class TestAssignFields:
         with pytest.raises(ValueError, match=r"must have shape \(3, 3\), got \(2, 3\)"):
             from_edges(3, [(0, 1, CouplingTensor.heisenberg())], np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad, message", [
+        (True, "site field entries must be numbers, got a boolean"),
+        (math.nan, "site field entries must be finite"),
+        ("0.5", "site field entries must be numbers, got dtype"),
+    ], ids=["bool", "nan", "str"])
+    def test_site_fields_are_checked_like_loaded_fields(self, bad, message):
+        j = CouplingTensor.heisenberg()
+        with pytest.raises(ValueError, match=message):
+            from_edges(2, [(0, 1, j)], [[bad, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=message):
+            build_lattice("chain", 3, coupling=j, field=(0.0, bad, 0.0))
+
     def test_isolated_fielded_site_rejected(self):
         with pytest.raises(ValueError, match="touches no edge"):
             from_edges(
@@ -223,6 +252,22 @@ class TestAssignFields:
 
 
 class TestSpinModel:
+    def test_site_count_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            SpinModel(n=2.5, pairs=[(0, 1)], coupling=[np.eye(3)], h_i=[np.zeros(3)],
+                      h_j=[np.zeros(3)])
+
+    def test_stacks_are_stored_once_and_read_only(self):
+        model = build_lattice("chain", 4, field=(0.1, 0.0, 0.2))
+        assert model.pairs.tolist() == [[0, 1], [1, 2], [2, 3]]
+        assert model.coupling.shape == (3, 3, 3) and model.h_i.shape == model.h_j.shape == (3, 3)
+        for arr in (model.pairs, model.coupling, model.h_i, model.h_j):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        e = model.edges[1]
+        assert e.sites == (1, 2) and e.coupling.matrix.base is model.coupling
+        assert e.h_i.base is model.h_i and e.h_j.base is model.h_j
+
     def test_duplicate_edge_rejected(self):
         j = CouplingTensor.heisenberg()
         with pytest.raises(ValueError, match="duplicate"):
@@ -230,7 +275,8 @@ class TestSpinModel:
 
     def test_edge_out_of_range(self):
         with pytest.raises(ValueError):
-            SpinModel(n=2, edges=(EdgeTerm(0, 2, CouplingTensor.heisenberg()),))
+            SpinModel(n=2, pairs=[(0, 2)], coupling=[np.eye(3)], h_i=[np.zeros(3)],
+                      h_j=[np.zeros(3)])
 
     def test_j_max_tracks_largest_tensor(self):
         model = from_edges(
@@ -438,14 +484,44 @@ class TestJsonRoundTripProperty:
         model = from_edges(n, [(a, b, c) for (a, b), c in zip(pairs, tensors)], fields)
         ref_hi, ref_hj = _ref_fold(n, pairs, fields)
         for e, c, hi, hj in zip(model.edges, tensors, ref_hi, ref_hj):
-            assert e.coupling is c
+            assert e.coupling.matrix.tobytes() == c.matrix.tobytes()
             assert e.h_i.tobytes() == hi.tobytes()
             assert e.h_j.tobytes() == hj.tobytes()
         text = model_to_json(model)
         back = model_from_json(text)
         assert model_to_json(back) == text
         assert back.edge_pairs() == model.edge_pairs()
+        for name in ("pairs", "coupling", "h_i", "h_j"):
+            a, b = getattr(model, name), getattr(back, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        stack = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
+        for k, e in enumerate(model.edges):
+            assert stack[k].tobytes() == term_hamiltonian(e).tobytes()
         for a, b in zip(model.edges, back.edges):
             assert a.coupling.matrix.tobytes() == b.coupling.matrix.tobytes()
             assert a.h_i.tobytes() == b.h_i.tobytes()
             assert a.h_j.tobytes() == b.h_j.tobytes()
+
+
+def test_whole_model_paths_build_no_edge_views(monkeypatch):
+    # loading, writing, coloring, scaled synthesis and the dense oracle read
+    # the stacks; only one-edge consumers build EdgeTerm views
+    from trottersmith import build_trotter_circuit, color_model, first_order
+    from trottersmith.coloring import validate
+    from trottersmith.oracle import formula_unitary, total_hamiltonian
+
+    model = build_lattice("square", (2, 3), coupling=CouplingTensor.diagonal(1.0, -0.5, 0.25),
+                          field=(0.3, 0.0, -0.7))
+
+    def no_views(self):
+        raise AssertionError("a whole-model path built per-edge views")
+
+    monkeypatch.setattr(SpinModel, "edges", property(no_views))
+    back = model_from_json(model_to_json(model))
+    col = color_model(back)
+    validate(back, col)
+    formula = first_order(col.num_classes)
+    circ = build_trotter_circuit(back, col, formula, 2, 0.5, mode="scaled")
+    assert circ.gate_count() == 2 * len(back.pairs)
+    assert total_hamiltonian(back).shape == (64, 64)
+    assert formula_unitary(back, col, formula, 2, 0.5).shape == (64, 64)

@@ -252,7 +252,8 @@ class TestSynthEdge:
     def test_gates_are_the_one_edge_build(self, name, tau, sites):
         base = _EDGE_TERMS[name]
         term = EdgeTerm(*sites, base.coupling, h_i=base.h_i, h_j=base.h_j)
-        model = SpinModel(n=sites[1] + 1, edges=(term,))
+        model = SpinModel(n=sites[1] + 1, pairs=[sites], coupling=[term.coupling.matrix],
+                          h_i=[term.h_i], h_j=[term.h_j])
         built = build_trotter_circuit(model, color_model(model), first_order(1), 1, tau)
         circ = synth_edge(term, tau)
         assert circ.n == 2
@@ -469,7 +470,7 @@ def unfused_cartan_fragment(u: np.ndarray, qubits: tuple[int, int]) -> list[list
 def per_edge_stages(model, coloring, formula, m, t, general=synth_two_qubit):
     """Each stage's layers with no sharing: every (edge, tau) slot gets its
     own ``general(u, (i, j))`` or _core_3cnot fragment."""
-    hterms = edge_hamiltonians(model.edges)
+    hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
     for stage in expand(formula, m, t, model.profile):
         cls = coloring.classes[stage.k - 1]
         us = synth._expm_herm(hterms[list(cls)], -1j * stage.tau)
