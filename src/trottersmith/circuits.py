@@ -8,9 +8,17 @@ first.  Two gate kinds carry explicit matrices: ``u1q`` for an arbitrary
 single-qubit unitary and ``uij`` for a native two-qubit interaction
 exp(-i tau H_ij), stored evaluated so playback never re-exponentiates.
 
-The JSON document is ``{"n", "depth", "gates", "layers"}``: ``gates`` holds
-each distinct gate document once, in order of first use, and each layer is a
-list of indices into it, so size and load checks scale with distinct gates.
+The JSON document is ``{"n", "depth", "gates", "layers"}``.  ``gates`` holds
+each distinct gate once, in order of first use.  A product formula repeats a
+few gate bodies (kind, angle, matrix, tau) on many qubit tuples, so only the
+first entry with a body spells it out; a later entry with the same body is
+``{"like": k, "qubits": [...]}``, where k is that first entry's index.  Each
+layer is a list of indices into ``gates``, or, when an earlier layer has the
+same list, that earlier layer's position as a bare int.  Both back-references
+are keyed on content, so the bytes depend on the circuit and not on which
+objects it shares, and the artifact scales with distinct bodies and rows.
+Documents without ``like`` entries or int layers load as before.
+
 A schedule repeats the same layer tuples from stage to stage; validation,
 tallies, the JSON and QASM writers and the JSON loader visit each distinct
 layer once.
@@ -21,7 +29,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -80,6 +87,19 @@ def _check_unitary(ms: np.ndarray, kind: GateKind) -> None:
         raise ValueError(f"{kind.value} matrix deviates from unitary by {dev:.2e}")
 
 
+def _checked_qubits(kind: GateKind, qubits) -> tuple[int, ...]:
+    """``qubits`` as a tuple of ints, never bools, checked against ``kind``'s
+    arity, for repeats and for negative indices."""
+    qs = tuple(map(json_int, qubits))
+    if len(qs) != _ARITY[kind]:
+        raise ValueError(f"{kind.value} takes {_ARITY[kind]} qubits, got {qs}")
+    if len(set(qs)) != len(qs):
+        raise ValueError(f"repeated qubit in {kind.value} gate: {qs}")
+    if min(qs) < 0:
+        raise ValueError(f"negative qubit index in {qs}")
+    return qs
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
     kind: GateKind
@@ -90,14 +110,10 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GateKind(self.kind))
-        qs = tuple(json_int(q) for q in self.qubits)
-        object.__setattr__(self, "qubits", qs)
-        if len(qs) != _ARITY[self.kind]:
-            raise ValueError(f"{self.kind.value} takes {_ARITY[self.kind]} qubits, got {qs}")
-        if len(set(qs)) != len(qs):
-            raise ValueError(f"repeated qubit in {self.kind.value} gate: {qs}")
-        if any(q < 0 for q in qs):
-            raise ValueError(f"negative qubit index in {qs}")
+        object.__setattr__(self, "qubits", _checked_qubits(self.kind, self.qubits))
+        # float() reads True as 1.0, which the JSON loader would then refuse
+        if isinstance(self.angle, bool) or isinstance(self.tau, bool):
+            raise ValueError("gate angle, tau and matrix entries must be numbers")
         if self.kind in _ANGLE_KINDS:
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"{self.kind.value} requires a finite angle")
@@ -168,8 +184,10 @@ class Circuit:
     layers: tuple[tuple[Gate, ...], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"circuit needs at least one qubit, got n={self.n}")
+        n = json_int(self.n)
+        if n < 1:
+            raise ValueError(f"circuit needs at least one qubit, got n={n}")
+        object.__setattr__(self, "n", n)
         layers = tuple(tuple(layer) for layer in self.layers)
         object.__setattr__(self, "layers", layers)
         # layers are immutable tuples, so a repeated one needs no second check
@@ -256,65 +274,96 @@ def _gate_from_obj(obj: dict) -> Gate:
     )
 
 
-def _gate_key(g: Gate) -> tuple:
-    """Equal for two gates exactly when their documents are equal; floats
-    enter by their bits, which tells -0.0 from 0.0."""
-    return (g.kind, g.qubits,
+def _body_key(g: Gate) -> tuple:
+    """Equal for two gates exactly when their documents, qubits aside, are
+    equal; floats enter by their bits, which tells -0.0 from 0.0."""
+    return (g.kind,
             None if g.angle is None else g.angle.hex(),
             None if g.tau is None else g.tau.hex(),
             None if g.matrix is None else g.matrix.tobytes())
 
 
 def circuit_to_json(circuit: Circuit) -> str:
-    """Serialize a circuit; table entries are keyed on :func:`_gate_key`, so
-    the bytes depend on gate content and not on which ``Gate`` objects or
-    layer tuples are shared."""
+    """Serialize a circuit.  Table entries are keyed on qubits and
+    :func:`_body_key`, ``like`` references on the body alone and layer
+    references on the row of indices, so the bytes depend on gate content and
+    not on which ``Gate`` objects or layer tuples are shared."""
     gates: list[dict] = []
     by_key: dict[tuple, int] = {}
+    first_with_body: dict[tuple, int] = {}
     by_id: dict[int, int] = {}
 
     def index(g: Gate) -> int:
         k = by_id.get(id(g))
         if k is None:
-            k = by_id[id(g)] = by_key.setdefault(_gate_key(g), len(gates))
+            body = _body_key(g)
+            k = by_id[id(g)] = by_key.setdefault((g.qubits, body), len(gates))
             if k == len(gates):
-                gates.append(_gate_to_obj(g))
+                like = first_with_body.setdefault(body, k)
+                gates.append(_gate_to_obj(g) if like == k
+                             else {"like": like, "qubits": list(g.qubits)})
         return k
 
-    rows = {key: [index(g) for g in layer] for key, (layer, _) in circuit._layer_uses().items()}
-    layers = [rows[id(layer)] for layer in circuit.layers]
+    rows = {key: tuple(map(index, layer)) for key, (layer, _) in circuit._layer_uses().items()}
+    first_with_row: dict[tuple[int, ...], int] = {}
+    layers: list = []
+    for pos, layer in enumerate(circuit.layers):
+        row = rows[id(layer)]
+        first = first_with_row.setdefault(row, pos)
+        layers.append(list(row) if first == pos else first)
     return dump_json({"n": circuit.n, "depth": circuit.depth, "gates": gates, "layers": layers})
 
 
 _CIRCUIT_FIELDS = frozenset({"n", "depth", "gates", "layers"})
 # older uij documents repeat ``qubits`` as ``edge``; it is accepted and ignored
-_GATE_FIELDS = frozenset({"kind", "qubits", "angle", "matrix", "tau", "edge"})
+_GATE_FIELDS = frozenset({"kind", "qubits", "angle", "matrix", "tau", "edge", "like"})
+_LIKE_FIELDS = frozenset({"like", "qubits"})
 
 
 def circuit_from_json(text: str) -> Circuit:
     """Parse and validate a circuit document; the trust boundary for circuits.
 
-    ``n``, ``depth``, gate qubits and every layer entry must be
-    JSON integers, and every layer a list.  Each table entry goes through
-    :class:`Gate` and its full checks once, and every slot that indexes it
-    shares that ``Gate``.  Each distinct layer row is range-checked and
-    built once, and every layer that repeats it shares that tuple.  An
-    index outside ``0 <= k < len(gates)`` is rejected.
+    ``n``, ``depth``, gate qubits, ``like`` references and every layer entry
+    must be JSON integers, and every layer a list or an int.  Each full
+    table entry goes through :class:`Gate` and its full checks once, and
+    every slot that indexes it shares that ``Gate``.  A ``like`` entry must
+    name an earlier entry and carry only ``qubits``; its qubits are checked
+    as :class:`Gate` checks them, and it shares that entry's checked body.
+    Each distinct layer row is range-checked and built once, and every layer
+    that repeats it, as a list or as an int ``0 <= L < position``, shares
+    that tuple.  An index outside ``0 <= k < len(gates)`` is rejected.
     """
     with json_document(text, "circuit") as obj:
         known_fields([obj], _CIRCUIT_FIELDS, "circuit document")
         known_fields(obj["gates"], _GATE_FIELDS, "gate")
-        gates = [_gate_from_obj(g) for g in obj["gates"]]
-        rows = obj["layers"]
-        if not set(map(type, rows)) <= {list}:
-            raise ValueError("circuit layers must be lists of gate indices")
-        # one pass in C over every entry, so true, 1.0 and "1" never reach a
-        # row key; json_int then raises the loaders' message for the first one
-        if not set(map(type, chain.from_iterable(rows))) <= {int}:
-            json_int(next(k for k in chain.from_iterable(rows) if type(k) is not int))
+        gates: list[Gate] = []
+        for i, entry in enumerate(obj["gates"]):
+            if "like" not in entry:
+                gates.append(_gate_from_obj(entry))
+                continue
+            if entry.keys() != _LIKE_FIELDS:
+                raise ValueError(f"gate entry {i} is a like entry, which carries only qubits")
+            k = json_int(entry["like"])
+            if not 0 <= k < i:
+                raise ValueError(f"gate entry {i} is like entry {k}, which is not an earlier one")
+            g = gates[k]
+            gates.append(_unchecked_gate(g.kind, _checked_qubits(g.kind, entry["qubits"]),
+                                         g.angle, g.matrix, g.tau))
         built: dict[tuple[int, ...], tuple[Gate, ...]] = {}
-        layers = []
-        for row in rows:
+        layers: list[tuple[Gate, ...]] = []
+        for pos, row in enumerate(obj["layers"]):
+            if type(row) is int:
+                if not 0 <= row < pos:
+                    raise ValueError(f"layer {pos} repeats layer {row}, which is not an earlier one")
+                layers.append(layers[row])
+                continue
+            if type(row) is not list:
+                raise ValueError("circuit layers must be lists of gate indices or earlier "
+                                 "layer positions")
+            # true and 1.0 hash as 1 does, so no entry of another type may
+            # reach a row key; json_int raises the loaders' message for it
+            if not set(map(type, row)) <= {int}:
+                json_int(next(k for k in row if type(k) is not int))
             key = tuple(row)
             layer = built.get(key)
             if layer is None:
@@ -324,7 +373,7 @@ def circuit_from_json(text: str) -> Circuit:
                         f"gate index {bad[0]} out of range for a table of {len(gates)}")
                 layer = built[key] = tuple(gates[k] for k in key)
             layers.append(layer)
-        circ = Circuit(n=json_int(obj["n"]), layers=layers)
+        circ = Circuit(n=obj["n"], layers=layers)
         if "depth" in obj and json_int(obj["depth"]) != circ.depth:
             raise ValueError(f"stored depth {obj['depth']} != layer count {circ.depth}")
     return circ

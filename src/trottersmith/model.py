@@ -105,6 +105,8 @@ class CouplingTensor:
 
     @classmethod
     def heisenberg(cls, j: float = 1.0) -> "CouplingTensor":
+        if isinstance(j, bool):  # j * identity would read True as 1.0
+            raise ValueError("coupling tensor entries must be numbers, got a boolean")
         if not math.isfinite(j):
             raise ValueError(f"coupling j must be finite, got {j}")
         # j * identity keeps the -0.0 off-diagonals of a negative j
@@ -112,7 +114,8 @@ class CouplingTensor:
 
     @classmethod
     def diagonal(cls, jx: float, jy: float, jz: float) -> "CouplingTensor":
-        return cls(np.diag([jx, jy, jz]))
+        # nested lists, not np.diag, so a boolean entry meets the row check
+        return cls([[jx, 0.0, 0.0], [0.0, jy, 0.0], [0.0, 0.0, jz]])
 
     @property
     def isotropic(self) -> bool:

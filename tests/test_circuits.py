@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottersmith import (
     Circuit,
@@ -98,6 +100,15 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="tau must be finite"):
             Gate(GateKind.UIJ, (0, 1), matrix=CX, tau=tau)
 
+    @pytest.mark.parametrize("gate", [
+        lambda: Gate(GateKind.RZ, (0,), angle=True),
+        lambda: Gate(GateKind.UIJ, (0, 1), matrix=CX, tau=True),
+    ], ids=["angle", "tau"])
+    def test_boolean_scalars_rejected(self, gate):
+        # float() would store 1.0, which circuit_from_json refuses as a boolean
+        with pytest.raises(ValueError, match="angle, tau and matrix entries must be numbers"):
+            gate()
+
     def test_string_kind_coerced(self):
         assert Gate("h", (0,)).kind is GateKind.H
 
@@ -113,6 +124,11 @@ class TestCircuitValidation:
     def test_needs_a_qubit(self):
         with pytest.raises(ValueError, match="at least one qubit"):
             Circuit(n=0)
+
+    def test_qubit_count_must_be_an_integer(self):
+        # 2.5 used to be stored and written as "n":2.5, which the loader refuses
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Circuit(n=2.5)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -253,7 +269,7 @@ class TestJsonRoundTrip:
 
     def test_identical_documents_share_one_gate(self, xyz_square44):
         text = circuit_to_json(build_trotter_circuit(*xyz_square44))
-        doc = json.loads(text)
+        doc = _old_layout(json.loads(text))
         table = [json.dumps(g) for g in doc["gates"]]
         slots = [table[k] for layer in doc["layers"] for k in layer]
         back = circuit_from_json(text)
@@ -268,7 +284,7 @@ class TestJsonRoundTrip:
         assert back.layers[0][0] is not back.layers[1][0]
         doc = json.loads(circuit_to_json(back))
         assert doc["gates"] == [h]
-        assert doc["layers"] == [[0], [0]]
+        assert doc["layers"] == [[0], 0]
 
     @pytest.mark.parametrize("text", [
         "[]",
@@ -386,20 +402,172 @@ class TestJsonRoundTrip:
 
     def test_documents_with_edge_keys_still_load(self):
         # uij gate documents used to repeat their qubits as "edge", between
-        # "matrix" and "tau"; put them back and the bytes are those of the
-        # scaled chain-4 artifact as it was written then (its old golden digest)
-        model = build_lattice("chain", 4, coupling=CouplingTensor.diagonal(1.0, 0.7, 0.4),
-                              field=(0.3, 0.0, 0.5))
-        col = color_model(model)
-        text = circuit_to_json(build_trotter_circuit(
-            model, col, formula_for_order(2, col.num_classes), 2, 1.0, mode="scaled"))
-        doc = json.loads(text)
+        # "matrix" and "tau"; expand like entries and layer references and put
+        # the edge keys back, and the bytes are those of the scaled chain-4
+        # artifact as it was written then (its old golden digest)
+        text = circuit_to_json(_chain4(heisenberg=False, mode="scaled"))
+        doc = _old_layout(json.loads(text))
         doc["gates"] = [{**{k: v for k, v in g.items() if k != "tau"}, "edge": g["qubits"],
                          "tau": g["tau"]} for g in doc["gates"]]
         old = dump_json(doc)
         assert hashlib.sha256(old.encode()).hexdigest() == \
             "e5c6d4cf27d5b5303daf7400a7215204ae90f2600b71f84fbab2ec3f958b6fcc"
         assert circuit_to_json(circuit_from_json(old)) == text
+
+    # the CLI's chain-4 JSON goldens (see test_cli's test_golden_artifact_bytes)
+    # as written before like entries and layer references
+    @pytest.mark.parametrize("heisenberg, mode, digest", [
+        (False, "decomposed", "799bcac89eb8b4de9f537941f73a40a75aa2087a750371847072f21937d16e71"),
+        (False, "scaled", "37a0428afbc80a02586c397cf685f4bd1b8a105e6a25e20837104d5014265fc5"),
+        (True, "decomposed", "e099c9482a5fc8a36e7a386b44a1f1113a65aa2bebba8a365b15009782a0f944"),
+    ], ids=["decomposed", "scaled", "heisenberg-decomposed"])
+    def test_documents_without_references_still_load(self, heisenberg, mode, digest):
+        text = circuit_to_json(_chain4(heisenberg, mode))
+        old = dump_json(_old_layout(json.loads(text)))
+        assert hashlib.sha256(old.encode()).hexdigest() == digest
+        assert circuit_to_json(circuit_from_json(old)) == text
+
+
+def _chain4(heisenberg: bool, mode: str) -> Circuit:
+    """The circuit of ``synth`` on chain-4, order 2, m=2, t=1: a field-free
+    Heisenberg chain, or XYZ (1, 0.7, 0.4) with field (0.3, 0, 0.5)."""
+    model = (build_lattice("chain", 4) if heisenberg else
+             build_lattice("chain", 4, coupling=CouplingTensor.diagonal(1.0, 0.7, 0.4),
+                           field=(0.3, 0.0, 0.5)))
+    col = color_model(model)
+    return build_trotter_circuit(model, col, formula_for_order(2, col.num_classes), 2, 1.0,
+                                 mode=mode)
+
+
+def _old_layout(doc: dict) -> dict:
+    """A circuit document with every like entry written out in full and every
+    layer reference replaced by the row it names: the layout before either."""
+    gates: list[dict] = []
+    for g in doc["gates"]:
+        gates.append({**gates[g["like"]], "qubits": g["qubits"]} if "like" in g else g)
+    layers: list[list] = []
+    for row in doc["layers"]:
+        layers.append(layers[row] if type(row) is int else row)
+    return {**doc, "gates": gates, "layers": layers}
+
+
+def _bodies(draw) -> list:
+    """One gate body (kind, angle, matrix, tau) for each of six kinds, with
+    drawn angles, unitaries and tau, signed zeros included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angle = st.sampled_from([0.0, -0.0, 0.25, -1.5, math.pi])
+    return [
+        (GateKind.H, None, None, None),
+        (GateKind.CX, None, None, None),
+        (GateKind.RZ, draw(angle), None, None),
+        (GateKind.RX, draw(angle), None, None),
+        (GateKind.U1Q, None, random_unitary(2, rng), None),
+        (GateKind.UIJ, None, random_unitary(4, rng), draw(st.sampled_from([None, 0.5, -0.0]))),
+    ]
+
+
+@st.composite
+def _repetitive_circuits(draw) -> Circuit:
+    """Random circuits on up to 5 qubits whose few gate bodies recur on other
+    qubits and whose layers recur, as shared tuples and as fresh equal ones."""
+    n = draw(st.integers(2, 5))
+    bodies = draw(st.lists(st.sampled_from(_bodies(draw)), min_size=1, max_size=3))
+    distinct = []
+    for _ in range(draw(st.integers(1, 4))):
+        free, layer = list(range(n)), []
+        for kind, angle, matrix, tau in draw(st.lists(st.sampled_from(bodies), min_size=1,
+                                                      max_size=5)):
+            arity = 2 if kind in (GateKind.CX, GateKind.UIJ) else 1
+            if len(free) < arity:
+                break
+            qubits = draw(st.permutations(free))[:arity]
+            free = [q for q in free if q not in qubits]
+            layer.append(Gate(kind, tuple(qubits), angle=angle, matrix=matrix, tau=tau))
+        distinct.append(tuple(layer))
+    order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
+    fresh = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    return Circuit(n=n, layers=tuple(tuple(list(distinct[k])) if copy_it else distinct[k]
+                                     for k, copy_it in zip(order, fresh)))
+
+
+class TestReferences:
+    """Like entries and layer references: what the writer emits and what the
+    loader accepts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_repetitive_circuits())
+    def test_round_trip(self, circ):
+        text = circuit_to_json(circ)
+        back = circuit_from_json(text)
+        assert circuit_to_json(back) == text
+        assert counts(back) == counts(circ)
+        # the same circuit written without references loads to the same text
+        assert circuit_to_json(circuit_from_json(dump_json(_old_layout(json.loads(text))))) == text
+        rng = np.random.default_rng(0)
+        states = rng.standard_normal((2**circ.n, 2)) + 1j * rng.standard_normal((2**circ.n, 2))
+        assert np.max(np.abs(run_circuit(states, back) - run_circuit(states, circ))) <= 1e-12
+
+    def test_each_body_and_row_written_once(self):
+        rz = Gate(GateKind.RZ, (0,), angle=0.5)
+        layers = ((rz, Gate(GateKind.RZ, (1,), angle=0.5)), (Gate(GateKind.H, (2,)),), (rz,))
+        doc = json.loads(circuit_to_json(Circuit(n=3, layers=layers + layers)))
+        assert doc["gates"] == [{"kind": "rz", "qubits": [0], "angle": 0.5},
+                                {"like": 0, "qubits": [1]}, {"kind": "h", "qubits": [2]}]
+        assert doc["layers"] == [[0, 1], [2], [0], 0, 1, 2]
+        back = circuit_from_json(json.dumps(doc))
+        g = back.layers[0][1]
+        assert (g.kind, g.qubits, g.angle) == (GateKind.RZ, (1,), 0.5)
+        assert back.layers[3] is back.layers[0]
+
+    def test_like_entry_shares_its_body(self, rng):
+        u = random_unitary(4, rng)
+        circ = Circuit(n=4, layers=((Gate(GateKind.UIJ, (0, 1), matrix=u, tau=0.5),
+                                     Gate(GateKind.UIJ, (2, 3), matrix=u, tau=0.5)),))
+        back = circuit_from_json(circuit_to_json(circ))
+        a, b = back.layers[0]
+        assert (b.kind, b.qubits, b.tau) == (GateKind.UIJ, (2, 3), 0.5)
+        assert b.matrix is a.matrix and not b.matrix.flags.writeable
+
+    H0, H1 = {"kind": "h", "qubits": [0]}, {"kind": "h", "qubits": [1]}
+
+    @pytest.mark.parametrize("entry, match", [
+        ({"like": 1, "qubits": [1]}, "not an earlier one"),
+        ({"like": 2, "qubits": [1]}, "not an earlier one"),
+        ({"like": -1, "qubits": [1]}, "not an earlier one"),
+        ({"like": True, "qubits": [1]}, "expected an integer"),
+        ({"like": 0.0, "qubits": [1]}, "cannot be interpreted as an integer"),
+        ({"like": 0, "kind": "h", "qubits": [1]}, "carries only qubits"),
+        ({"like": 0, "qubits": [1], "matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                               [[0.0, 0.0], [1.0, 0.0]]]}, "carries only qubits"),
+        ({"like": 0}, "carries only qubits"),
+        ({"like": 0, "qubits": [1, 2]}, "takes 1 qubits"),
+        ({"like": 0, "qubits": [-1]}, "negative qubit index"),
+        ({"like": 0, "qubits": [True]}, "expected an integer"),
+    ], ids=["itself", "forward", "negative", "bool", "float", "beside-kind", "beside-matrix",
+            "no-qubits", "arity", "negative-qubit", "bool-qubit"])
+    def test_bad_like_entry_rejected(self, entry, match):
+        text = json.dumps({"n": 3, "gates": [self.H0, entry], "layers": [[0], [1]]})
+        with pytest.raises(ValueError, match=match):
+            circuit_from_json(text)
+
+    def test_repeated_qubit_in_like_entry_rejected(self):
+        cx = {"kind": "cx", "qubits": [0, 1]}
+        text = json.dumps({"n": 3, "gates": [cx, {"like": 0, "qubits": [2, 2]}],
+                           "layers": [[0], [1]]})
+        with pytest.raises(ValueError, match="repeated qubit in cx gate"):
+            circuit_from_json(text)
+
+    @pytest.mark.parametrize("rows, match", [
+        ([[0], 1], "layer 1 repeats layer 1, which is not an earlier one"),
+        ([[0], 2, [1]], "layer 1 repeats layer 2, which is not an earlier one"),
+        ([[0], -1], "layer 1 repeats layer -1, which is not an earlier one"),
+        ([[0], True], "must be lists of gate indices or earlier layer positions"),
+        ([[0], 0.0], "must be lists of gate indices or earlier layer positions"),
+    ], ids=["itself", "forward", "negative", "bool", "float"])
+    def test_bad_layer_reference_rejected(self, rows, match):
+        text = json.dumps({"n": 2, "gates": [self.H0, self.H1], "layers": rows})
+        with pytest.raises(ValueError, match=match):
+            circuit_from_json(text)
 
 
 class TestStageGates:

@@ -359,23 +359,25 @@ class TestSynth:
     # and a field-free Heisenberg chain that runs on the 3-CNOT core circuit;
     # a digest changes only through a deliberate change of an artifact.  A
     # QASM text's body, from "qubit[" down, has its own digest, so a change
-    # of the header alone shows as one
+    # of the header alone shows as one.  The JSON digests are those of the
+    # layout with like entries and layer references; test_circuits checks
+    # that the earlier layout's artifacts expand from these and still load
     @pytest.mark.parametrize("heisenberg, mode, emit, digest, body", [
         pytest.param(heisenberg, mode, emit, digest, body,
                      id=f"{'heisenberg-' if heisenberg else ''}{mode}-{emit}-{digest}")
         for heisenberg, mode, emit, digest, body in [
             (False, "decomposed", "json",
-             "799bcac89eb8b4de9f537941f73a40a75aa2087a750371847072f21937d16e71", None),
+             "ed277fd426ae700bd923f817ebe3c03978cd17d248fd2fecd42f6ec4f2d7bbf9", None),
             (False, "decomposed", "qasm",
              "0465c8000df81110bae5208f14a63ad5df4d78532d24cb62bdabb791b7aa9ea6",
              "bbe3e42644239dbd4d9cf7f22bc045d68f028d6bc74c4ea305731cdc25e1d5cb"),
             (False, "scaled", "json",
-             "37a0428afbc80a02586c397cf685f4bd1b8a105e6a25e20837104d5014265fc5", None),
+             "a44fc9bb0308517a52b05628473e33cdb3069ccfb7e0d8ec931687fc19c1cee7", None),
             (False, "scaled", "qasm",
              "ee4324fa9d7f762cdf33ba5f6e7239b4aabe0df4a2e8a362329820d4a86cd23d",
              "9ebd9665a157636c0fa48efaeee383d9785e397c091861b9de1418744d0d71ea"),
             (True, "decomposed", "json",
-             "e099c9482a5fc8a36e7a386b44a1f1113a65aa2bebba8a365b15009782a0f944", None),
+             "5d2ee6293b5aeda343db3edb40c8f357b4906df69b5bdd63d27d2503aa5277f4", None),
             (True, "decomposed", "qasm",
              "5ee44a441adc794edf6f57d3099ae2eac0ce445b0d1c982058e4c591bb7db38e",
              "9cc6d8955b8caa78210d071b8408f4f8521b65781ed23d87e142ed6e4fce2675"),

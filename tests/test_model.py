@@ -45,6 +45,27 @@ class TestCouplingTensor:
         j = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert CouplingTensor(j).norm == pytest.approx(op_norm(j))
 
+    @pytest.mark.parametrize("make", [
+        lambda: CouplingTensor.diagonal(True, 1.0, 1.0),
+        lambda: CouplingTensor.diagonal(True, False, True),
+        lambda: CouplingTensor.diagonal(1.0, 1.0, False),
+        lambda: CouplingTensor.heisenberg(True),
+        lambda: CouplingTensor([[True, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ], ids=["diagonal-one", "diagonal-all", "diagonal-last", "heisenberg", "nested-list"])
+    def test_booleans_are_not_couplings(self, make):
+        # True used to read as 1.0 through np.diag and j * identity
+        with pytest.raises(ValueError, match="coupling tensor entries must be numbers, "
+                                             "got a boolean"):
+            make()
+
+    def test_negative_heisenberg_keeps_signed_zeros(self):
+        # model JSON prints the off-diagonals, so their signs are in the bytes
+        j = CouplingTensor.heisenberg(-1.5).matrix
+        off = j[~np.eye(3, dtype=bool)]
+        assert np.all(off == 0.0) and np.all(np.signbit(off))
+        text = model_to_json(from_edges(2, [(0, 1, CouplingTensor.heisenberg(-1.5))]))
+        assert '"J":[[-1.5,-0.0,-0.0],[-0.0,-1.5,-0.0],[-0.0,-0.0,-1.5]]' in text
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             CouplingTensor(np.eye(2))
