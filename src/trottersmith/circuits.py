@@ -33,7 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .jsonutil import dump_json, format_float, has_bool, json_document, json_int, known_fields
+from .jsonutil import (dump_json, format_float, json_document, json_int, json_real, known_fields,
+                       real_stack)
 
 UNITARITY_TOL = 1e-12
 
@@ -82,7 +83,8 @@ def _check_unitary(ms: np.ndarray, kind: GateKind) -> None:
     largest entry of |M^dagger M - 1| over the stack, and NaN fails too.
     """
     dim = ms.shape[-1]
-    dev = float(np.max(np.abs(np.swapaxes(ms.conj(), -1, -2) @ ms - np.eye(dim))))
+    with np.errstate(all="ignore"):  # an infinite or huge entry deviates by inf or nan
+        dev = float(np.max(np.abs(np.swapaxes(ms.conj(), -1, -2) @ ms - np.eye(dim))))
     if not dev <= UNITARITY_TOL:
         raise ValueError(f"{kind.value} matrix deviates from unitary by {dev:.2e}")
 
@@ -111,22 +113,19 @@ class Gate:
     def __post_init__(self):
         object.__setattr__(self, "kind", GateKind(self.kind))
         object.__setattr__(self, "qubits", _checked_qubits(self.kind, self.qubits))
-        # float() reads True as 1.0, which the JSON loader would then refuse
-        if isinstance(self.angle, bool) or isinstance(self.tau, bool):
-            raise ValueError("gate angle, tau and matrix entries must be numbers")
         if self.kind in _ANGLE_KINDS:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind.value} requires a finite angle")
-            object.__setattr__(self, "angle", float(self.angle))
+            object.__setattr__(self, "angle", json_real(self.angle, f"{self.kind.value} angle"))
         elif self.angle is not None:
             raise ValueError(f"{self.kind.value} takes no angle")
         if self.kind in (GateKind.U1Q, GateKind.UIJ):
             dim = 2 if self.kind is GateKind.U1Q else 4
-            m = np.asarray(self.matrix, dtype=complex)
+            m = np.asarray(self.matrix)
+            if m.dtype.kind != "c":  # real entries, or Python rows of them
+                m = real_stack([self.matrix], m.shape, "gate matrix entries", finite=False)[0]
+            m = m.astype(complex)  # a copy the gate owns
             if m.shape != (dim, dim):
                 raise ValueError(f"{self.kind.value} matrix must be {dim}x{dim}, got {m.shape}")
             _check_unitary(m, self.kind)
-            m = m.copy()
             m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
         elif self.matrix is not None:
@@ -134,10 +133,7 @@ class Gate:
         if self.tau is not None:
             if self.kind is not GateKind.UIJ:
                 raise ValueError("tau metadata is only valid on uij gates")
-            tau = float(self.tau)
-            if not math.isfinite(tau):
-                raise ValueError("uij tau must be finite")
-            object.__setattr__(self, "tau", tau)
+            object.__setattr__(self, "tau", json_real(self.tau, "uij tau"))
 
     def unitary(self) -> np.ndarray:
         """The gate's matrix on its own qubits, first-listed qubit leftmost."""
@@ -170,9 +166,7 @@ def _uij_gates(pairs, us: np.ndarray, tau: float) -> tuple[Gate, ...]:
     """
     us = np.array(us, dtype=complex)
     _check_unitary(us, GateKind.UIJ)
-    tau = float(tau)
-    if not math.isfinite(tau):
-        raise ValueError("uij tau must be finite")
+    tau = json_real(tau, "uij tau")
     us.flags.writeable = False
     return tuple(_unchecked_gate(GateKind.UIJ, (int(i), int(j)), matrix=u, tau=tau)
                  for (i, j), u in zip(pairs, us))
@@ -240,31 +234,22 @@ def counts(circuit: Circuit) -> dict:
 
 # --- JSON ------------------------------------------------------------------
 
-def _complex_matrix_to_lists(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 def _gate_to_obj(g: Gate) -> dict:
     obj: dict = {"kind": g.kind.value, "qubits": list(g.qubits)}
     if g.angle is not None:
         obj["angle"] = g.angle
     if g.matrix is not None:
-        obj["matrix"] = _complex_matrix_to_lists(g.matrix)
+        obj["matrix"] = np.stack([g.matrix.real, g.matrix.imag], -1).tolist()
     if g.tau is not None:
         obj["tau"] = g.tau
     return obj
 
 
 def _gate_from_obj(obj: dict) -> Gate:
-    # float() reads "0.5" as 0.5, and float() and complex() read true/false as 1/0
-    scalars = {type(obj.get("angle")), type(obj.get("tau"))}
-    if not scalars <= {int, float, type(None)} or has_bool(obj.get("matrix", ()), 3):
-        raise ValueError("gate angle, tau and matrix entries must be numbers")
-    matrix = None
-    if "matrix" in obj:
-        matrix = np.array(
-            [[complex(re, im) for re, im in row] for row in obj["matrix"]]
-        )
+    matrix = obj.get("matrix")
+    if "matrix" in obj:  # [re, im] pairs; a complex view keeps a -0.0 that re + 1j * im loses
+        matrix = real_stack(matrix, (len(matrix), 2), "gate matrix entries", finite=False)
+        matrix = matrix.view(complex)[..., 0]
     return Gate(
         kind=GateKind(obj["kind"]),
         qubits=tuple(obj["qubits"]),
@@ -360,11 +345,8 @@ def circuit_from_json(text: str) -> Circuit:
             if type(row) is not list:
                 raise ValueError("circuit layers must be lists of gate indices or earlier "
                                  "layer positions")
-            # true and 1.0 hash as 1 does, so no entry of another type may
-            # reach a row key; json_int raises the loaders' message for it
-            if not set(map(type, row)) <= {int}:
-                json_int(next(k for k in row if type(k) is not int))
-            key = tuple(row)
+            # true and 1.0 would hash as 1 does; json_int refuses them
+            key = tuple(row) if set(map(type, row)) <= {int} else tuple(map(json_int, row))
             layer = built.get(key)
             if layer is None:
                 bad = [k for k in key if not 0 <= k < len(gates)]

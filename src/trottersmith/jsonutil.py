@@ -1,4 +1,4 @@
-"""JSON artifacts: compact, lossless and deterministic.
+"""JSON artifacts, and the one definition of a number taken from outside.
 
 :func:`dump_json` is the standard library's C encoder with no whitespace.
 It prints each float as its shortest ``repr``, which reads back to the same
@@ -7,15 +7,22 @@ and infinity with ValueError and any other type with TypeError.  The same
 document always gives the same bytes.  :func:`format_float` is the fixed
 17-significant-digit format of QASM angles and ``verify`` CSVs.  Reading
 goes through :func:`json_document`, which turns every malformed document
-into a ValueError; integer fields go through :func:`json_int`, numeric
-arrays through :func:`has_bool` and field names through :func:`known_fields`.
+into a ValueError, and field names through :func:`known_fields`.  Every number
+read or given goes through :func:`json_int`, :func:`json_real`, :func:`int_stack` or
+:func:`real_stack`, which never take a bool, ``np.bool_`` or string for one.
 """
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import operator
 from contextlib import contextmanager
 from itertools import chain
+
+import numpy as np
+
+_BOOLS = frozenset({bool, np.bool_})  # neither can be subclassed
 
 
 def format_float(x: float) -> str:
@@ -33,28 +40,69 @@ def dump_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def json_int(value) -> int:
-    """``value`` as an int, through ``operator.index``, but never a bool.
+def json_int(value, what: str | None = None) -> int:
+    """``value`` as an int through ``operator.index``, which would read a bool or ``np.bool_``
+    as 1 or 0; else TypeError, which a loader reports as malformed, or given ``what`` ValueError."""
+    try:
+        if type(value) in _BOOLS:
+            raise TypeError(f"expected an integer, got {value!r}")
+        return operator.index(value)
+    except TypeError:
+        if what is None:
+            raise
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
-    ``operator.index`` takes JSON ``true`` and ``false`` as 1 and 0; here they
-    raise TypeError, as floats and strings do, which a loader reports as a
-    malformed document.
-    """
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+
+def json_real(value, what: str) -> float:
+    """``value``, a finite :class:`numbers.Real` other than a bool, as ``float()``
+    converts it; else ValueError naming ``what`` (OverflowError for a huge int)."""
+    if not isinstance(value, numbers.Real) or type(value) in _BOOLS:
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {float(value)}")
+    return float(value)
 
 
-def has_bool(rows, depth: int) -> bool:
-    """Whether a ``depth``-deep nested sequence holds a bool anywhere.
-
-    NumPy, ``float`` and ``complex`` read JSON ``true`` and ``false`` beside
-    numbers as 1 and 0, so a loader checks the entries' own types; the
-    flattening and the type test run in C.
-    """
+def _has_bool(rows, depth: int) -> bool:
+    """Whether ``depth``-deep nested Python rows hold a bool, which NumPy
+    reads beside numbers as a number; flattening and test run in C."""
+    if isinstance(rows, np.ndarray):  # its dtype says it all
+        return False
     for _ in range(depth - 1):
         rows = chain.from_iterable(rows)
-    return bool in map(type, rows)
+    return not _BOOLS.isdisjoint(map(type, rows))
+
+
+def int_stack(rows, width: int, what: str) -> np.ndarray:
+    """Read-only int64 (len(rows), ``width``) array of integer rows; only when one
+    ``np.array`` call or the bool scan fails does :func:`json_int` visit each entry."""
+    arr = np.array(rows) if len(rows) else np.empty((0, width), dtype=np.int64)
+    if arr.dtype.kind != "i" or _has_bool(rows, 2):
+        arr = np.array([[json_int(v) for v in row] for row in rows], dtype=np.int64)
+    if arr.shape[1:] != (width,):
+        raise ValueError(f"{what} must come in rows of shape {(width,)}, got {arr.shape[1:]}")
+    arr.flags.writeable = False
+    return arr
+
+
+def real_stack(rows, shape: tuple[int, ...], what: str, *, finite: bool = True) -> np.ndarray:
+    """Read-only float64 array of real rows of ``shape`` from one ``np.array`` call, whose
+    dtype rejects strings, complex and all-bool rows; the bool scan rejects a bool among
+    numbers, and ``finite`` NaN and infinity.  ``what`` names the entries: "h_i entries"."""
+    arr = np.array(rows) if len(rows) else np.empty((0, *shape))
+    if arr.dtype.kind == "O":  # ints beyond int64, or entries of mixed types
+        arr = np.array([json_real(x, what) for x in arr.flat]).reshape(arr.shape)
+    elif arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be numbers, got dtype {arr.dtype}")
+    if arr.shape[1:] != shape:
+        raise ValueError(f"{what} must come in rows of shape {shape}, got {arr.shape[1:]}")
+    if _has_bool(rows, len(shape) + 1):
+        raise ValueError(f"{what} must be numbers, got a boolean")
+    arr = arr.astype(float, copy=False)
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    arr.flags.writeable = False
+    return arr
 
 
 def known_fields(objs, fields: frozenset, what: str) -> None:

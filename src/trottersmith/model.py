@@ -20,13 +20,13 @@ views of the same rows, built on first use, for one-edge consumers.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 import numpy as np
 
-from .jsonutil import dump_json, has_bool, json_document, json_int, known_fields
+from .jsonutil import (dump_json, int_stack, json_document, json_int, json_real, known_fields,
+                       real_stack)
 
 ISOTROPY_TOL = 1e-12
 
@@ -49,24 +49,6 @@ class Boundary(str, Enum):
     PERIODIC = "periodic"
 
 
-def _readonly_stack(rows, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """Stack E array-likes with one ``np.array`` call; check shape, dtype and finiteness."""
-    arr = np.array(rows) if len(rows) else np.empty((0, *shape))
-    if arr.shape[1:] != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape[1:]}")
-    # the inferred dtype rejects strings and all-boolean stacks; booleans mixed
-    # with numbers infer a number dtype, so Python rows are checked entry by entry
-    if arr.dtype.kind in "USb":
-        raise ValueError(f"{name} entries must be numbers, got dtype {arr.dtype}")
-    if not isinstance(rows, np.ndarray) and has_bool(rows, len(shape) + 1):
-        raise ValueError(f"{name} entries must be numbers, got a boolean")
-    arr = arr.astype(float, copy=False)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} entries must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
 def _validated_edges(pairs, couplings, h_i, h_j):
     """Check E edge terms at once; return read-only (E, 2), (E, 3, 3), (E, 3), (E, 3) stacks.
 
@@ -78,19 +60,12 @@ def _validated_edges(pairs, couplings, h_i, h_j):
     :class:`CouplingTensor`, :class:`EdgeTerm` and a stack of one raise the
     same message.
     """
-    jmat = None if couplings is None else _readonly_stack(couplings, (3, 3), "coupling tensor")
-    ij = np.array(pairs) if len(pairs) else np.empty((0, 2), dtype=np.int64)
-    if ij.dtype.kind != "i" or not isinstance(pairs, np.ndarray) and has_bool(pairs, 2):
-        # json_int names the first entry that is not an integer, as the
-        # one-edge check does; an integer beyond int64 raises OverflowError
-        ij = np.array([[json_int(a), json_int(b)] for a, b in pairs], dtype=np.int64)
-    if ij.shape[1:] != (2,):
-        raise ValueError(f"edge pairs must have shape (2,), got {ij.shape[1:]}")
+    jmat = None if couplings is None else real_stack(couplings, (3, 3), "coupling tensor entries")
+    ij = int_stack(pairs, 2, "edge endpoints")
     bad = np.flatnonzero((ij[:, 0] < 0) | (ij[:, 0] >= ij[:, 1]))
     if len(bad):
         raise ValueError(f"edge must satisfy 0 <= i < j, got {tuple(ij[bad[0]].tolist())}")
-    ij.flags.writeable = False
-    return ij, jmat, _readonly_stack(h_i, (3,), "h_i"), _readonly_stack(h_j, (3,), "h_j")
+    return ij, jmat, real_stack(h_i, (3,), "h_i entries"), real_stack(h_j, (3,), "h_j entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,17 +75,13 @@ class CouplingTensor:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = _readonly_stack([self.matrix], (3, 3), "coupling tensor")[0]
+        matrix = real_stack([self.matrix], (3, 3), "coupling tensor entries")[0]
         object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def heisenberg(cls, j: float = 1.0) -> "CouplingTensor":
-        if isinstance(j, bool):  # j * identity would read True as 1.0
-            raise ValueError("coupling tensor entries must be numbers, got a boolean")
-        if not math.isfinite(j):
-            raise ValueError(f"coupling j must be finite, got {j}")
         # j * identity keeps the -0.0 off-diagonals of a negative j
-        return cls(j * np.eye(3))
+        return cls(json_real(j, "coupling j") * np.eye(3))
 
     @classmethod
     def diagonal(cls, jx: float, jy: float, jz: float) -> "CouplingTensor":
@@ -177,15 +148,10 @@ class TimeProfile:
         if self.kind not in ("constant", "piecewise"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind == "piecewise":
-            if not self.factors:
+            if self.factors is None or not len(self.factors):
                 raise ValueError("piecewise profile requires a non-empty factor table")
-            bad = [f for f in self.factors if isinstance(f, (bool, np.bool_, str))]
-            if bad:
-                raise ValueError(f"profile factors must be numbers, got {bad[0]!r}")
-            facs = tuple(float(f) for f in self.factors)
-            if not all(np.isfinite(facs)):
-                raise ValueError("profile factors must be finite")
-            object.__setattr__(self, "factors", facs)
+            factors = real_stack(self.factors, (), "profile factors").tolist()
+            object.__setattr__(self, "factors", tuple(factors))
         elif self.factors is not None:
             raise ValueError("constant profile takes no factor table")
 
@@ -322,7 +288,7 @@ def _field_shares(n: int, pairs, site_fields) -> tuple[np.ndarray, np.ndarray]:
         ValueError: on a field entry that is not a finite number, or a site
             with a nonzero field that touches no edge.
     """
-    site_fields = _readonly_stack(site_fields, (3,), "site field")
+    site_fields = real_stack(site_fields, (3,), "site field entries")
     if site_fields.shape != (n, 3):
         raise ValueError(f"site_fields must have shape ({n}, 3), got {site_fields.shape}")
     # first edge in which each site is the lower / the upper endpoint

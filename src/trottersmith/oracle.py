@@ -25,6 +25,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .coloring import EdgeColoring
+from .jsonutil import json_real
 from .model import ID2, SpinModel, edge_hamiltonians
 from .trotter import ProductFormula, expand
 
@@ -99,8 +100,7 @@ def exact_evolution(model: SpinModel, t: float) -> np.ndarray:
     product is this one exponential: the target a piecewise circuit aims at.
     Raises ValueError unless t is finite, and when t f overflows a float.
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
+    t = json_real(t, "t")
     factors = model.profile.factors or (1.0,)
     mean = sum(factors) / len(factors)
     if not math.isfinite(t * mean):

@@ -18,6 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .circuits import Circuit, counts
+from .jsonutil import json_real
 from .model import CONSTANT_PROFILE, TimeProfile
 from .trotter import HIGHER_ORDER_C3, StepPlan, class_uses, formula_for_order
 
@@ -39,9 +40,8 @@ class GateTimingModel:
 
     def __post_init__(self):
         for name in ("t_inf", "s"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"timing parameter {name} must be finite, got {value}")
+            value = json_real(getattr(self, name), f"timing parameter {name}")
+            object.__setattr__(self, name, value)
         if self.t_inf < 0 or self.s < 0:
             raise ValueError("timing parameters must be nonnegative")
         if self.t_inf == 0 and self.s == 0:

@@ -40,6 +40,7 @@ import numpy as np
 from .circuits import (_H, Circuit, Gate, GateKind, _check_unitary, _rotation, _uij_gates,
                        _unchecked_gate)
 from .coloring import EdgeColoring
+from .jsonutil import json_real
 from .model import PAULIS, EdgeTerm, SpinModel, edge_hamiltonians, term_hamiltonian
 from .trotter import ProductFormula, expand
 
@@ -435,8 +436,7 @@ def synth_edge(term: EdgeTerm, tau: float) -> Circuit:
     (:func:`template_cnots`), so it costs what it costs in a decomposed
     build.  Raises ValueError unless tau is finite.
     """
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
+    tau = json_real(tau, "tau")
     u = _expm_herm(term_hamiltonian(term), -1j * tau)
     return Circuit(n=2, layers=_retarget(_edge_fragment({}, term, u, tau), {term.i: 0, term.j: 1}))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .jsonutil import json_int, json_real
 from .model import CONSTANT_PROFILE, TimeProfile
 
 COEFF_SUM_TOL = 1e-12
@@ -76,6 +77,8 @@ class StepPlan:
     epsilon: float | None = None
 
     def __post_init__(self):
+        for name in ("m", "order", "num_classes"):
+            object.__setattr__(self, name, json_int(getattr(self, name), name))
         if self.m < 1:
             raise ValueError(f"step count must be >= 1, got m={self.m}")
         if self.bound_used not in ("first_order_explicit", "higher_order_scaling", "user"):
@@ -92,7 +95,7 @@ class ScheduledStage:
 
 def first_order(num_classes: int) -> ProductFormula:
     """S1: one stage per class, in class order."""
-    _check_k(num_classes)
+    num_classes = _check_k(num_classes)
     stages = tuple(Stage(k, 1.0) for k in range(1, num_classes + 1))
     return ProductFormula(order=1, num_classes=num_classes, stages=stages)
 
@@ -109,7 +112,7 @@ def suzuki(q: int, num_classes: int) -> ProductFormula:
     """Order-2q recursive formula, q >= 2, with adjacent same-class stages merged."""
     if q < 2:
         raise ValueError("suzuki construction starts at q=2; use second_order for q=1")
-    _check_k(num_classes)
+    num_classes = _check_k(num_classes)
     stages = [(s.k, s.coeff) for s in second_order(num_classes).stages]
     for level in range(2, q + 1):
         p = suzuki_p(level)
@@ -125,6 +128,7 @@ def suzuki(q: int, num_classes: int) -> ProductFormula:
 
 def formula_for_order(order: int, num_classes: int) -> ProductFormula:
     """Map an even order (or 1) to its formula."""
+    order = json_int(order, "order")
     if order == 1:
         return first_order(num_classes)
     if order == 2:
@@ -151,9 +155,11 @@ def _merge_adjacent(stages: list[tuple[int, float]]) -> list[tuple[int, float]]:
     return out
 
 
-def _check_k(num_classes: int) -> None:
-    if num_classes < 1:
-        raise ValueError(f"need at least one class, got K={num_classes}")
+def _check_k(num_classes: int) -> int:
+    k = json_int(num_classes, "num_classes")
+    if k < 1:
+        raise ValueError(f"need at least one class, got K={k}")
+    return k
 
 
 # --- error bounds and step counts ------------------------------------------
@@ -204,19 +210,18 @@ def steps_for_accuracy(
     bad order, a j, t or epsilon that is not finite or out of range, or a
     step count that overflows a float.
     """
-    _check_k(num_classes)
+    num_classes = _check_k(num_classes)
+    n = json_int(n, "n")
     if n < 2:
         raise ValueError(f"need at least two sites, got n={n}")
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    epsilon = json_real(epsilon, "epsilon")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    t = json_real(t, "t")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if not math.isfinite(j):
-        raise ValueError(f"coupling j must be finite, got {j}")
+    j = json_real(j, "coupling j")
+    order = json_int(order, "order")
     if order != 1 and (order < 2 or order % 2):
         raise ValueError(f"order must be 1 or an even integer >= 2, got {order}")
     if not profile.is_constant:
@@ -253,9 +258,7 @@ def expand(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    dt = t / m
+    dt = json_real(t, "t") / m
     stages: list[tuple[int, float]] = []
     for p in range(m):
         scale = profile.factor(p, m)

@@ -63,9 +63,9 @@ class TestGateValidation:
 
     def test_angle_rules(self):
         Gate(GateKind.RZ, (0,), angle=0.3)
-        with pytest.raises(ValueError, match="finite angle"):
+        with pytest.raises(ValueError, match="rx angle must be a real number, got None"):
             Gate(GateKind.RX, (0,))
-        with pytest.raises(ValueError, match="finite angle"):
+        with pytest.raises(ValueError, match="ry angle must be finite, got nan"):
             Gate(GateKind.RY, (0,), angle=float("nan"))
         with pytest.raises(ValueError, match="takes no angle"):
             Gate(GateKind.H, (0,), angle=1.0)
@@ -100,13 +100,14 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="tau must be finite"):
             Gate(GateKind.UIJ, (0, 1), matrix=CX, tau=tau)
 
-    @pytest.mark.parametrize("gate", [
-        lambda: Gate(GateKind.RZ, (0,), angle=True),
-        lambda: Gate(GateKind.UIJ, (0, 1), matrix=CX, tau=True),
+    @pytest.mark.parametrize("gate, message", [
+        (lambda: Gate(GateKind.RZ, (0,), angle=True), "rz angle must be a real number, got True"),
+        (lambda: Gate(GateKind.UIJ, (0, 1), matrix=CX, tau=True),
+         "uij tau must be a real number, got True"),
     ], ids=["angle", "tau"])
-    def test_boolean_scalars_rejected(self, gate):
+    def test_boolean_scalars_rejected(self, gate, message):
         # float() would store 1.0, which circuit_from_json refuses as a boolean
-        with pytest.raises(ValueError, match="angle, tau and matrix entries must be numbers"):
+        with pytest.raises(ValueError, match=message):
             gate()
 
     def test_string_kind_coerced(self):
@@ -368,18 +369,21 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="cannot be interpreted as an integer"):
             circuit_from_json(text)
 
-    @pytest.mark.parametrize("gate", [
-        {"kind": "rz", "qubits": [0], "angle": True},
-        {"kind": "uij", "qubits": [0, 1], "tau": False,
-         "matrix": [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]},
-        {"kind": "u1q", "qubits": [0], "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
-        {"kind": "uij", "qubits": [0, 1], "tau": "0",
-         "matrix": [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]},
+    @pytest.mark.parametrize("gate, message", [
+        ({"kind": "rz", "qubits": [0], "angle": True}, "rz angle must be a real number, got True"),
+        ({"kind": "uij", "qubits": [0, 1], "tau": False,
+          "matrix": [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]},
+         "uij tau must be a real number, got False"),
+        ({"kind": "u1q", "qubits": [0], "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
+         "gate matrix entries must be numbers, got a boolean"),
+        ({"kind": "uij", "qubits": [0, 1], "tau": "0",
+          "matrix": [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]},
+         "uij tau must be a real number, got '0'"),
     ], ids=["rz-angle-bool", "uij-tau-bool", "u1q-matrix-bool", "uij-tau-string"])
-    def test_booleans_and_strings_are_not_numbers(self, gate):
+    def test_booleans_and_strings_are_not_numbers(self, gate, message):
         # float() and complex() read JSON true/false as 1 and 0, float() "0" as 0
         text = json.dumps({"n": 2, "gates": [gate], "layers": [[0]]})
-        with pytest.raises(ValueError, match="angle, tau and matrix entries must be numbers"):
+        with pytest.raises(ValueError, match=message):
             circuit_from_json(text)
         # the same document with numbers loads
         assert circuit_from_json(text.replace("true", "1").replace("false", "0")

@@ -686,7 +686,7 @@ class TestVerify:
             warnings.simplefilter("error")
             res = run("verify", "--model", str(model), "--m-grid", "2", "--time", t)
         assert res.exit_code == 2, res.output
-        assert res.stderr == "error: t must be finite\n"
+        assert res.stderr == f"error: t must be finite, got {t}\n"
 
     def test_jobs_is_not_listed(self):
         # the grid is measured serially; --jobs is still accepted, and ignored
@@ -819,7 +819,46 @@ _json_values = st.recursive(
 )
 
 
+_I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+_I4_PAIRS = [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]
+# each document with one number x in it; x = 1 gives a document that loads
+_NUMBER_DOCS = {
+    ("model", "J"): lambda x: {"n": 2, "edges": [{"i": 0, "j": 1,
+                                                  "J": [[1, 0, 0], [0, x, 0], [0, 0, 1]]}]},
+    ("model", "hi"): lambda x: {"n": 2, "edges": [{"i": 0, "j": 1, "J": _I3, "hi": [0, x, 0]}]},
+    ("model", "hj"): lambda x: {"n": 2, "edges": [{"i": 0, "j": 1, "J": _I3, "hj": [0, 0, x]}]},
+    ("model", "factor"): lambda x: {"n": 2, "edges": [{"i": 0, "j": 1, "J": _I3}],
+                                    "profile": {"kind": "piecewise", "factors": [1.0, x]}},
+    ("circuit", "angle"): lambda x: {"n": 1, "gates": [{"kind": "rz", "qubits": [0],
+                                                        "angle": x}], "layers": [[0]]},
+    ("circuit", "tau"): lambda x: {"n": 2, "gates": [{"kind": "uij", "qubits": [0, 1],
+                                                      "matrix": _I4_PAIRS, "tau": x}],
+                                   "layers": [[0]]},
+    ("circuit", "matrix"): lambda x: {"n": 1, "gates": [{"kind": "u1q", "qubits": [0], "matrix": [
+        [[x, 0], [0, 0]], [[0, 0], [1, 0]]]}], "layers": [[0]]},
+}
+
+
 class TestLoaderContract:
+    @pytest.mark.parametrize("value", [True, "0.5", math.nan, math.inf, -math.inf],
+                             ids=["true", "str", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("what, field", list(_NUMBER_DOCS),
+                             ids=["-".join(key) for key in _NUMBER_DOCS])
+    def test_every_json_number_is_checked(self, tmp_path, what, field, value):
+        make = _NUMBER_DOCS[what, field]
+        loader = {"model": model_from_json, "circuit": circuit_from_json}[what]
+        loader(json.dumps(make(1)))
+        text = json.dumps(make(value))  # Python's json writes and reads NaN
+        with pytest.raises(ValueError):
+            loader(text)
+        if what == "circuit":
+            return  # no command reads a circuit
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        res = run("color", "--model", str(path))
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith("error: ")
+
     @given(_json_values)
     @example({"n": float("inf"), "K": 1, "edges": [], "classes": [], "layers": []})
     @example({"n": 3.7, "edges": [{"i": 0.5, "j": 1.9, "J": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]})
@@ -863,6 +902,18 @@ class TestLoaderContract:
         doc.update(edit)
         text = json.dumps(doc)
         with pytest.raises(ValueError, match="must be numbers"):
+            model_from_json(text)
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        res = run("color", "--model", str(path))
+        assert res.exit_code == 2, res.output
+
+    def test_string_beside_huge_int_is_not_a_number(self, tmp_path):
+        # NumPy keeps this row as objects, and float() would read "0.5" from it
+        text = json.dumps({"n": 2, "edges": [{"i": 0, "j": 1, "J": [["0.5", 2**64, 0],
+                                                                   [0, 1, 0], [0, 0, 1]]}]})
+        with pytest.raises(ValueError, match="coupling tensor entries must be a real number, "
+                                             "got '0.5'"):
             model_from_json(text)
         path = tmp_path / "model.json"
         path.write_text(text)

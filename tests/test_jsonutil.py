@@ -3,14 +3,22 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trottersmith import (
+    Circuit,
     CouplingTensor,
+    EdgeTerm,
+    Gate,
+    GateKind,
+    GateTimingModel,
+    SpinModel,
     TimeProfile,
     build_lattice,
     build_trotter_circuit,
@@ -19,14 +27,22 @@ from trottersmith import (
     color_model,
     coloring_from_json,
     coloring_to_json,
+    expand,
+    first_order,
     formula_for_order,
+    from_edges,
     model_from_json,
     model_to_json,
+    steps_for_accuracy,
+    synth_edge,
 )
 from trottersmith import circuits as circuits_mod
 from trottersmith import coloring as coloring_mod
 from trottersmith import model as model_mod
-from trottersmith.jsonutil import dump_json, format_float
+from trottersmith.circuits import _uij_gates
+from trottersmith.jsonutil import (dump_json, format_float, int_stack, json_int, json_real,
+                                   real_stack)
+from trottersmith.oracle import exact_evolution
 
 from conftest import ref_format_float
 
@@ -156,3 +172,186 @@ class TestFormatFloat:
     def test_nonfinite_rejected(self, x):
         with pytest.raises(ValueError, match="non-finite"):
             format_float(x)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestJsonInt:
+    @pytest.mark.parametrize("value", [True, np.True_, np.False_, 2.0, "2", None])
+    def test_non_integers_raise_type_error_or_value_error_naming_what(self, value):
+        with pytest.raises(TypeError):
+            json_int(value)
+        with pytest.raises(ValueError, match=r"^step count m must be an integer, got "):
+            json_int(value, "step count m")
+
+    @pytest.mark.parametrize("value", [0, -3, 2**70, np.int64(7), np.uint8(255)])
+    def test_integers_pass_as_ints(self, value):
+        got = json_int(value, "n")
+        assert type(got) is int and got == value
+
+
+class TestJsonReal:
+    @pytest.mark.parametrize("value, message", [
+        (True, "must be a real number, got True"),
+        (np.True_, "must be a real number, got "),
+        ("0.5", "must be a real number, got '0.5'"),
+        (None, "must be a real number, got None"),
+        (1j, "must be a real number, got 1j"),
+        (np.array(0.5), "must be a real number, got "),
+        (math.nan, "must be finite, got nan"),
+        (math.inf, "must be finite, got inf"),
+        (np.float32(-math.inf), "must be finite, got -inf"),
+    ])
+    def test_non_numbers_and_non_finite_values_raise(self, value, message):
+        with pytest.raises(ValueError, match="^tau " + re.escape(message)):
+            json_real(value, "tau")
+
+    def test_huge_int_overflows_as_float_does(self):
+        # a loader reports OverflowError as a malformed document
+        with pytest.raises(OverflowError):
+            json_real(10**400, "t")
+
+    @pytest.mark.parametrize("value", [0, -0.0, 5e-324, 2**60 + 1, np.float32(0.1),
+                                       np.float64(-2.5), np.int64(-7), np.uint16(3)])
+    def test_reals_convert_as_float_does(self, value):
+        got = json_real(value, "t")
+        assert type(got) is float and _bits(got) == _bits(float(value))
+
+
+class TestRealStack:
+    def test_python_rows_become_one_read_only_float_array(self):
+        arr = real_stack([[1, -0.0, 0.5], [np.float32(0.25), 2**70, 3]], (3,), "h_i entries")
+        assert arr.dtype == np.float64 and arr.shape == (2, 3) and not arr.flags.writeable
+        assert np.signbit(arr[0, 1]) and arr[1, 1] == 2.0**70
+
+    def test_empty_rows_have_the_row_shape(self):
+        assert real_stack([], (3, 3), "coupling tensor entries").shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.0, True, 0.0]], "must be numbers, got a boolean"),
+        ([[1.0, np.True_, 0.0]], "must be numbers, got a boolean"),
+        ([np.array([0.0, 1.0, 2.0]), [0.0, np.False_, 1.0]], "must be numbers, got a boolean"),
+        ([[True, False, True]], "must be numbers, got dtype bool"),
+        ([["0.5", 0.0, 1.0]], "must be numbers, got dtype <U"),
+        ([[1j, 0.0, 1.0]], "must be numbers, got dtype complex128"),
+        (np.ones((2, 3), dtype=bool), "must be numbers, got dtype bool"),
+        # NumPy keeps these as objects, and float() would read "0.5"
+        ([[None, 0.0, 1.0]], "must be a real number, got None"),
+        ([[2**64, "0.5", 0]], "must be a real number, got '0.5'"),
+        ([[2**64, True, 0]], "must be a real number, got True"),
+    ], ids=["bool", "np.bool_", "np.bool_-beside-array", "all-bool", "str", "complex",
+            "bool-array", "none", "str-beside-huge-int", "bool-beside-huge-int"])
+    def test_non_numbers_are_rejected(self, rows, message):
+        with pytest.raises(ValueError, match="^h_i entries " + message):
+            real_stack(rows, (3,), "h_i entries")
+
+    @pytest.mark.parametrize("rows, shape", [([[1.0, 2.0]], (3,)), ([1.0, 2.0], (3,)),
+                                             ([[1.0]], ())])
+    def test_shape_is_checked(self, rows, shape):
+        with pytest.raises(ValueError, match=r"^factors must come in rows of shape"):
+            real_stack(rows, shape, "factors")
+
+    def test_non_finite_entries_only_when_asked(self):
+        with pytest.raises(ValueError, match="^profile factors must be finite$"):
+            real_stack([1.0, math.nan], (), "profile factors")
+        assert np.isinf(real_stack([1.0, math.inf], (), "matrix entries", finite=False)[1])
+
+    def test_int_too_large_for_a_float_overflows(self):
+        with pytest.raises(OverflowError):
+            real_stack([[10**400, 0, 0]], (3,), "h_i entries")
+
+
+class TestIntStack:
+    def test_rows_become_one_read_only_int_array(self):
+        arr = int_stack([(0, 1), (np.int64(2), 3)], 2, "edge endpoints")
+        assert arr.dtype == np.int64 and arr.tolist() == [[0, 1], [2, 3]]
+        assert not arr.flags.writeable
+        assert int_stack([], 2, "edge endpoints").shape == (0, 2)
+
+    @pytest.mark.parametrize("rows", [[(0, True)], [(np.True_, 2)], [(0.0, 1)],
+                                      np.array([[False, True]])])
+    def test_non_integers_raise_json_int_type_error(self, rows):
+        with pytest.raises(TypeError):
+            int_stack(rows, 2, "edge endpoints")
+
+    def test_row_width_is_checked(self):
+        with pytest.raises(ValueError, match=r"^edge endpoints must come in rows of shape"):
+            int_stack([(0, 1, 2)], 2, "edge endpoints")
+
+
+_J = CouplingTensor.heisenberg()
+# every constructor that takes a real number from its caller
+_REAL_SITES = {
+    "coupling-diagonal": lambda x: CouplingTensor.diagonal(x, 1.0, 1.0),
+    "coupling-heisenberg": lambda x: CouplingTensor.heisenberg(x),
+    "coupling-rows": lambda x: CouplingTensor([[x, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    "model-h_i": lambda x: SpinModel(2, [(0, 1)], [np.eye(3)], [[x, 0, 0]], [np.zeros(3)]),
+    "model-h_j": lambda x: SpinModel(2, [(0, 1)], [np.eye(3)], [np.zeros(3)], [[0, x, 0]]),
+    "edge-term-h_i": lambda x: EdgeTerm(0, 1, _J, h_i=[0.0, 0.0, x]),
+    "from-edges-field": lambda x: from_edges(2, [(0, 1, _J)], [[x, 0.5, 0], [0, 0, 0]]),
+    "lattice-field": lambda x: build_lattice("chain", 3, field=(0.5, x, 0.0)),
+    "profile-factor": lambda x: TimeProfile("piecewise", (1.0, x)),
+    "gate-angle": lambda x: Gate(GateKind.RZ, (0,), angle=x),
+    "gate-tau": lambda x: Gate(GateKind.UIJ, (0, 1), matrix=np.eye(4), tau=x),
+    "gate-matrix": lambda x: Gate(GateKind.U1Q, (0,), matrix=[[x, 0.0], [0.0, 1.0]]),
+    "uij-gates-tau": lambda x: _uij_gates([(0, 1)], np.eye(4)[None], x),
+    "timing-t_inf": lambda x: GateTimingModel(t_inf=x),
+    "timing-s": lambda x: GateTimingModel(s=x),
+    "steps-j": lambda x: steps_for_accuracy(1, 2, 4, x, 1.0, 0.01),
+    "steps-t": lambda x: steps_for_accuracy(2, 2, 4, 1.0, x, 0.01),
+    "steps-epsilon": lambda x: steps_for_accuracy(1, 2, 4, 1.0, 1.0, x),
+    "expand-t": lambda x: expand(first_order(2), 2, x),
+    "synth-edge-tau": lambda x: synth_edge(EdgeTerm(0, 1, _J), x),
+    "exact-evolution-t": lambda x: exact_evolution(build_lattice("chain", 2), x),
+}
+
+
+class TestOneDefinitionOfANumber:
+    @pytest.mark.parametrize("value", [True, np.True_, "0.5", math.nan, math.inf, -math.inf],
+                             ids=["bool", "np.bool_", "str", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("site", list(_REAL_SITES))
+    def test_every_site_rejects_non_numbers(self, site, value):
+        with pytest.raises(ValueError):
+            _REAL_SITES[site](value)
+
+    @pytest.mark.parametrize("matrix", [np.eye(2, dtype=bool), np.array([["1", "0"], ["0", "1"]])],
+                             ids=["bool", "str"])
+    def test_gate_matrix_must_hold_numbers(self, matrix):
+        with pytest.raises(ValueError, match="gate matrix entries must be numbers, got dtype"):
+            Gate(GateKind.U1Q, (0,), matrix=matrix)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False) | _edge_floats
+           | st.integers(-(10**20), 10**20)
+           | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+           | st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
+           | st.integers(-(2**63), 2**63 - 1).map(np.int64))
+    @example(-0.0)
+    @example(np.float64(-0.0))
+    @example(np.float32(-0.0))
+    @settings(max_examples=150, deadline=None)
+    def test_reals_are_stored_as_float_stores_them(self, x):
+        want = float(x)
+
+        def model_json(v):
+            fields = [[v, 0.0, 0.5], [0.0, 0.0, 0.0], [0.0, v, 0.0]]
+            return model_to_json(from_edges(3, [(0, 1, CouplingTensor.diagonal(v, 1.0, v)),
+                                                (1, 2, CouplingTensor.heisenberg(v))],
+                                            fields, TimeProfile("piecewise", (v, 1.0))))
+
+        def circuit(v):
+            return Circuit(2, [[Gate(GateKind.RZ, (0,), angle=v), Gate(GateKind.RX, (1,), angle=v)],
+                               [Gate(GateKind.UIJ, (0, 1), matrix=np.eye(4), tau=v)]])
+
+        text = model_json(x)
+        assert text == model_json(want)
+        model = model_from_json(text)
+        assert _bits(model.profile.factors[0]) == _bits(want)
+        assert _bits(model.coupling[0, 0, 0]) == _bits(want)
+        circ = circuit(x)
+        assert [_bits(g.angle if g.tau is None else g.tau) for g in circ.all_gates()] == \
+            [_bits(want)] * 3
+        assert circuit_to_json(circ) == circuit_to_json(circuit(want))
+        if want >= 0:
+            assert _bits(GateTimingModel(t_inf=x, s=1.0).t_inf) == _bits(want)

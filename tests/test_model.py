@@ -45,17 +45,17 @@ class TestCouplingTensor:
         j = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert CouplingTensor(j).norm == pytest.approx(op_norm(j))
 
-    @pytest.mark.parametrize("make", [
-        lambda: CouplingTensor.diagonal(True, 1.0, 1.0),
-        lambda: CouplingTensor.diagonal(True, False, True),
-        lambda: CouplingTensor.diagonal(1.0, 1.0, False),
-        lambda: CouplingTensor.heisenberg(True),
-        lambda: CouplingTensor([[True, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    @pytest.mark.parametrize("make, message", [
+        (lambda: CouplingTensor.diagonal(True, 1.0, 1.0), None),
+        (lambda: CouplingTensor.diagonal(True, False, True), None),
+        (lambda: CouplingTensor.diagonal(1.0, 1.0, False), None),
+        (lambda: CouplingTensor.heisenberg(True), "coupling j must be a real number, got True"),
+        (lambda: CouplingTensor([[True, 0, 0], [0, 1, 0], [0, 0, 1]]), None),
     ], ids=["diagonal-one", "diagonal-all", "diagonal-last", "heisenberg", "nested-list"])
-    def test_booleans_are_not_couplings(self, make):
+    def test_booleans_are_not_couplings(self, make, message):
         # True used to read as 1.0 through np.diag and j * identity
-        with pytest.raises(ValueError, match="coupling tensor entries must be numbers, "
-                                             "got a boolean"):
+        with pytest.raises(ValueError, match=message or "coupling tensor entries must be "
+                                                        "numbers, got a boolean"):
             make()
 
     def test_negative_heisenberg_keeps_signed_zeros(self):
@@ -89,6 +89,9 @@ class TestEdgeTerm:
         # float endpoints used to pass here and fail later inside color_model
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             EdgeTerm(0.0, 1.0, CouplingTensor.heisenberg())
+        # NumPy reads np.True_ beside integers as 1, as it does True
+        with pytest.raises(TypeError, match="expected an integer, got"):
+            SpinModel(3, [(np.True_, 2)], [np.eye(3)], [np.zeros(3)], [np.zeros(3)])
         term = EdgeTerm(np.int64(0), np.int32(2), CouplingTensor.heisenberg())
         assert type(term.i) is int and type(term.j) is int
         model = from_edges(3, [(np.int64(2), np.int64(1), CouplingTensor.heisenberg())])
@@ -325,6 +328,12 @@ class TestTimeProfile:
         p = TimeProfile("piecewise", (1.0, 0.5))
         with pytest.raises(ValueError):
             p.factor(0, 3)
+
+    def test_numpy_factor_table(self):
+        # the emptiness test used to ask an array for its truth value
+        p = TimeProfile("piecewise", np.array([1.0, -0.0]))
+        assert p.factors == (1.0, -0.0) and all(type(f) is float for f in p.factors)
+        assert math.copysign(1.0, p.factors[1]) == -1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

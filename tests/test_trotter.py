@@ -152,6 +152,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             StepPlan(m=1, order=1, bound_used="guesswork", num_classes=2, t=1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: StepPlan(m=2.5, order=1, bound_used="user", num_classes=2, t=1.0),
+        lambda: StepPlan(m=2, order=True, bound_used="user", num_classes=2, t=1.0),
+        lambda: StepPlan(m=2, order=1, bound_used="user", num_classes=2.5, t=1.0),
+        lambda: steps_for_accuracy(True, 2, 4, 1.0, 1.0, 0.01),
+        lambda: steps_for_accuracy(1, 2, 4.5, 1.0, 1.0, 0.01),
+        lambda: steps_for_accuracy(1, 2.5, 4, 1.0, 1.0, 0.01),
+        lambda: first_order(True),
+        lambda: formula_for_order(2.0, 2),
+    ], ids=["plan-m", "plan-order", "plan-classes", "steps-order-bool", "steps-n",
+            "steps-classes", "first-order-bool", "formula-order-float"])
+    def test_integer_arguments_must_be_integers(self, make):
+        # order True used to plan order 1, and 2.5 steps or classes went unchecked
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            make()
+
 
 class TestErrorBound:
     def test_worked_example(self):
