@@ -33,8 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .jsonutil import (dump_json, format_float, json_document, json_int, json_real, known_fields,
-                       real_stack)
+from .jsonutil import (_has_bool, dump_json, format_float, json_document, json_int, json_real,
+                       known_fields, real_stack)
 
 UNITARITY_TOL = 1e-12
 
@@ -119,9 +119,11 @@ class Gate:
             raise ValueError(f"{self.kind.value} takes no angle")
         if self.kind in (GateKind.U1Q, GateKind.UIJ):
             dim = 2 if self.kind is GateKind.U1Q else 4
-            m = np.asarray(self.matrix)
+            m = np.asarray(self.matrix)  # reads a bool in Python rows as a number
             if m.dtype.kind != "c":  # real entries, or Python rows of them
                 m = real_stack([self.matrix], m.shape, "gate matrix entries", finite=False)[0]
+            elif not isinstance(self.matrix, np.ndarray) and _has_bool([self.matrix], m.ndim + 1):
+                raise ValueError("gate matrix entries must be numbers, got a boolean")
             m = m.astype(complex)  # a copy the gate owns
             if m.shape != (dim, dim):
                 raise ValueError(f"{self.kind.value} matrix must be {dim}x{dim}, got {m.shape}")

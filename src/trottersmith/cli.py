@@ -236,7 +236,8 @@ def estimate(model_path, n_sites, k_classes, j_val, order, epsilon, t, t_inf, sl
         classes = coloring_mod.color_model(model).classes
         k_classes = len(classes)
         j_val = model.j_max
-        edge_cnots = [[synth.template_cnots(model.edges[e]) for e in c] for c in classes]
+        cnots = synth.template_cnots(model)
+        edge_cnots = [[cnots[e] for e in c] for c in classes]
         profile = model.profile
     if n_sites is None or k_classes is None:
         raise ValueError("provide --model, or both --n and --classes")

@@ -13,9 +13,9 @@ Hamiltonian strictly two-local, which is what lets an edge coloring partition
 it into internally commuting classes.
 
 A :class:`SpinModel` is its stacks: read-only (E, 2) endpoints, (E, 3, 3)
-couplings and (E, 3) field shares, checked once as wholes.  Whole-model
-code reads the stacks; ``model.edges`` gives per-edge :class:`EdgeTerm`
-views of the same rows, built on first use, for one-edge consumers.
+couplings and (E, 3) field shares, checked once as wholes.  Every pipeline
+stage reads the stacks; ``model.edges`` gives per-edge :class:`EdgeTerm`
+views of the same rows, built on first use, for callers of the one-edge API.
 """
 from __future__ import annotations
 
@@ -91,7 +91,7 @@ class CouplingTensor:
     @property
     def isotropic(self) -> bool:
         """True iff J = j * identity within tolerance."""
-        return bool(np.max(np.abs(self.matrix - self.matrix[0, 0] * np.eye(3))) <= ISOTROPY_TOL)
+        return bool(isotropic_rows(self.matrix))
 
     @property
     def norm(self) -> float:
@@ -123,6 +123,11 @@ class EdgeTerm:
     @property
     def sites(self) -> tuple[int, int]:
         return (self.i, self.j)
+
+
+def isotropic_rows(coupling: np.ndarray) -> np.ndarray:
+    """One bool per (..., 3, 3) tensor J: J = J[0, 0] * identity within ``ISOTROPY_TOL``."""
+    return np.abs(coupling - coupling[..., :1, :1] * np.eye(3)).max(axis=(-2, -1)) <= ISOTROPY_TOL
 
 
 def _check_couplings(couplings) -> None:

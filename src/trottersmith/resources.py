@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .circuits import Circuit, counts
-from .jsonutil import json_real
+from .jsonutil import json_int, json_real
 from .model import CONSTANT_PROFILE, TimeProfile
 from .trotter import HIGHER_ORDER_C3, StepPlan, class_uses, formula_for_order
 
@@ -109,6 +109,9 @@ def report_for_plan(
     simulation time is depth * t_inf + s * sum |tau|.
     """
     k = plan.num_classes
+    n = json_int(n, "n")
+    if edges_per_sweep is not None:
+        edges_per_sweep = json_int(edges_per_sweep, "edges_per_sweep")
     formula = formula_for_order(plan.order, k)
     uses = class_uses(formula, plan.m, profile)
     if edge_cnots is None:

@@ -21,10 +21,10 @@ it goes straight to the closed-form three-CNOT core circuit of Vatan &
 Williams, exact with its global phase and with no decomposition at all.
 :func:`synth_edge` lowers one term on its own through the builder's choice.
 
-The circuit builder lowers each distinct template input once per call:
-edges whose terms and durations give the same input share one fragment,
-re-targeted to each edge's qubits, so a translation-invariant lattice costs
-a handful of decompositions however large it is and however many steps run.
+The circuit builder lowers each distinct template input once per call, on
+qubits (0, 1): edges whose terms and durations give the same input share
+one fragment, re-targeted to each edge's qubits, so a translation-invariant
+lattice costs a handful of decompositions however large and long it is.
 Where one stage ends and the next begins with a layer of one-qubit gates
 only, the two layers fuse into one, a u1q of the product on each qubit both
 touch; each distinct product is computed once per call.
@@ -41,7 +41,8 @@ from .circuits import (_H, Circuit, Gate, GateKind, _check_unitary, _rotation, _
                        _unchecked_gate)
 from .coloring import EdgeColoring
 from .jsonutil import json_real
-from .model import PAULIS, EdgeTerm, SpinModel, edge_hamiltonians, term_hamiltonian
+from .model import (PAULIS, EdgeTerm, SpinModel, edge_hamiltonians, isotropic_rows,
+                    term_hamiltonian)
 from .trotter import ProductFormula, expand
 
 KAK_UNITARITY_TOL = 1e-10
@@ -310,8 +311,8 @@ Fragment = list[list[Gate]]
 """A run of layers on one edge, ready for positional merging."""
 
 
-def _core_3cnot(alpha: float, beta: float, gamma: float, a: int, b: int) -> Fragment:
-    """Three-CNOT realization of canonical_core_unitary on qubits (a, b).
+def _core_3cnot(alpha: float, beta: float, gamma: float) -> Fragment:
+    """Three-CNOT realization of canonical_core_unitary on qubits (0, 1).
 
     The fixed circuit of Vatan & Williams, PRA 69, 032315 (2004), Fig. 6,
     exact for any angles with the global phase included.  All three
@@ -321,55 +322,52 @@ def _core_3cnot(alpha: float, beta: float, gamma: float, a: int, b: int) -> Frag
         return []
     half = math.pi / 2.0
     return [
-        [Gate(GateKind.CX, (b, a))],
+        [Gate(GateKind.CX, (1, 0))],
         [
-            Gate(GateKind.RZ, (a,), angle=gamma / 2.0 + half),
-            Gate(GateKind.U1Q, (b,), matrix=_rotation(GateKind.RY, alpha / 2.0 + half) @ _S),
+            Gate(GateKind.RZ, (0,), angle=gamma / 2.0 + half),
+            Gate(GateKind.U1Q, (1,), matrix=_rotation(GateKind.RY, alpha / 2.0 + half) @ _S),
         ],
-        [Gate(GateKind.CX, (a, b))],
-        [Gate(GateKind.RY, (b,), angle=-beta / 2.0 - half)],
-        [Gate(GateKind.CX, (b, a))],
-        [Gate(GateKind.RZ, (a,), angle=-half)],
+        [Gate(GateKind.CX, (0, 1))],
+        [Gate(GateKind.RY, (1,), angle=-beta / 2.0 - half)],
+        [Gate(GateKind.CX, (1, 0))],
+        [Gate(GateKind.RZ, (0,), angle=-half)],
     ]
 
 
-def synth_two_qubit(u: np.ndarray, qubits: tuple[int, int] = (0, 1)) -> Fragment:
-    """Synthesize an arbitrary two-qubit unitary with at most 6 CNOTs.
+def synth_two_qubit(u: np.ndarray) -> Fragment:
+    """Synthesize an arbitrary two-qubit unitary with at most 6 CNOTs, on qubits (0, 1).
 
     When every interaction coefficient is below 1e-12 the core is dropped
     and the locals merge into a single layer of one-qubit unitaries.
     """
-    return _cartan_fragment(kak_decompose(u), *qubits)
+    return _cartan_fragment(kak_decompose(u))
 
 
-def _cartan_fragment(c: CartanCoefficients, a: int, b: int) -> Fragment:
-    """The 6-CNOT template wrapped in a decomposition's locals, on qubits (a, b).
+def _cartan_fragment(c: CartanCoefficients) -> Fragment:
+    """The 6-CNOT template wrapped in a decomposition's locals, on qubits (0, 1).
 
-    Each interaction coefficient becomes one CNOT-conjugated rz on qubit b;
+    Each interaction coefficient becomes one CNOT-conjugated rz on qubit 1;
     Hadamards map the ZZ rotation onto XX, an extra x-axis quarter turn onto
     YY.  The template's one-qubit runs are written fused: the opening
     Hadamards into the input locals u1, u2, and the closing quarter turn
     with the Hadamards after it into the constant H rx(pi/2), so the
     fragment has 13 layers and no two adjacent one-qubit layers.
     """
-    if all(abs(x) < ZERO_ANGLE_TOL for x in c.angles):
-        return [[
-            Gate(GateKind.U1Q, (a,), matrix=c.v1 @ c.u1),
-            Gate(GateKind.U1Q, (b,), matrix=c.v2 @ c.u2),
-        ]]
-    half = math.pi / 2.0
-    cx = Gate(GateKind.CX, (a, b))
+    def locals_(m0: np.ndarray, m1: np.ndarray) -> list[Gate]:
+        return [Gate(GateKind.U1Q, (0,), matrix=m0), Gate(GateKind.U1Q, (1,), matrix=m1)]
 
-    def locals_(ma: np.ndarray, mb: np.ndarray) -> list[Gate]:
-        return [Gate(GateKind.U1Q, (a,), matrix=ma), Gate(GateKind.U1Q, (b,), matrix=mb)]
+    if all(abs(x) < ZERO_ANGLE_TOL for x in c.angles):
+        return [locals_(c.v1 @ c.u1, c.v2 @ c.u2)]
+    half = math.pi / 2.0
+    cx = Gate(GateKind.CX, (0, 1))
 
     def rz(theta: float) -> list[Gate]:
-        return [Gate(GateKind.RZ, (b,), angle=theta / 2.0)]
+        return [Gate(GateKind.RZ, (1,), angle=theta / 2.0)]
 
     return [
         locals_(_H @ c.u1, _H @ c.u2),
         [cx], rz(c.alpha), [cx],
-        [Gate(GateKind.RX, (a,), angle=-half), Gate(GateKind.RX, (b,), angle=-half)],
+        [Gate(GateKind.RX, (0,), angle=-half), Gate(GateKind.RX, (1,), angle=-half)],
         [cx], rz(c.beta), [cx],
         locals_(_H_RX, _H_RX),
         [cx], rz(c.gamma), [cx],
@@ -382,41 +380,31 @@ def _cartan_fragment(c: CartanCoefficients, a: int, b: int) -> Fragment:
 MODES = ("decomposed", "scaled")
 
 
-def _plain_exchange(term: EdgeTerm) -> bool:
-    """True when decomposed mode lowers the term with the 3-CNOT exchange
-    template: an isotropic coupling and no field share."""
-    return term.coupling.isotropic and not np.any(term.h_i) and not np.any(term.h_j)
+def _plain_exchange(coupling: np.ndarray, h_i: np.ndarray, h_j: np.ndarray) -> np.ndarray:
+    """One bool per edge row: True where decomposed mode lowers the edge with
+    the 3-CNOT exchange template, an isotropic coupling and no field share."""
+    return isotropic_rows(coupling) & ~h_i.any(axis=1) & ~h_j.any(axis=1)
 
 
-def template_cnots(term: EdgeTerm) -> int:
-    """CNOTs ``decomposed`` mode emits for a term: 3 or 6 by its template,
+def template_cnots(model: SpinModel) -> list[int]:
+    """CNOTs ``decomposed`` mode emits per edge row: 3 or 6 by its template,
     or 0 when its coupling tensor is all zero and its exponential is local."""
-    if not np.any(term.coupling.matrix):
-        return 0
-    return 3 if _plain_exchange(term) else 6
+    plain = _plain_exchange(model.coupling, model.h_i, model.h_j)
+    return np.where(model.coupling.any(axis=(1, 2)), np.where(plain, 3, 6), 0).tolist()
 
 
-def _edge_fragment(shared: dict, term: EdgeTerm, u: np.ndarray, tau: float) -> Fragment:
-    """CNOTs and one-qubit gates for u = exp(-i tau H_ij) on the term's own qubits.
+def _template(shared: dict, plain: bool, alpha: float, u: np.ndarray) -> Fragment:
+    """CNOTs and one-qubit gates for an edge's u = exp(-i tau H_ij), on qubits (0, 1).
 
-    A fragment is a function of its template and that template's input: the
-    exchange angle for the 3-CNOT core, the bytes of u for the KAK template.
-    ``shared`` maps each such key to the first fragment built for it and that
-    fragment's qubits; a later edge with the same key gets a re-targeted copy.
+    ``plain`` picks the 3-CNOT core at the exchange angle ``alpha`` = tau J,
+    else the KAK template of u.  ``shared`` maps each template input (the
+    angle, or the bytes of u) to the one fragment built for it.
     """
-    plain = _plain_exchange(term)
-    alpha = tau * float(term.coupling.matrix[0, 0])
     key = (True, alpha) if plain else (False, u.tobytes())
-    first = shared.get(key)
-    if first is not None:
-        frag, a, b = first
-        return _retarget(frag, {a: term.i, b: term.j})
-    if plain:
-        frag = _core_3cnot(alpha, alpha, alpha, term.i, term.j)
-    else:
-        frag = _cartan_fragment(kak_decompose(u), term.i, term.j)
-    shared[key] = (frag, term.i, term.j)
-    return frag
+    if key not in shared:
+        shared[key] = (_core_3cnot(alpha, alpha, alpha) if plain
+                       else _cartan_fragment(kak_decompose(u)))
+    return shared[key]
 
 
 def _retarget(frag: Fragment, to: dict[int, int]) -> Fragment:
@@ -433,12 +421,13 @@ def synth_edge(term: EdgeTerm, tau: float) -> Circuit:
     """Two-qubit circuit for exp(-i tau H_ij), qubit 0 playing site i and 1 site j.
 
     The term goes through the builder's own template choice
-    (:func:`template_cnots`), so it costs what it costs in a decomposed
-    build.  Raises ValueError unless tau is finite.
+    (:func:`_plain_exchange`, :func:`_template`), so it costs what it costs
+    in a decomposed build.  Raises ValueError unless tau is finite.
     """
     tau = json_real(tau, "tau")
     u = _expm_herm(term_hamiltonian(term), -1j * tau)
-    return Circuit(n=2, layers=_retarget(_edge_fragment({}, term, u, tau), {term.i: 0, term.j: 1}))
+    plain = _plain_exchange(term.coupling.matrix[None], term.h_i[None], term.h_j[None])[0]
+    return Circuit(n=2, layers=_template({}, plain, tau * float(term.coupling.matrix[0, 0]), u))
 
 
 def _fuse_layers(first: tuple[Gate, ...], then: tuple[Gate, ...],
@@ -493,15 +482,15 @@ def build_trotter_circuit(
     keeps each edge's 4x4 unitary as one native uij gate, so every stage is
     a single layer, and checks the stage's whole stack for unitarity once
     instead of gate by gate.  ``decomposed`` lowers each unitary to a
-    fragment of CNOTs and one-qubit gates, picking the 3-CNOT core circuit
-    when a coupling is isotropic with no field share and the 6-CNOT KAK
-    template otherwise (:func:`template_cnots`); fragments of the
-    edges in a class run in parallel, aligned from the stage's first layer.
-    Each distinct template input (the exchange angle, or the bytes of the
-    unitary for KAK) is lowered once per call, and every other edge with
-    that input gets a copy of the fragment on its own qubits, so KAK runs
-    once per distinct unitary and not once per (edge, tau).  Later stages
-    that repeat (k, tau) reuse the same layer tuples of the same gates.
+    fragment of CNOTs and one-qubit gates; one pass over the stacks
+    (:func:`_plain_exchange`) picks the 3-CNOT core circuit for each edge
+    isotropic with no field share and the 6-CNOT KAK template for the rest.
+    Fragments of the edges in a class run in parallel, aligned from the
+    stage's first layer.  Each distinct template input (the exchange angle,
+    or the bytes of the unitary for KAK) is lowered once per call on qubits
+    (0, 1), and every edge with that input gets a copy on its own qubits,
+    so KAK runs once per distinct unitary, not once per (edge, tau).  Later
+    stages that repeat (k, tau) reuse the same layer tuples of the same gates.
     In ``decomposed`` mode, when the last layer so far and a stage's first
     layer both hold only one-qubit gates, they become one layer
     (:func:`_fuse_layers`): the KAK template opens and closes on one-qubit
@@ -516,6 +505,7 @@ def build_trotter_circuit(
             f"formula has K={formula.num_classes} but coloring has {coloring.num_classes}"
         )
     hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
+    plain = _plain_exchange(model.coupling, model.h_i, model.h_j) if mode == "decomposed" else None
     shared: dict = {}  # decomposed fragments by template input, for this call only
     # a stage's layers are deterministic in (k, tau) and Gates are immutable;
     # the sign of a zero tau stays in the key because uij gates record it
@@ -528,13 +518,15 @@ def build_trotter_circuit(
     for stage in expand(formula, m, t, model.profile):
         key = (stage.k, stage.tau, math.copysign(1.0, stage.tau))
         if key not in stage_layers:
-            cls = coloring.classes[stage.k - 1]
-            us = _expm_herm(hterms[list(cls)], -1j * stage.tau)
+            cls = list(coloring.classes[stage.k - 1])
+            us = _expm_herm(hterms[cls], -1j * stage.tau)
+            pairs = model.pairs[cls].tolist()
             if mode == "scaled":
-                stage_layers[key] = [_uij_gates(model.pairs[list(cls)].tolist(), us, stage.tau)]
+                stage_layers[key] = [_uij_gates(pairs, us, stage.tau)]
             else:
-                frags = [_edge_fragment(shared, model.edges[ei], u, stage.tau)
-                         for ei, u in zip(cls, us)]
+                alphas = (stage.tau * model.coupling[cls, 0, 0]).tolist()
+                frags = [_retarget(_template(shared, p, alpha, u), {0: i, 1: j})
+                         for p, alpha, u, (i, j) in zip(plain[cls].tolist(), alphas, us, pairs)]
                 stage_layers[key] = [
                     tuple(g for f in frags if p < len(f) for g in f[p])
                     for p in range(max(len(f) for f in frags))

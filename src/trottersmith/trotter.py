@@ -77,10 +77,12 @@ class StepPlan:
     epsilon: float | None = None
 
     def __post_init__(self):
-        for name in ("m", "order", "num_classes"):
+        object.__setattr__(self, "m", _check_m(self.m))
+        for name in ("order", "num_classes"):
             object.__setattr__(self, name, json_int(getattr(self, name), name))
-        if self.m < 1:
-            raise ValueError(f"step count must be >= 1, got m={self.m}")
+        object.__setattr__(self, "t", json_real(self.t, "t"))
+        if self.epsilon is not None:
+            object.__setattr__(self, "epsilon", json_real(self.epsilon, "epsilon"))
         if self.bound_used not in ("first_order_explicit", "higher_order_scaling", "user"):
             raise ValueError(f"unknown bound tag {self.bound_used!r}")
 
@@ -155,6 +157,13 @@ def _merge_adjacent(stages: list[tuple[int, float]]) -> list[tuple[int, float]]:
     return out
 
 
+def _check_m(m: int) -> int:
+    m = json_int(m, "m")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return m
+
+
 def _check_k(num_classes: int) -> int:
     k = json_int(num_classes, "num_classes")
     if k < 1:
@@ -174,8 +183,8 @@ def first_order_error_bound(num_classes: int, n: int, j: float, t: float, m: int
     and the bound is quadratic in step length, so it gains the factor
     sum f_p^2 / m; the table must have m entries.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    num_classes, m = _check_k(num_classes), _check_m(m)
+    n, j, t = json_int(n, "n"), json_real(j, "coupling j"), json_real(t, "t")
     bound = (3.0 / 16.0) * num_classes * (num_classes - 1) * t * t * n * j * j / m
     if not profile.is_constant:
         factors = [profile.factor(p, m) for p in range(m)]
@@ -256,8 +265,7 @@ def expand(
     but only under a constant profile, where neighboring steps agree.
     Raises ValueError when a duration overflows a float.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _check_m(m)
     dt = json_real(t, "t") / m
     stages: list[tuple[int, float]] = []
     for p in range(m):
@@ -281,8 +289,7 @@ def class_uses(
     the next step's first when they share a class (every palindromic order
     >= 2 and every one-class formula), so that class loses m - 1 stages.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _check_m(m)
     uses = [0] * formula.num_classes
     for s in formula.stages:
         uses[s.k - 1] += m

@@ -164,12 +164,12 @@ def kak_inputs(model, coloring, formula, m, t) -> set[bytes]:
     from trottersmith.trotter import expand
 
     hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
+    plain = _plain_exchange(model.coupling, model.h_i, model.h_j)
     inputs = set()
     for s in expand(formula, m, t, model.profile):
         cls = coloring.classes[s.k - 1]
         us = _expm_herm(hterms[list(cls)], -1j * s.tau)
-        inputs |= {u.tobytes() for ei, u in zip(cls, us)
-                   if not _plain_exchange(model.edges[ei])}
+        inputs |= {u.tobytes() for ei, u in zip(cls, us) if not plain[ei]}
     return inputs
 
 
@@ -187,4 +187,5 @@ def class_edge_cnots(model, coloring) -> list[list[int]]:
     """Each color class's per-edge template CNOTs, as ``estimate --model`` passes them."""
     from trottersmith.synth import template_cnots
 
-    return [[template_cnots(model.edges[e]) for e in c] for c in coloring.classes]
+    cnots = template_cnots(model)
+    return [[cnots[e] for e in c] for c in coloring.classes]

@@ -322,6 +322,21 @@ class TestOneDefinitionOfANumber:
         with pytest.raises(ValueError, match="gate matrix entries must be numbers, got dtype"):
             Gate(GateKind.U1Q, (0,), matrix=matrix)
 
+    @pytest.mark.parametrize("flag", [True, np.True_, np.False_],
+                             ids=["bool", "np.True_", "np.False_"])
+    def test_complex_gate_rows_refuse_booleans(self, flag):
+        # NumPy reads a bool beside a complex as a number, so the rows are scanned
+        rows = [[flag, 0j], [0, 1]] if flag else [[1, 0j], [flag, 1]]
+        with pytest.raises(ValueError, match="gate matrix entries must be numbers, got a boolean"):
+            Gate(GateKind.U1Q, (0,), matrix=rows)
+
+    @pytest.mark.parametrize("matrix", [[[0, 1j], [1j, 0]], np.array([[0, 1j], [1j, 0]]),
+                                        [np.array([0, 1j]), np.array([1j, 0])]],
+                             ids=["rows", "ndarray", "rows-of-arrays"])
+    def test_complex_gate_matrices_load(self, matrix):
+        g = Gate(GateKind.U1Q, (0,), matrix=matrix)
+        assert g.matrix.dtype == complex and g.matrix.tolist() == [[0, 1j], [1j, 0]]
+
     @given(st.floats(allow_nan=False, allow_infinity=False) | _edge_floats
            | st.integers(-(10**20), 10**20)
            | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trottersmith import (
@@ -35,7 +35,8 @@ from trottersmith import (
     synth_edge,
 )
 from trottersmith.circuits import Circuit, circuit_to_json
-from trottersmith.model import CONSTANT_PROFILE, edge_hamiltonians
+from trottersmith.model import (CONSTANT_PROFILE, ISOTROPY_TOL, edge_hamiltonians,
+                                model_from_json, model_to_json)
 from trottersmith.oracle import formula_unitary, run_circuit
 from trottersmith.synth import _core_3cnot, canonical_core_unitary, cartan_unitary, \
     synth_two_qubit, template_cnots
@@ -261,10 +262,12 @@ class TestSynthEdge:
         assert [[gate_record(g) for g in layer] for layer in moved] == \
             [[gate_record(g) for g in layer] for layer in built.layers]
         # at tau = 0 every template gives an identity, which needs no CNOT
-        assert counts(circ)["cx"] == (template_cnots(term) if tau else 0)
+        assert counts(circ)["cx"] == (template_cnots(model)[0] if tau else 0)
 
     def test_heisenberg_term_costs_its_template(self):
-        assert counts(synth_edge(EXCHANGE, 0.7))["cx"] == template_cnots(EXCHANGE) == 3
+        model = SpinModel(n=2, pairs=[(0, 1)], coupling=[EXCHANGE.coupling.matrix],
+                          h_i=[EXCHANGE.h_i], h_j=[EXCHANGE.h_j])
+        assert counts(synth_edge(EXCHANGE, 0.7))["cx"] == template_cnots(model)[0] == 3
 
 
 class TestCore3Cnot:
@@ -274,14 +277,14 @@ class TestCore3Cnot:
             # the core is symmetric under exchanging the qubits, so both
             # orientations realise the same matrix
             for a, b in ((0, 1), (1, 0)):
-                frag = _core_3cnot(alpha, beta, gamma, a, b)
+                frag = synth._retarget(_core_3cnot(alpha, beta, gamma), {0: a, 1: b})
                 assert frag_cx_count(frag) == 3
                 assert len(frag) == 6
                 assert op_norm(fragment_unitary(frag) - target) < 1e-12
 
     def test_zero_angles_give_empty_fragment(self):
-        assert _core_3cnot(0.0, 0.0, 0.0, 0, 1) == []
-        assert frag_cx_count(_core_3cnot(0.0, 0.0, 1e-3, 0, 1)) == 3
+        assert _core_3cnot(0.0, 0.0, 0.0) == []
+        assert frag_cx_count(_core_3cnot(0.0, 0.0, 1e-3)) == 3
 
     def test_import_runs_no_decomposition(self):
         # the core circuit is closed-form: nothing is decomposed at import
@@ -445,13 +448,13 @@ class TestBuildTrotterCircuit:
                 g.matrix[0, 0] = 0.0
 
 
-def unfused_cartan_fragment(u: np.ndarray, qubits: tuple[int, int]) -> list[list[Gate]]:
-    """The 6-CNOT template with its one-qubit runs written out, 15 layers:
-    locals u, Hadamards, the XX, YY and ZZ cores, locals v."""
+def unfused_cartan_fragment(u: np.ndarray) -> list[list[Gate]]:
+    """The 6-CNOT template with its one-qubit runs written out, 15 layers on
+    qubits (0, 1): locals u, Hadamards, the XX, YY and ZZ cores, locals v."""
     c = kak_decompose(u)
     if max(abs(x) for x in c.angles) < synth.ZERO_ANGLE_TOL:
-        return synth_two_qubit(u, qubits)
-    a, b = qubits
+        return synth_two_qubit(u)
+    a, b = 0, 1
     half = math.pi / 2.0
 
     def pair(kind, **kw):
@@ -469,19 +472,22 @@ def unfused_cartan_fragment(u: np.ndarray, qubits: tuple[int, int]) -> list[list
 
 def per_edge_stages(model, coloring, formula, m, t, general=synth_two_qubit):
     """Each stage's layers with no sharing: every (edge, tau) slot gets its
-    own ``general(u, (i, j))`` or _core_3cnot fragment."""
+    own ``general(u)`` or _core_3cnot fragment, moved from qubits (0, 1) to
+    the edge's own."""
     hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
+    plain = synth._plain_exchange(model.coupling, model.h_i, model.h_j)
     for stage in expand(formula, m, t, model.profile):
         cls = coloring.classes[stage.k - 1]
         us = synth._expm_herm(hterms[list(cls)], -1j * stage.tau)
         frags = []
         for ei, u in zip(cls, us):
-            term = model.edges[ei]
-            if synth._plain_exchange(term):
-                alpha = stage.tau * float(term.coupling.matrix[0, 0])
-                frags.append(_core_3cnot(alpha, alpha, alpha, term.i, term.j))
+            if plain[ei]:
+                alpha = stage.tau * float(model.coupling[ei, 0, 0])
+                frag = _core_3cnot(alpha, alpha, alpha)
             else:
-                frags.append(general(u, (term.i, term.j)))
+                frag = general(u)
+            i, j = model.pairs[ei].tolist()
+            frags.append(synth._retarget(frag, {0: i, 1: j}))
         yield [tuple(g for f in frags if p < len(f) for g in f[p])
                for p in range(max(len(f) for f in frags))]
 
@@ -644,16 +650,72 @@ class TestOneQubitFusion:
         assert tally["cx"] == 23232
 
 
+@st.composite
+def coupling_rows(draw):
+    """A 3x3 coupling: exactly isotropic, isotropic with one entry off by
+    +-0.5 or +-2 times ISOTROPY_TOL, all zero, or general."""
+    kind = draw(st.sampled_from(["isotropic", "perturbed", "zero", "general"]))
+    if kind == "zero":
+        return np.zeros((3, 3))
+    if kind == "general":
+        entries = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.75, 1.5])
+        return np.reshape(draw(st.lists(entries, min_size=9, max_size=9)), (3, 3))
+    jmat = draw(st.floats(0.25, 2.0)) * draw(st.sampled_from([-1.0, 1.0])) * np.eye(3)
+    if kind == "perturbed":
+        a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        jmat[a, b] += draw(st.sampled_from([-2.0, -0.5, 0.5, 2.0])) * ISOTROPY_TOL
+    return jmat
+
+
+_NO_FIELD = (0.0, 0.0, 0.0)
+
+
+def field_rows():
+    """A field share: zero, or a random vector."""
+    return st.just(_NO_FIELD) | st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
 class TestTemplateCnots:
     def test_mixed_template_model_count_is_exact(self):
         # open 3x3 Heisenberg square with a field: 8 edges carry a field share
         model = build_lattice("square", (3, 3), coupling=CouplingTensor.heisenberg(),
                               field=(0.5, 0.0, 0.3))
-        per_edge = [synth.template_cnots(e) for e in model.edges]
+        per_edge = synth.template_cnots(model)
         assert sorted(per_edge) == [3] * 4 + [6] * 8
         col = color_model(model)
         circ = build_trotter_circuit(model, col, first_order(col.num_classes), 2, 1.0)
         assert counts(circ)["cx"] == 2 * sum(per_edge) == 120
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(coupling_rows(), field_rows(), field_rows()),
+                         min_size=1, max_size=6),
+           tau=st.floats(0.05, 1.0) | st.floats(-1.0, -0.05) | st.just(0.0))
+    @example(rows=[(np.eye(3) + np.diag([0.0, x * ISOTROPY_TOL, 0.0]), _NO_FIELD, _NO_FIELD)
+                   for x in (0.0, 0.5, -0.5, 2.0, -2.0)]
+             + [(np.zeros((3, 3)), _NO_FIELD, _NO_FIELD)], tau=0.3)
+    def test_stacked_choice_is_the_one_edge_rule(self, rows, tau):
+        jmats, his, hjs = zip(*rows)
+        model = SpinModel(len(rows) + 1, [(k, k + 1) for k in range(len(rows))], jmats, his, hjs)
+        table = template_cnots(model)
+        assert len(table) == len(rows)
+        for k, (jmat, h_i, h_j) in enumerate(rows):
+            field = np.any(h_i) or np.any(h_j)
+            rule = 0 if not np.any(jmat) else \
+                3 if CouplingTensor(jmat).isotropic and not field else 6
+            assert table[k] == rule
+            if tau:
+                assert counts(synth_edge(model.edges[k], tau))["cx"] == rule
+
+    @pytest.mark.parametrize("mode", synth.MODES)
+    def test_pipeline_builds_no_edge_views(self, mode):
+        # every pipeline stage reads the stacks; model.edges is the one-edge API
+        mixed = build_lattice("square", (3, 3), coupling=CouplingTensor.heisenberg(),
+                              field=(0.5, 0.0, 0.3))
+        model = model_from_json(model_to_json(mixed))
+        col = color_model(model)
+        build_trotter_circuit(model, col, formula_for_order(2, col.num_classes), 2, 1.0, mode)
+        template_cnots(model)
+        assert "edges" not in model.__dict__
 
 
 def counts(circ):

@@ -17,6 +17,7 @@ from trottersmith import (
     first_order,
     first_order_error_bound,
     formula_for_order,
+    report_for_plan,
     second_order,
     steps_for_accuracy,
     suzuki,
@@ -167,6 +168,31 @@ class TestValidation:
         # order True used to plan order 1, and 2.5 steps or classes went unchecked
         with pytest.raises(ValueError, match="must be an integer, got"):
             make()
+
+
+_PLAN = StepPlan(m=2, order=1, bound_used="user", num_classes=2, t=1.0)
+
+
+class TestScheduleNumbers:
+    @pytest.mark.parametrize("call", [
+        lambda: first_order_error_bound(2, 4, 1.0, 1.0, 2.5),
+        lambda: first_order_error_bound(2, 4, True, 1.0, 2),
+        lambda: first_order_error_bound(2, 4.5, 1.0, 1.0, 2),
+        lambda: first_order_error_bound(2, 4, 1.0, math.nan, 2),
+        lambda: class_uses(first_order(2), 2.5),
+        lambda: expand(first_order(2), 2.5, 1.0),
+        lambda: report_for_plan(_PLAN, 4.5, edges_per_sweep=4),
+        lambda: report_for_plan(_PLAN, 4, edges_per_sweep=4.5),
+        lambda: StepPlan(m=2, order=1, bound_used="user", num_classes=2, t="1"),
+        lambda: StepPlan(m=2, order=1, bound_used="user", num_classes=2, t=math.nan),
+        lambda: StepPlan(m=2, order=1, bound_used="user", num_classes=2, t=1.0, epsilon="x"),
+    ], ids=["bound-m-float", "bound-j-bool", "bound-n-float", "bound-t-nan", "uses-m-float",
+            "expand-m-float", "report-n-float", "report-edges-float", "plan-t-str",
+            "plan-t-nan", "plan-epsilon-str"])
+    def test_every_number_is_checked(self, call):
+        # each of these used to return a number, or raise TypeError
+        with pytest.raises(ValueError, match="must be"):
+            call()
 
 
 class TestErrorBound:
