@@ -130,6 +130,11 @@ def isotropic_rows(coupling: np.ndarray) -> np.ndarray:
     return np.abs(coupling - coupling[..., :1, :1] * np.eye(3)).max(axis=(-2, -1)) <= ISOTROPY_TOL
 
 
+def coupled_rows(coupling: np.ndarray) -> np.ndarray:
+    """One bool per (..., 3, 3) tensor J: some entry of J exceeds ``ISOTROPY_TOL``."""
+    return np.abs(coupling).max(axis=(-2, -1)) > ISOTROPY_TOL
+
+
 def _check_couplings(couplings) -> None:
     for c in couplings:
         if not isinstance(c, CouplingTensor):

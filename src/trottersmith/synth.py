@@ -41,8 +41,8 @@ from .circuits import (_H, Circuit, Gate, GateKind, _check_unitary, _rotation, _
                        _unchecked_gate)
 from .coloring import EdgeColoring
 from .jsonutil import json_real
-from .model import (PAULIS, EdgeTerm, SpinModel, edge_hamiltonians, isotropic_rows,
-                    term_hamiltonian)
+from .model import (PAULIS, EdgeTerm, SpinModel, coupled_rows, edge_hamiltonians,
+                    isotropic_rows, term_hamiltonian)
 from .trotter import ProductFormula, expand
 
 KAK_UNITARITY_TOL = 1e-10
@@ -315,11 +315,8 @@ def _core_3cnot(alpha: float, beta: float, gamma: float) -> Fragment:
     """Three-CNOT realization of canonical_core_unitary on qubits (0, 1).
 
     The fixed circuit of Vatan & Williams, PRA 69, 032315 (2004), Fig. 6,
-    exact for any angles with the global phase included.  All three
-    angles below 1e-12 yield an empty fragment (the core is the identity).
+    exact for any angles with the global phase included.
     """
-    if all(abs(x) < ZERO_ANGLE_TOL for x in (alpha, beta, gamma)):
-        return []
     half = math.pi / 2.0
     return [
         [Gate(GateKind.CX, (1, 0))],
@@ -340,10 +337,11 @@ def synth_two_qubit(u: np.ndarray) -> Fragment:
     When every interaction coefficient is below 1e-12 the core is dropped
     and the locals merge into a single layer of one-qubit unitaries.
     """
-    return _cartan_fragment(kak_decompose(u))
+    c = kak_decompose(u)
+    return _cartan_fragment(c, any(abs(x) >= ZERO_ANGLE_TOL for x in c.angles))
 
 
-def _cartan_fragment(c: CartanCoefficients) -> Fragment:
+def _cartan_fragment(c: CartanCoefficients, core: bool) -> Fragment:
     """The 6-CNOT template wrapped in a decomposition's locals, on qubits (0, 1).
 
     Each interaction coefficient becomes one CNOT-conjugated rz on qubit 1;
@@ -351,12 +349,13 @@ def _cartan_fragment(c: CartanCoefficients) -> Fragment:
     YY.  The template's one-qubit runs are written fused: the opening
     Hadamards into the input locals u1, u2, and the closing quarter turn
     with the Hadamards after it into the constant H rx(pi/2), so the
-    fragment has 13 layers and no two adjacent one-qubit layers.
+    fragment has 13 layers and no two adjacent one-qubit layers.  Without
+    ``core`` the template is dropped and the locals merge into one layer.
     """
     def locals_(m0: np.ndarray, m1: np.ndarray) -> list[Gate]:
         return [Gate(GateKind.U1Q, (0,), matrix=m0), Gate(GateKind.U1Q, (1,), matrix=m1)]
 
-    if all(abs(x) < ZERO_ANGLE_TOL for x in c.angles):
+    if not core:
         return [locals_(c.v1 @ c.u1, c.v2 @ c.u2)]
     half = math.pi / 2.0
     cx = Gate(GateKind.CX, (0, 1))
@@ -387,23 +386,29 @@ def _plain_exchange(coupling: np.ndarray, h_i: np.ndarray, h_j: np.ndarray) -> n
 
 
 def template_cnots(model: SpinModel) -> list[int]:
-    """CNOTs ``decomposed`` mode emits per edge row: 3 or 6 by its template,
-    or 0 when its coupling tensor is all zero and its exponential is local."""
+    """CNOTs ``decomposed`` mode emits per edge row at tau != 0: 3 or 6 by its
+    template, or 0 where :func:`~trottersmith.model.coupled_rows` finds no
+    coupling.  The builder and ``synth_edge`` drop the CNOT core by the same
+    rule, so the count and the circuit agree for every coupling."""
     plain = _plain_exchange(model.coupling, model.h_i, model.h_j)
-    return np.where(model.coupling.any(axis=(1, 2)), np.where(plain, 3, 6), 0).tolist()
+    return np.where(coupled_rows(model.coupling), np.where(plain, 3, 6), 0).tolist()
 
 
-def _template(shared: dict, plain: bool, alpha: float, u: np.ndarray) -> Fragment:
+def _template(shared: dict, plain: bool, core: bool, alpha: float, u: np.ndarray) -> Fragment:
     """CNOTs and one-qubit gates for an edge's u = exp(-i tau H_ij), on qubits (0, 1).
 
     ``plain`` picks the 3-CNOT core at the exchange angle ``alpha`` = tau J,
-    else the KAK template of u.  ``shared`` maps each template input (the
-    angle, or the bytes of u) to the one fragment built for it.
+    else the KAK template of u.  Without ``core`` (an uncoupled edge, or tau
+    = 0) a plain edge gets no gate and any other one layer of u's KAK locals.
+    ``shared`` maps each template input (the angle, or the bytes of u) to
+    the one fragment built for it.
     """
-    key = (True, alpha) if plain else (False, u.tobytes())
+    key = (plain, core, alpha if plain else u.tobytes())
     if key not in shared:
-        shared[key] = (_core_3cnot(alpha, alpha, alpha) if plain
-                       else _cartan_fragment(kak_decompose(u)))
+        if plain:
+            shared[key] = _core_3cnot(alpha, alpha, alpha) if core else []
+        else:
+            shared[key] = _cartan_fragment(kak_decompose(u), core)
     return shared[key]
 
 
@@ -426,8 +431,10 @@ def synth_edge(term: EdgeTerm, tau: float) -> Circuit:
     """
     tau = json_real(tau, "tau")
     u = _expm_herm(term_hamiltonian(term), -1j * tau)
-    plain = _plain_exchange(term.coupling.matrix[None], term.h_i[None], term.h_j[None])[0]
-    return Circuit(n=2, layers=_template({}, plain, tau * float(term.coupling.matrix[0, 0]), u))
+    jmat = term.coupling.matrix[None]
+    plain = _plain_exchange(jmat, term.h_i[None], term.h_j[None])[0]
+    core = bool(coupled_rows(jmat)[0]) and tau != 0.0
+    return Circuit(n=2, layers=_template({}, plain, core, tau * float(jmat[0, 0, 0]), u))
 
 
 def _fuse_layers(first: tuple[Gate, ...], then: tuple[Gate, ...],
@@ -484,7 +491,9 @@ def build_trotter_circuit(
     instead of gate by gate.  ``decomposed`` lowers each unitary to a
     fragment of CNOTs and one-qubit gates; one pass over the stacks
     (:func:`_plain_exchange`) picks the 3-CNOT core circuit for each edge
-    isotropic with no field share and the 6-CNOT KAK template for the rest.
+    isotropic with no field share and the 6-CNOT KAK template for the rest;
+    an edge that :func:`~trottersmith.model.coupled_rows` finds uncoupled,
+    and every edge at tau = 0, gets its template without the CNOT core.
     Fragments of the edges in a class run in parallel, aligned from the
     stage's first layer.  Each distinct template input (the exchange angle,
     or the bytes of the unitary for KAK) is lowered once per call on qubits
@@ -506,6 +515,7 @@ def build_trotter_circuit(
         )
     hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
     plain = _plain_exchange(model.coupling, model.h_i, model.h_j) if mode == "decomposed" else None
+    coupled = coupled_rows(model.coupling) if mode == "decomposed" else None
     shared: dict = {}  # decomposed fragments by template input, for this call only
     # a stage's layers are deterministic in (k, tau) and Gates are immutable;
     # the sign of a zero tau stays in the key because uij gates record it
@@ -525,8 +535,10 @@ def build_trotter_circuit(
                 stage_layers[key] = [_uij_gates(pairs, us, stage.tau)]
             else:
                 alphas = (stage.tau * model.coupling[cls, 0, 0]).tolist()
-                frags = [_retarget(_template(shared, p, alpha, u), {0: i, 1: j})
-                         for p, alpha, u, (i, j) in zip(plain[cls].tolist(), alphas, us, pairs)]
+                cores = (coupled[cls] & (stage.tau != 0.0)).tolist()
+                frags = [_retarget(_template(shared, p, c, alpha, u), {0: i, 1: j})
+                         for p, c, alpha, u, (i, j)
+                         in zip(plain[cls].tolist(), cores, alphas, us, pairs)]
                 stage_layers[key] = [
                     tuple(g for f in frags if p < len(f) for g in f[p])
                     for p in range(max(len(f) for f in frags))

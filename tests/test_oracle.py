@@ -20,6 +20,8 @@ from trottersmith import (
     formula_for_order,
     from_edges,
 )
+import trottersmith.oracle as oracle_mod
+from trottersmith.model import edge_hamiltonians
 from trottersmith.oracle import (
     _apply_local,
     apply_gate,
@@ -286,12 +288,14 @@ class TestTrotterError:
                 u = ref_expm(hs[s.k - 1], -1j * s.tau) @ u
             assert op_norm(got - u) < 1e-12
 
-    def test_each_distinct_stage_exponentiated_once(self, heis_chain4, monkeypatch):
-        import trottersmith.oracle as oracle_mod
-
+    # m = 32 walks one step of t/32 and squares it five times; the odd
+    # m = 33 walks all 33 steps
+    @pytest.mark.parametrize("m, walked, stages, distinct", [(32, 1, 3, 2), (33, 33, 67, 3)])
+    def test_each_distinct_stage_exponentiated_once(self, heis_chain4, monkeypatch,
+                                                     m, walked, stages, distinct):
         col = color_model(heis_chain4)
         f = formula_for_order(2, col.num_classes)
-        stages = list(expand(f, 32, 1.0, heis_chain4.profile))
+        schedule = list(expand(f, walked, walked / m, heis_chain4.profile))
         calls = []
         real = oracle_mod.expm_hermitian
 
@@ -300,9 +304,9 @@ class TestTrotterError:
             return real(h, factor)
 
         monkeypatch.setattr(oracle_mod, "expm_hermitian", counting)
-        formula_unitary(heis_chain4, col, f, 32, 1.0)
-        assert len(stages) == 65
-        assert len(calls) == len({(s.k, s.tau) for s in stages}) == 3
+        formula_unitary(heis_chain4, col, f, m, 1.0)
+        assert len(schedule) == stages
+        assert len(calls) == len({(s.k, s.tau) for s in schedule}) == distinct
         assert all(shape[1:] == (4, 4) for shape in calls)
 
     def test_stacked_exponential_matches_each_matrix(self, rng):
@@ -312,6 +316,111 @@ class TestTrotterError:
         for h, u in zip(hs, stacked):
             assert np.max(np.abs(u - ref_expm(h, -0.7j))) < 1e-13
             assert np.array_equal(u, expm_hermitian(h, -0.7j))
+
+
+def _stage_walk(model, coloring, formula, m, t) -> np.ndarray:
+    """Every stage of the m-step schedule applied edge by edge, with no squaring."""
+    hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
+    pairs = model.edge_pairs()
+    u = np.eye(2**model.n, dtype=complex)
+    for s in expand(formula, m, t, model.profile):
+        cls = list(coloring.classes[s.k - 1])
+        for ei, op in zip(cls, expm_hermitian(hterms[cls], -1j * s.tau)):
+            u = _apply_local(op, pairs[ei], u)
+    return u
+
+
+def _xyz_field_ring(field=(0.4, -0.3, 0.8), profile=None):
+    """An odd XYZ ring with a field, whose coloring needs three classes."""
+    kw = {} if profile is None else {"profile": profile}
+    return build_lattice("chain", 5, "periodic", coupling=CouplingTensor.diagonal(0.7, -1.2, 0.9),
+                         field=field, **kw)
+
+
+class TestSquaredFormula:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12, 32])
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("which", ["heis_chain4", "xyz_field_ring"])
+    def test_squaring_matches_the_stage_walk(self, heis_chain4, which, order, m):
+        model = heis_chain4 if which == "heis_chain4" else _xyz_field_ring()
+        col = color_model(model)
+        f = formula_for_order(order, col.num_classes)
+        sizes = [len(c) for c in col.classes]
+        # every even m squares at least once on these small models
+        assert (oracle_mod._squarings(f, sizes, m, model.n) > 0) == (m % 2 == 0)
+        got = formula_unitary(model, col, f, m, 0.9)
+        assert op_norm(got - _stage_walk(model, col, f, m, 0.9)) < 1e-12
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_piecewise_odd_m_and_one_class_keep_the_walk_bits(self, heis_chain4, order):
+        piecewise = _xyz_field_ring(profile=TimeProfile("piecewise", (1.0, -0.6, 0.5, 2.0)))
+        one_class = from_edges(2, [(0, 1, J1)], site_fields=[[0.3, 0.0, 0.5], [0, 0, 0]])
+        for model, ms in ((piecewise, (4,)), (heis_chain4, (3, 5, 33)), (one_class, (8, 32))):
+            col = color_model(model)
+            f = formula_for_order(order, col.num_classes)
+            for m in ms:
+                got = formula_unitary(model, col, f, m, 0.9)
+                assert np.array_equal(got, _stage_walk(model, col, f, m, 0.9))
+        # a one-class formula is one exponential, exactly the reference
+        col = color_model(one_class)
+        f = formula_for_order(order, 1)
+        assert trotter_error(one_class, col, f, 32, 1.0) == 0.0
+
+    def test_squaring_threshold_follows_the_matmul_cost(self):
+        # chain-9, order 2: halving m saves 4 m edge applications; one
+        # matmul costs 16, so m = 32 walks two steps and squares four times
+        model = build_lattice("chain", 9)
+        col = color_model(model)
+        f = formula_for_order(2, col.num_classes)
+        sizes = [len(c) for c in col.classes]
+        assert [oracle_mod._squarings(f, sizes, m, 9) for m in (2, 4, 8, 32, 48)] == \
+            [0, 1, 2, 4, 4]
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            formula_unitary(model, col, f, 0, 1.0)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            formula_unitary(model, col, f, 4.0, 1.0)
+
+    def test_squaring_keeps_two_work_matrices(self, heis_chain4, monkeypatch):
+        col = color_model(heis_chain4)
+        f = formula_for_order(2, col.num_classes)
+        products = []
+        real = np.matmul
+
+        def spy(a, b, out=None):
+            products.append((a is b, out is not None and out is not a))
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(oracle_mod.np, "matmul", spy)
+        formula_unitary(heis_chain4, col, f, 32, 1.0)
+        assert products == [(True, True)] * 5
+
+
+class TestRealSolver:
+    def test_real_and_complex_paths_agree(self, rng):
+        a = rng.standard_normal((3, 16, 16))
+        hs = (a + np.swapaxes(a, -1, -2)).astype(complex)
+        for factor in (-0.7j, -2.5j, 0.3):
+            got = expm_hermitian(hs, factor)
+            for h, u in zip(hs, got):
+                assert np.max(np.abs(u - ref_expm(h, factor))) < 1e-13
+
+    @pytest.mark.parametrize("field, dtype", [((0.5, 0.0, 0.3), np.float64),
+                                              ((0.5, 0.2, 0.3), np.complex128)])
+    def test_solver_follows_the_field(self, monkeypatch, field, dtype):
+        # H is real unless a y field puts sigma_y on a site alone
+        dtypes = []
+        real = np.linalg.eigh
+
+        def spy(h):
+            dtypes.append(h.dtype)
+            return real(h)
+
+        monkeypatch.setattr(oracle_mod.np.linalg, "eigh", spy)
+        model = _xyz_field_ring(field=field)
+        col = color_model(model)
+        formula_unitary(model, col, formula_for_order(2, col.num_classes), 4, 0.9)
+        exact_evolution(model, 0.9)
+        assert dtypes and set(dtypes) == {np.dtype(dtype)}
 
 
 def _random_circuit(rng: np.random.Generator, n: int, depth: int) -> Circuit:

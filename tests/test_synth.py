@@ -35,8 +35,8 @@ from trottersmith import (
     synth_edge,
 )
 from trottersmith.circuits import Circuit, circuit_to_json
-from trottersmith.model import (CONSTANT_PROFILE, ISOTROPY_TOL, edge_hamiltonians,
-                                model_from_json, model_to_json)
+from trottersmith.model import (CONSTANT_PROFILE, ISOTROPY_TOL, coupled_rows,
+                                edge_hamiltonians, model_from_json, model_to_json)
 from trottersmith.oracle import formula_unitary, run_circuit
 from trottersmith.synth import _core_3cnot, canonical_core_unitary, cartan_unitary, \
     synth_two_qubit, template_cnots
@@ -282,9 +282,14 @@ class TestCore3Cnot:
                 assert len(frag) == 6
                 assert op_norm(fragment_unitary(frag) - target) < 1e-12
 
-    def test_zero_angles_give_empty_fragment(self):
-        assert _core_3cnot(0.0, 0.0, 0.0) == []
-        assert frag_cx_count(_core_3cnot(0.0, 0.0, 1e-3)) == 3
+    def test_core_is_dropped_by_the_coupling_rule_not_the_angles(self):
+        # zero angles still build the exact 3-CNOT identity; only a template
+        # without a core (uncoupled edge, or tau = 0) is empty
+        for angles in ((0.0, 0.0, 0.0), (0.0, 0.0, 1e-3), (1e-13,) * 3):
+            frag = _core_3cnot(*angles)
+            assert frag_cx_count(frag) == 3
+            assert op_norm(fragment_unitary(frag) - canonical_core_unitary(*angles)) < 1e-12
+        assert synth._template({}, True, False, 1e-13, np.eye(4)) == []
 
     def test_import_runs_no_decomposition(self):
         # the core circuit is closed-form: nothing is decomposed at import
@@ -448,12 +453,17 @@ class TestBuildTrotterCircuit:
                 g.matrix[0, 0] = 0.0
 
 
-def unfused_cartan_fragment(u: np.ndarray) -> list[list[Gate]]:
+def cartan_fragment(u: np.ndarray, core: bool) -> list[list[Gate]]:
+    """The builder's KAK template of u, or one layer of its locals without ``core``."""
+    return synth._cartan_fragment(kak_decompose(u), core)
+
+
+def unfused_cartan_fragment(u: np.ndarray, core: bool) -> list[list[Gate]]:
     """The 6-CNOT template with its one-qubit runs written out, 15 layers on
     qubits (0, 1): locals u, Hadamards, the XX, YY and ZZ cores, locals v."""
     c = kak_decompose(u)
-    if max(abs(x) for x in c.angles) < synth.ZERO_ANGLE_TOL:
-        return synth_two_qubit(u)
+    if not core:
+        return synth._cartan_fragment(c, False)
     a, b = 0, 1
     half = math.pi / 2.0
 
@@ -470,22 +480,24 @@ def unfused_cartan_fragment(u: np.ndarray) -> list[list[Gate]]:
             [Gate(GateKind.U1Q, (a,), matrix=c.v1), Gate(GateKind.U1Q, (b,), matrix=c.v2)]]
 
 
-def per_edge_stages(model, coloring, formula, m, t, general=synth_two_qubit):
+def per_edge_stages(model, coloring, formula, m, t, general=cartan_fragment):
     """Each stage's layers with no sharing: every (edge, tau) slot gets its
-    own ``general(u)`` or _core_3cnot fragment, moved from qubits (0, 1) to
-    the edge's own."""
+    own ``general(u, core)`` or _core_3cnot fragment, moved from qubits (0, 1) to
+    the edge's own; each gets its core where it is coupled and tau != 0."""
     hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
     plain = synth._plain_exchange(model.coupling, model.h_i, model.h_j)
+    coupled = coupled_rows(model.coupling)
     for stage in expand(formula, m, t, model.profile):
         cls = coloring.classes[stage.k - 1]
         us = synth._expm_herm(hterms[list(cls)], -1j * stage.tau)
         frags = []
         for ei, u in zip(cls, us):
+            core = bool(coupled[ei]) and stage.tau != 0.0
             if plain[ei]:
                 alpha = stage.tau * float(model.coupling[ei, 0, 0])
-                frag = _core_3cnot(alpha, alpha, alpha)
+                frag = _core_3cnot(alpha, alpha, alpha) if core else []
             else:
-                frag = general(u)
+                frag = general(u, core)
             i, j = model.pairs[ei].tolist()
             frags.append(synth._retarget(frag, {0: i, 1: j}))
         yield [tuple(g for f in frags if p < len(f) for g in f[p])
@@ -692,7 +704,10 @@ class TestTemplateCnots:
            tau=st.floats(0.05, 1.0) | st.floats(-1.0, -0.05) | st.just(0.0))
     @example(rows=[(np.eye(3) + np.diag([0.0, x * ISOTROPY_TOL, 0.0]), _NO_FIELD, _NO_FIELD)
                    for x in (0.0, 0.5, -0.5, 2.0, -2.0)]
-             + [(np.zeros((3, 3)), _NO_FIELD, _NO_FIELD)], tau=0.3)
+             + [(np.zeros((3, 3)), _NO_FIELD, _NO_FIELD),
+                (1e-13 * np.eye(3), _NO_FIELD, _NO_FIELD),
+                (1e-13 * np.eye(3), (0.3, 0.0, 0.5), _NO_FIELD),
+                (1e-11 * np.eye(3), _NO_FIELD, _NO_FIELD)], tau=0.3)
     def test_stacked_choice_is_the_one_edge_rule(self, rows, tau):
         jmats, his, hjs = zip(*rows)
         model = SpinModel(len(rows) + 1, [(k, k + 1) for k in range(len(rows))], jmats, his, hjs)
@@ -700,11 +715,32 @@ class TestTemplateCnots:
         assert len(table) == len(rows)
         for k, (jmat, h_i, h_j) in enumerate(rows):
             field = np.any(h_i) or np.any(h_j)
-            rule = 0 if not np.any(jmat) else \
+            rule = 0 if np.abs(jmat).max() <= ISOTROPY_TOL else \
                 3 if CouplingTensor(jmat).isotropic and not field else 6
             assert table[k] == rule
             if tau:
                 assert counts(synth_edge(model.edges[k], tau))["cx"] == rule
+
+    @pytest.mark.parametrize("field", [None, [(0.3, 0.0, 0.5), (0.0, 0.0, 0.0)]],
+                             ids=["bare", "field"])
+    @pytest.mark.parametrize("scale, t, cnots", [(1e-13, 1.0, 0), (1e-13, 1e3, 0),
+                                                 (1e-11, 1e-3, 3)])
+    def test_count_and_circuit_share_the_coupling_rule(self, field, scale, t, cnots):
+        # a coupling within ISOTROPY_TOL of zero counts and emits no CNOT at
+        # any tau, and one above it emits its core even at angles below 1e-12
+        model = from_edges(2, [(0, 1, CouplingTensor(scale * np.eye(3)))], site_fields=field)
+        col = color_model(model)
+        want = cnots if field is None else 2 * cnots
+        assert template_cnots(model) == [want]
+        assert counts(synth_edge(model.edges[0], t))["cx"] == want
+        for order in (1, 2):
+            f = formula_for_order(order, col.num_classes)
+            circ = build_trotter_circuit(model, col, f, 4, t)
+            plan = StepPlan(m=4, order=order, bound_used="user", num_classes=col.num_classes, t=t)
+            report = report_for_plan(plan, model.n, edge_cnots=class_edge_cnots(model, col))
+            assert counts(circ)["cx"] == report.cnots == report.interaction_gates * want
+            assert audit(report, circ) == []
+            assert op_norm(circuit_unitary(circ) - formula_unitary(model, col, f, 4, t)) < 1e-9
 
     @pytest.mark.parametrize("mode", synth.MODES)
     def test_pipeline_builds_no_edge_views(self, mode):
