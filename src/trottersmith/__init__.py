@@ -11,8 +11,7 @@ from .circuits import Circuit, Gate, GateKind, circuit_from_json, circuit_to_jso
     circuit_to_qasm3, counts
 from .coloring import EdgeColoring, color_model, coloring_from_json, coloring_to_json
 from .model import Boundary, CouplingTensor, EdgeTerm, LatticeKind, SpinModel, \
-    TimeProfile, build_lattice, from_edges, model_from_json, model_to_json, \
-    term_hamiltonian
+    TimeProfile, build_lattice, from_edges, model_from_json, model_to_json
 from .oracle import circuit_unitary, exact_evolution, run_circuit, spectral_norm, \
     total_hamiltonian, trotter_error
 from .resources import GateTimingModel, ResourceReport, audit, report_for_plan
@@ -68,7 +67,6 @@ __all__ = [
     "steps_for_accuracy",
     "suzuki",
     "synth_edge",
-    "term_hamiltonian",
     "total_hamiltonian",
     "trotter_error",
 ]

@@ -324,12 +324,14 @@ def verify(ctx, model_path, order, t, m_grid, jobs, out) -> None:
             f"pass --m-grid {steps}"
         )
     reference = oracle.exact_evolution(model, t)
+    bounds = [trotter.first_order_error_bound(coloring.num_classes, model.n, model.j_max, t, m,
+                                              model.profile) for m in ms if order == 1]
+    if not np.isfinite(bounds).all():  # t^2 overflows, or times a zero J gives nan
+        raise ValueError(f"the first-order error bound overflows a float: t={t}")
     errors = [oracle.trotter_error(model, coloring, formula, m, t, reference=reference,
                                    seed=seed) for m in ms]
     lines = ["m,error,bound,order"]
-    for m, err in zip(ms, errors):
-        bound = "" if order != 1 else format_float(trotter.first_order_error_bound(
-            coloring.num_classes, model.n, model.j_max, t, m, model.profile))
+    for m, err, bound in zip(ms, errors, [format_float(b) for b in bounds] or [""] * len(ms)):
         lines.append(f"{m},{format_float(err)},{bound},{order}")
     slope = _loglog_slope(ms, errors)
     _write_artifact("\n".join(lines) + "\n", out)

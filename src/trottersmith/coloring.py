@@ -47,7 +47,7 @@ def validate(model: SpinModel, coloring: EdgeColoring) -> None:
     """
     if coloring.n != model.n:
         raise ValueError(f"coloring is for n={coloring.n}, model has n={model.n}")
-    pairs = model.edge_pairs()
+    pairs = model.pairs.tolist()
     seen: dict[int, int] = {}
     for k, cls in enumerate(coloring.classes):
         touched: dict[int, int] = {}
@@ -86,7 +86,7 @@ def color_model(model: SpinModel) -> EdgeColoring:
     Deterministic: edges are processed in sorted order and free colors are
     always the smallest available.
     """
-    pairs = model.edge_pairs()
+    pairs = list(map(tuple, model.pairs.tolist()))
     path = "koenig"
     color_of = _edge_colors(model.n, pairs, model.max_degree, koenig=True)
     if color_of is None:

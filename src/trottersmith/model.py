@@ -14,8 +14,9 @@ it into internally commuting classes.
 
 A :class:`SpinModel` is its stacks: read-only (E, 2) endpoints, (E, 3, 3)
 couplings and (E, 3) field shares, checked once as wholes.  Every pipeline
-stage reads the stacks; ``model.edges`` gives per-edge :class:`EdgeTerm`
-views of the same rows, built on first use, for callers of the one-edge API.
+stage reads the stacks.  ``model.edges`` gives per-edge :class:`EdgeTerm`
+views of the same rows, built on first use; no pipeline path reads them, and
+they stay only for the benchmark's trace hook, which counts them.
 """
 from __future__ import annotations
 
@@ -87,16 +88,6 @@ class CouplingTensor:
     def diagonal(cls, jx: float, jy: float, jz: float) -> "CouplingTensor":
         # nested lists, not np.diag, so a boolean entry meets the row check
         return cls([[jx, 0.0, 0.0], [0.0, jy, 0.0], [0.0, 0.0, jz]])
-
-    @property
-    def isotropic(self) -> bool:
-        """True iff J = j * identity within tolerance."""
-        return bool(isotropic_rows(self.matrix))
-
-    @property
-    def norm(self) -> float:
-        """Spectral norm of the 3x3 tensor; the per-edge interaction strength."""
-        return float(np.linalg.norm(self.matrix, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,8 +212,8 @@ class SpinModel:
 
     @functools.cached_property
     def edges(self) -> tuple[EdgeTerm, ...]:
-        """One :class:`EdgeTerm` per row for one-edge consumers: read-only row
-        views that skip the per-edge checks, which the stacks have passed."""
+        """One :class:`EdgeTerm` per row, for the benchmark's trace hook: read-only
+        row views that skip the per-edge checks, which the stacks have passed."""
         terms = []
         for (i, j), jmat, h_i, h_j in zip(self.pairs.tolist(), self.coupling, self.h_i, self.h_j):
             coupling = object.__new__(CouplingTensor)
@@ -244,9 +235,6 @@ class SpinModel:
     @property
     def max_degree(self) -> int:
         return max(self.degrees)
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        return list(map(tuple, self.pairs.tolist()))
 
 
 # constant 4x4 tables ordered (site i, site j): S^a x S^b, S^a x 1, 1 x S^a
@@ -270,11 +258,6 @@ def edge_hamiltonians(coupling: np.ndarray, h_i: np.ndarray, h_j: np.ndarray) ->
         h4 += h_i[:, a, None, None] * _SPIN_I[a]
         h4 += h_j[:, a, None, None] * _SPIN_J[a]
     return h4
-
-
-def term_hamiltonian(term: EdgeTerm) -> np.ndarray:
-    """Dense 4x4 Hamiltonian of one edge term; one slice of :func:`edge_hamiltonians`."""
-    return edge_hamiltonians(term.coupling.matrix[None], term.h_i[None], term.h_j[None])[0]
 
 
 def _field_shares(n: int, pairs, site_fields) -> tuple[np.ndarray, np.ndarray]:

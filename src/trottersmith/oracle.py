@@ -99,7 +99,7 @@ def total_hamiltonian(model: SpinModel) -> np.ndarray:
     eye = np.eye(2**model.n, dtype=complex)
     h = np.zeros_like(eye)
     hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
-    for pair, h4 in zip(model.edge_pairs(), hterms):
+    for pair, h4 in zip(map(tuple, model.pairs.tolist()), hterms):
         h += _apply_local(h4, pair, eye)
     return h
 
@@ -136,14 +136,13 @@ def spectral_norm(
     if a.ndim != 2:
         raise ValueError("spectral_norm expects a matrix")
     dim = a.shape[1]
-    a_h = a.conj().T
     block = min(NORM_BLOCK, dim)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
     v, _ = np.linalg.qr(v)
     lam = 0.0
     for _ in range(max_iters):
-        w = a_h @ (a @ v)
+        w = (a.T @ (a @ v).conj()).conj()  # a^H (a v) without a copy of a^H
         if not np.any(w):
             return 0.0
         ritz = v.conj().T @ w
@@ -217,7 +216,7 @@ def formula_unitary(
     if formula.num_classes > 1 and model.profile.is_constant:
         squarings = _squarings(formula, [len(cls) for cls in coloring.classes], m, model.n)
     hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
-    sites = model.edge_pairs()
+    sites = list(map(tuple, model.pairs.tolist()))
     pairs = [[sites[ei] for ei in cls] for cls in coloring.classes]
     terms = [hterms[list(cls)] for cls in coloring.classes]
     stage_ops: dict[tuple[int, float], np.ndarray] = {}
@@ -253,8 +252,9 @@ def trotter_error(
     """
     if reference is None:
         reference = exact_evolution(model, t)
-    approx = formula_unitary(model, coloring, formula, m, t)
-    return spectral_norm(approx - reference, seed=seed)
+    diff = formula_unitary(model, coloring, formula, m, t)
+    diff -= reference
+    return spectral_norm(diff, seed=seed)
 
 
 # --- statevector playback --------------------------------------------------

@@ -19,7 +19,7 @@ field-free isotropic term,
 exp(-i alpha S.S), already is the core at angles (alpha, alpha, alpha), so
 it goes straight to the closed-form three-CNOT core circuit of Vatan &
 Williams, exact with its global phase and with no decomposition at all.
-:func:`synth_edge` lowers one term on its own through the builder's choice.
+:func:`synth_edge` lowers one edge row by running the builder on it.
 
 The circuit builder lowers each distinct template input once per call, on
 qubits (0, 1): edges whose terms and durations give the same input share
@@ -41,13 +41,11 @@ from .circuits import (_H, Circuit, Gate, GateKind, _check_unitary, _rotation, _
                        _unchecked_gate)
 from .coloring import EdgeColoring
 from .jsonutil import json_real
-from .model import (PAULIS, EdgeTerm, SpinModel, coupled_rows, edge_hamiltonians,
-                    isotropic_rows, term_hamiltonian)
-from .trotter import ProductFormula, expand
+from .model import PAULIS, SpinModel, coupled_rows, edge_hamiltonians, isotropic_rows
+from .trotter import ProductFormula, expand, first_order
 
 KAK_UNITARITY_TOL = 1e-10
 KAK_RECONSTRUCTION_TOL = 1e-8
-ZERO_ANGLE_TOL = 1e-12
 
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
 # the 6-CNOT template's quarter turn rx(pi/2) followed by a Hadamard
@@ -331,16 +329,6 @@ def _core_3cnot(alpha: float, beta: float, gamma: float) -> Fragment:
     ]
 
 
-def synth_two_qubit(u: np.ndarray) -> Fragment:
-    """Synthesize an arbitrary two-qubit unitary with at most 6 CNOTs, on qubits (0, 1).
-
-    When every interaction coefficient is below 1e-12 the core is dropped
-    and the locals merge into a single layer of one-qubit unitaries.
-    """
-    c = kak_decompose(u)
-    return _cartan_fragment(c, any(abs(x) >= ZERO_ANGLE_TOL for x in c.angles))
-
-
 def _cartan_fragment(c: CartanCoefficients, core: bool) -> Fragment:
     """The 6-CNOT template wrapped in a decomposition's locals, on qubits (0, 1).
 
@@ -388,8 +376,8 @@ def _plain_exchange(coupling: np.ndarray, h_i: np.ndarray, h_j: np.ndarray) -> n
 def template_cnots(model: SpinModel) -> list[int]:
     """CNOTs ``decomposed`` mode emits per edge row at tau != 0: 3 or 6 by its
     template, or 0 where :func:`~trottersmith.model.coupled_rows` finds no
-    coupling.  The builder and ``synth_edge`` drop the CNOT core by the same
-    rule, so the count and the circuit agree for every coupling."""
+    coupling.  The builder drops the CNOT core by the same rule, so the count
+    and the circuit agree for every coupling."""
     plain = _plain_exchange(model.coupling, model.h_i, model.h_j)
     return np.where(coupled_rows(model.coupling), np.where(plain, 3, 6), 0).tolist()
 
@@ -420,21 +408,6 @@ def _retarget(frag: Fragment, to: dict[int, int]) -> Fragment:
     """
     return [[_unchecked_gate(g.kind, tuple([to[q] for q in g.qubits]), g.angle, g.matrix, g.tau)
              for g in layer] for layer in frag]
-
-
-def synth_edge(term: EdgeTerm, tau: float) -> Circuit:
-    """Two-qubit circuit for exp(-i tau H_ij), qubit 0 playing site i and 1 site j.
-
-    The term goes through the builder's own template choice
-    (:func:`_plain_exchange`, :func:`_template`), so it costs what it costs
-    in a decomposed build.  Raises ValueError unless tau is finite.
-    """
-    tau = json_real(tau, "tau")
-    u = _expm_herm(term_hamiltonian(term), -1j * tau)
-    jmat = term.coupling.matrix[None]
-    plain = _plain_exchange(jmat, term.h_i[None], term.h_j[None])[0]
-    core = bool(coupled_rows(jmat)[0]) and tau != 0.0
-    return Circuit(n=2, layers=_template({}, plain, core, tau * float(jmat[0, 0, 0]), u))
 
 
 def _fuse_layers(first: tuple[Gate, ...], then: tuple[Gate, ...],
@@ -553,3 +526,16 @@ def build_trotter_circuit(
                 run = run[1:]
         layers.extend(run)
     return Circuit(n=model.n, layers=tuple(layers))
+
+
+def synth_edge(coupling, h_i, h_j, tau: float) -> Circuit:
+    """Two-qubit circuit for exp(-i tau H) of one edge row: a 3x3 ``coupling``
+    and the field shares ``h_i`` and ``h_j``, qubit 0 playing site i and 1 site j.
+
+    The row is a one-edge model that :func:`build_trotter_circuit` lowers at
+    m = 1 and t = tau, so it costs what it costs in a decomposed build.
+    Raises ValueError unless tau is finite.
+    """
+    tau = json_real(tau, "tau")
+    model = SpinModel(2, [(0, 1)], [coupling], [h_i], [h_j])
+    return build_trotter_circuit(model, EdgeColoring(2, ((0,),)), first_order(1), 1, tau)

@@ -10,7 +10,10 @@ import importlib
 import json
 from pathlib import Path
 
+import pytest
+
 from trottersmith import circuits, resources, synth
+from trottersmith import model as model_mod
 
 from conftest import edge_tau_slots, kak_inputs
 
@@ -61,3 +64,22 @@ def test_traced_load_validates_each_distinct_gate_once(xyz_square44, monkeypatch
     inits = tracer.pass_metrics(0)["circuits.gate_inits"]
     assert inits == len(full) > 0
     assert len(full) < len(table)
+
+
+_J = model_mod.CouplingTensor.diagonal(1.0, 0.5, -0.3)
+_CHAIN_TEXT = model_mod.model_to_json(model_mod.build_lattice("chain", 7, field=(0.2, 0.0, 0.4)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: model_mod.build_lattice("square", (3, 4), "periodic", coupling=_J),
+    lambda: model_mod.from_edges(5, [(0, 1, _J), (1, 3, _J), (0, 4, _J), (2, 3, _J)]),
+    lambda: model_mod.model_from_json(_CHAIN_TEXT),
+], ids=["build_lattice", "from_edges", "model_from_json"])
+def test_traced_model_counts_its_edges(make, monkeypatch):
+    # the hook reads len(model.edges) after each traced build and load, so
+    # SpinModel.edges must stay, one view per stack row, while it does
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracing").Tracer()
+    with tracer.installed(0):
+        spin_model = make()
+    assert tracer.pass_metrics(0)["model.edges"] == len(spin_model.pairs) > 0

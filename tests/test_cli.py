@@ -36,9 +36,9 @@ from trottersmith import (
     model_from_json,
     model_to_json,
     report_for_plan,
-    term_hamiltonian,
 )
 from trottersmith.cli import main
+from trottersmith.model import edge_hamiltonians
 from trottersmith.oracle import exact_evolution, formula_unitary, spectral_norm
 
 from conftest import class_edge_cnots, ref_expm
@@ -71,7 +71,7 @@ class TestLattice:
     def test_writes_model_file(self, chain4_file):
         model = model_from_json(chain4_file.read_text())
         assert model.n == 4
-        assert model.edge_pairs() == [(0, 1), (1, 2), (2, 3)]
+        assert model.pairs.tolist() == [[0, 1], [1, 2], [2, 3]]
 
     def test_summary_goes_to_stdout_with_out(self, tmp_path):
         path = tmp_path / "m.json"
@@ -321,11 +321,12 @@ class TestSynth:
         assert res.exit_code == 0, res.output
         model = model_from_json(path.read_text())
         col = color_model(model)
+        hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
         layers = [
             tuple(
-                Gate(GateKind.UIJ, e.sites, matrix=ref_expm(term_hamiltonian(e), -1j * s.tau),
-                     tau=s.tau)
-                for e in (model.edges[ei] for ei in col.classes[s.k - 1])
+                Gate(GateKind.UIJ, tuple(model.pairs[ei].tolist()),
+                     matrix=ref_expm(hterms[ei], -1j * s.tau), tau=s.tau)
+                for ei in col.classes[s.k - 1]
             )
             for s in expand(formula_for_order(4, col.num_classes), 2, 0.0)
         ]
@@ -588,6 +589,18 @@ class TestVerify:
             assert float(bound) > 0
             assert order == "1"
         assert "slope=" in res.stderr
+
+    @pytest.mark.parametrize("coupling", ["1.0", "0.0"])
+    def test_overflowing_bound_exits_two(self, tmp_path, coupling):
+        # the bound's t^2 overflows at t = 1e200 (and is nan times a zero J),
+        # while the stage durations and the exact evolution stay finite
+        model = tmp_path / "chain3.json"
+        run("lattice", "--kind", "chain", "--dims", "3", "--coupling", coupling,
+            "--out", str(model))
+        res = run("verify", "--model", str(model), "--order", "1", "--time", "1e200")
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert res.stderr == "error: the first-order error bound overflows a float: t=1e+200\n"
 
     def test_higher_order_leaves_bound_blank(self, tmp_path):
         model = tmp_path / "chain3.json"

@@ -86,7 +86,7 @@ class TestBuiltinColorings:
     ])
     def test_logged_path_on_odd_tori(self, caplog, shape, path, k):
         model = build_lattice("square", shape, "periodic")
-        assert not is_bipartite(model.n, model.edge_pairs())
+        assert not is_bipartite(model.n, model.pairs.tolist())
         with caplog.at_level(logging.INFO, logger="trottersmith.coloring"):
             col = color_model(model)
         assert caplog.messages == [f"coloring path: {path}"]
@@ -109,7 +109,7 @@ class TestColorGeneral:
         validate(model, col)
         assert col.num_classes == 3
         # brute-force oracle: no proper 2-coloring of C5's edges exists
-        pairs = model.edge_pairs()
+        pairs = model.pairs.tolist()
         for labels in itertools.product((0, 1), repeat=5):
             ok = True
             for (e1, l1), (e2, l2) in itertools.combinations(zip(pairs, labels), 2):

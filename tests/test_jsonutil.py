@@ -303,7 +303,8 @@ _REAL_SITES = {
     "steps-t": lambda x: steps_for_accuracy(2, 2, 4, 1.0, x, 0.01),
     "steps-epsilon": lambda x: steps_for_accuracy(1, 2, 4, 1.0, 1.0, x),
     "expand-t": lambda x: expand(first_order(2), 2, x),
-    "synth-edge-tau": lambda x: synth_edge(EdgeTerm(0, 1, _J), x),
+    "synth-edge-tau": lambda x: synth_edge(np.eye(3), np.zeros(3), np.zeros(3), x),
+    "synth-edge-row": lambda x: synth_edge(np.eye(3), [x, 0.0, 0.0], np.zeros(3), 0.5),
     "exact-evolution-t": lambda x: exact_evolution(build_lattice("chain", 2), x),
 }
 

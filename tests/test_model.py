@@ -21,29 +21,36 @@ from trottersmith import (
     from_edges,
     model_from_json,
     model_to_json,
-    term_hamiltonian,
 )
-from trottersmith.model import edge_hamiltonians
+from trottersmith.model import edge_hamiltonians, isotropic_rows
 from trottersmith.synth import _expm_herm
 
 from conftest import I2, SX, SZ, op_norm, ref_edge_hamiltonian
 
 
+def one_edge_hamiltonian(jmat, h_i=(0.0, 0.0, 0.0), h_j=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """The 4x4 Hamiltonian of one edge row, as the slice of a one-row stack."""
+    return edge_hamiltonians(np.array([jmat], dtype=float), np.array([h_i], dtype=float),
+                             np.array([h_j], dtype=float))[0]
+
+
 class TestCouplingTensor:
     def test_heisenberg_is_isotropic(self):
-        assert CouplingTensor.heisenberg(2.5).isotropic
-        assert CouplingTensor.diagonal(1.0, 1.0, 1.0).isotropic
+        assert isotropic_rows(CouplingTensor.heisenberg(2.5).matrix)
+        assert isotropic_rows(CouplingTensor.diagonal(1.0, 1.0, 1.0).matrix)
 
     def test_anisotropic_flag(self):
-        assert not CouplingTensor.diagonal(1.0, 1.0, 0.5).isotropic
+        assert not isotropic_rows(CouplingTensor.diagonal(1.0, 1.0, 0.5).matrix)
         off = np.zeros((3, 3))
         off[0, 1] = 1e-6
-        assert not CouplingTensor(np.eye(3) + off).isotropic
+        assert not isotropic_rows(CouplingTensor(np.eye(3) + off).matrix)
 
-    def test_norm_is_spectral(self):
-        assert CouplingTensor.heisenberg(3.0).norm == pytest.approx(3.0)
+    def test_edge_strength_is_spectral(self):
+        # j_max, the largest per-edge strength, is the spectral norm of each J
+        heis = from_edges(2, [(0, 1, CouplingTensor.heisenberg(3.0))])
+        assert heis.j_max == pytest.approx(3.0)
         j = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert CouplingTensor(j).norm == pytest.approx(op_norm(j))
+        assert from_edges(2, [(0, 1, CouplingTensor(j))]).j_max == pytest.approx(op_norm(j))
 
     @pytest.mark.parametrize("make, message", [
         (lambda: CouplingTensor.diagonal(True, 1.0, 1.0), None),
@@ -108,18 +115,17 @@ class TestEdgeTerm:
             EdgeTerm(0, 1, CouplingTensor.heisenberg(), h_i=np.zeros(2))
 
 
-class TestTermHamiltonian:
+class TestOneEdgeHamiltonian:
     def test_heisenberg_matrix_and_spectrum(self):
-        term = EdgeTerm(0, 1, CouplingTensor.heisenberg(1.0))
-        h = term_hamiltonian(term)
+        h = one_edge_hamiltonian(CouplingTensor.heisenberg(1.0).matrix)
         ref = ref_edge_hamiltonian(0, 1, 2, np.eye(3))
         assert np.allclose(h, ref, atol=1e-15)
         eig = np.sort(np.linalg.eigvalsh(h))
         assert np.allclose(eig, [-0.75, 0.25, 0.25, 0.25], atol=1e-12)
 
     def test_pure_field_term(self):
-        term = EdgeTerm(0, 1, CouplingTensor(np.zeros((3, 3))), h_i=(0.0, 0.0, 1.0))
-        assert np.allclose(term_hamiltonian(term), np.kron(SZ, I2) / 2, atol=1e-15)
+        h = one_edge_hamiltonian(np.zeros((3, 3)), h_i=(0.0, 0.0, 1.0))
+        assert np.allclose(h, np.kron(SZ, I2) / 2, atol=1e-15)
 
     @given(
         st.lists(st.floats(-1, 1), min_size=9, max_size=9),
@@ -129,8 +135,7 @@ class TestTermHamiltonian:
     def test_hermitian_and_norm_bounded(self, jvals, hvals):
         jmat = np.array(jvals).reshape(3, 3)
         h_i, h_j = np.array(hvals[:3]), np.array(hvals[3:])
-        term = EdgeTerm(0, 1, CouplingTensor(jmat), h_i=h_i, h_j=h_j)
-        h = term_hamiltonian(term)
+        h = one_edge_hamiltonian(jmat, h_i, h_j)
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
         loose = 2.25 * np.max(np.abs(jmat)) + np.linalg.norm(h_i) + np.linalg.norm(h_j)
         assert op_norm(h) <= loose + 1e-12
@@ -158,7 +163,9 @@ class TestEdgeHamiltonians:
         for k, e in enumerate(edges):
             ref = ref_edge_hamiltonian(0, 1, 2, e.coupling.matrix, e.h_i, e.h_j)
             assert np.max(np.abs(stack[k] - ref)) <= 1e-15
-            assert stack[k].tobytes() == term_hamiltonian(e).tobytes()
+            # row k depends only on row k: a one-row stack gives the same bits
+            assert stack[k].tobytes() == one_edge_hamiltonian(e.coupling.matrix, e.h_i,
+                                                              e.h_j).tobytes()
             assert us[k].tobytes() == _expm_herm(stack[k], -1j * tau).tobytes()
 
     def test_empty_sequence(self):
@@ -169,7 +176,7 @@ class TestEdgeHamiltonians:
 class TestBuildLattice:
     def test_open_chain_edges(self):
         model = build_lattice("chain", 4)
-        assert model.edge_pairs() == [(0, 1), (1, 2), (2, 3)]
+        assert model.pairs.tolist() == [[0, 1], [1, 2], [2, 3]]
         assert model.lattice is LatticeKind.CHAIN
 
     def test_periodic_square_3x3(self):
@@ -520,13 +527,14 @@ class TestJsonRoundTripProperty:
         text = model_to_json(model)
         back = model_from_json(text)
         assert model_to_json(back) == text
-        assert back.edge_pairs() == model.edge_pairs()
+        assert back.pairs.tolist() == model.pairs.tolist()
         for name in ("pairs", "coupling", "h_i", "h_j"):
             a, b = getattr(model, name), getattr(back, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         stack = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
-        for k, e in enumerate(model.edges):
-            assert stack[k].tobytes() == term_hamiltonian(e).tobytes()
+        for k in range(len(model.pairs)):
+            assert stack[k].tobytes() == one_edge_hamiltonian(model.coupling[k], model.h_i[k],
+                                                              model.h_j[k]).tobytes()
         for a, b in zip(model.edges, back.edges):
             assert a.coupling.matrix.tobytes() == b.coupling.matrix.tobytes()
             assert a.h_i.tobytes() == b.h_i.tobytes()

@@ -321,7 +321,7 @@ class TestTrotterError:
 def _stage_walk(model, coloring, formula, m, t) -> np.ndarray:
     """Every stage of the m-step schedule applied edge by edge, with no squaring."""
     hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
-    pairs = model.edge_pairs()
+    pairs = list(map(tuple, model.pairs.tolist()))  # tuple targets, as the oracle passes them
     u = np.eye(2**model.n, dtype=complex)
     for s in expand(formula, m, t, model.profile):
         cls = list(coloring.classes[s.k - 1])

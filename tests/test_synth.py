@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from trottersmith import (
     CouplingTensor,
     StepPlan,
-    EdgeTerm,
     SpinModel,
     Gate,
     GateKind,
@@ -36,10 +35,11 @@ from trottersmith import (
 )
 from trottersmith.circuits import Circuit, circuit_to_json
 from trottersmith.model import (CONSTANT_PROFILE, ISOTROPY_TOL, coupled_rows,
-                                edge_hamiltonians, model_from_json, model_to_json)
+                                edge_hamiltonians, isotropic_rows, model_from_json,
+                                model_to_json)
 from trottersmith.oracle import formula_unitary, run_circuit
-from trottersmith.synth import _core_3cnot, canonical_core_unitary, cartan_unitary, \
-    synth_two_qubit, template_cnots
+from trottersmith.synth import _cartan_fragment, _core_3cnot, canonical_core_unitary, \
+    cartan_unitary, template_cnots
 from trottersmith.trotter import expand
 
 from conftest import (
@@ -70,7 +70,9 @@ def frag_cx_count(frag) -> int:
     return sum(1 for layer in frag for g in layer if g.kind is GateKind.CX)
 
 
-EXCHANGE = EdgeTerm(0, 1, CouplingTensor.heisenberg())
+_NO_FIELD = (0.0, 0.0, 0.0)
+# one edge row (coupling, h_i, h_j), as synth_edge takes it
+EXCHANGE = (np.eye(3), _NO_FIELD, _NO_FIELD)
 
 
 def exchange_target(alpha: float) -> np.ndarray:
@@ -151,11 +153,11 @@ class TestKakDecompose:
             kak_decompose(np.full((4, 4), np.nan))
 
 
-class TestSynthTwoQubit:
+class TestCartanFragment:
     def test_random_exact_with_six_cnots(self, rng):
         for _ in range(20):
             u = random_unitary(4, rng)
-            frag = synth_two_qubit(u)
+            frag = _cartan_fragment(kak_decompose(u), True)
             assert frag_cx_count(frag) == 6
             # the template's one-qubit runs are fused: no two adjacent one-qubit layers
             assert len(frag) == 13
@@ -163,7 +165,9 @@ class TestSynthTwoQubit:
 
     def test_product_input_needs_no_cnots(self, rng):
         u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
-        frag = synth_two_qubit(u)
+        c = kak_decompose(u)
+        assert max(abs(x) for x in c.angles) < 1e-12
+        frag = _cartan_fragment(c, False)
         assert frag_cx_count(frag) == 0
         assert len(frag) == 1
         assert op_norm(fragment_unitary(frag) - u) < 1e-9
@@ -171,92 +175,75 @@ class TestSynthTwoQubit:
 
 class TestSynthGeneral:
     def test_xy_coupling(self):
-        term = EdgeTerm(0, 1, CouplingTensor.diagonal(1.0, 1.0, 0.0))
-        target = ref_expm(ref_edge_hamiltonian(0, 1, 2, term.coupling.matrix), -1j * 0.8)
+        jmat = np.diag([1.0, 1.0, 0.0])
+        target = ref_expm(ref_edge_hamiltonian(0, 1, 2, jmat), -1j * 0.8)
         assert abs(kak_decompose(target).gamma) < 1e-9
-        circ = synth_edge(term, 0.8)
+        circ = synth_edge(jmat, _NO_FIELD, _NO_FIELD, 0.8)
         assert counts(circ)["cx"] == 6
         assert op_norm(circ2_unitary(circ) - target) < 1e-9
 
     def test_field_only_term_is_local(self):
-        term = EdgeTerm(
-            0, 1,
-            CouplingTensor(np.zeros((3, 3))),
-            h_i=[0.0, 0.0, 0.9],
-            h_j=[0.2, 0.0, 0.0],
-        )
-        target = ref_expm(
-            ref_edge_hamiltonian(0, 1, 2, term.coupling.matrix, term.h_i, term.h_j),
-            -1j * 0.5,
-        )
-        circ = synth_edge(term, 0.5)
+        row = (np.zeros((3, 3)), [0.0, 0.0, 0.9], [0.2, 0.0, 0.0])
+        target = ref_expm(ref_edge_hamiltonian(0, 1, 2, *row), -1j * 0.5)
+        circ = synth_edge(*row, 0.5)
         assert counts(circ)["cx"] == 0
         assert op_norm(circ2_unitary(circ) - target) < 1e-9
 
     def test_field_bearing_heisenberg_term(self, rng):
-        term = EdgeTerm(
-            0, 1, CouplingTensor.heisenberg(), h_i=[0.3, 0.0, 0.5], h_j=[0.0, 0.0, 0.0]
-        )
-        target = ref_expm(
-            ref_edge_hamiltonian(0, 1, 2, term.coupling.matrix, term.h_i, term.h_j),
-            -1j * 1.1,
-        )
-        circ = synth_edge(term, 1.1)
+        row = (np.eye(3), [0.3, 0.0, 0.5], [0.0, 0.0, 0.0])
+        target = ref_expm(ref_edge_hamiltonian(0, 1, 2, *row), -1j * 1.1)
+        circ = synth_edge(*row, 1.1)
         assert counts(circ)["cx"] == 6
         assert op_norm(circ2_unitary(circ) - target) < 1e-9
 
     def test_nonfinite_tau(self):
-        term = EdgeTerm(0, 1, CouplingTensor.heisenberg())
         with pytest.raises(ValueError, match="finite"):
-            synth_edge(term, float("nan"))
+            synth_edge(*EXCHANGE, float("nan"))
 
 
 class TestSynthExchange:
     def test_zero_angle_elided(self):
-        circ = synth_edge(EXCHANGE, 0.0)
+        circ = synth_edge(*EXCHANGE, 0.0)
         assert circ.layers == ()
         assert circ.gate_count() == 0
         assert np.allclose(circ2_unitary(circ), np.eye(4), atol=1e-15)
 
     @pytest.mark.parametrize("alpha", [-2.5, -0.9, 0.3, 1.0, math.pi / 2, 2.2, math.pi])
     def test_exact_with_three_cnots(self, alpha):
-        circ = synth_edge(EXCHANGE, alpha)
+        circ = synth_edge(*EXCHANGE, alpha)
         assert counts(circ)["cx"] == 3
         assert op_norm(circ2_unitary(circ) - exchange_target(alpha)) < 1e-9
 
     def test_pi_gives_swap(self):
-        got = circ2_unitary(synth_edge(EXCHANGE, math.pi))
+        got = circ2_unitary(synth_edge(*EXCHANGE, math.pi))
         assert dist_up_to_phase(got, SWAP) < 1e-9
         # phase convention: exp(-i pi S.S) = e^{-i pi/4} SWAP
         assert op_norm(got - np.exp(-0.25j * math.pi) * SWAP) < 1e-9
 
     def test_nonfinite_alpha(self):
         with pytest.raises(ValueError, match="finite"):
-            synth_edge(EXCHANGE, float("inf"))
+            synth_edge(*EXCHANGE, float("inf"))
 
 
 # the four kinds of term the builder tells apart: field-free isotropic (3-CNOT
-# core), general (KAK), field only and all zero (both local)
-_EDGE_TERMS = {
-    "isotropic": EdgeTerm(0, 1, CouplingTensor.heisenberg(-0.8)),
-    "xyz-field": EdgeTerm(0, 1, CouplingTensor.diagonal(1.0, 0.7, 0.4),
-                          h_i=[0.3, 0.0, 0.5], h_j=[0.0, -0.2, 0.1]),
-    "field-only": EdgeTerm(0, 1, CouplingTensor(np.zeros((3, 3))), h_i=[0.0, 0.0, 0.9]),
-    "zero": EdgeTerm(0, 1, CouplingTensor(np.zeros((3, 3)))),
+# core), general (KAK), field only and all zero (both local), as edge rows
+_EDGE_ROWS = {
+    "isotropic": (CouplingTensor.heisenberg(-0.8).matrix, _NO_FIELD, _NO_FIELD),
+    "xyz-field": (np.diag([1.0, 0.7, 0.4]), [0.3, 0.0, 0.5], [0.0, -0.2, 0.1]),
+    "field-only": (np.zeros((3, 3)), [0.0, 0.0, 0.9], _NO_FIELD),
+    "zero": (np.zeros((3, 3)), _NO_FIELD, _NO_FIELD),
 }
 
 
 class TestSynthEdge:
     @pytest.mark.parametrize("sites", [(0, 1), (2, 5)])
     @pytest.mark.parametrize("tau", [0.7, -0.7, 0.0])
-    @pytest.mark.parametrize("name", list(_EDGE_TERMS))
+    @pytest.mark.parametrize("name", list(_EDGE_ROWS))
     def test_gates_are_the_one_edge_build(self, name, tau, sites):
-        base = _EDGE_TERMS[name]
-        term = EdgeTerm(*sites, base.coupling, h_i=base.h_i, h_j=base.h_j)
-        model = SpinModel(n=sites[1] + 1, pairs=[sites], coupling=[term.coupling.matrix],
-                          h_i=[term.h_i], h_j=[term.h_j])
+        jmat, h_i, h_j = _EDGE_ROWS[name]
+        model = SpinModel(n=sites[1] + 1, pairs=[sites], coupling=[jmat], h_i=[h_i], h_j=[h_j])
         built = build_trotter_circuit(model, color_model(model), first_order(1), 1, tau)
-        circ = synth_edge(term, tau)
+        circ = synth_edge(jmat, h_i, h_j, tau)
         assert circ.n == 2
         moved = synth._retarget(circ.layers, {0: sites[0], 1: sites[1]})
         assert [[gate_record(g) for g in layer] for layer in moved] == \
@@ -265,9 +252,8 @@ class TestSynthEdge:
         assert counts(circ)["cx"] == (template_cnots(model)[0] if tau else 0)
 
     def test_heisenberg_term_costs_its_template(self):
-        model = SpinModel(n=2, pairs=[(0, 1)], coupling=[EXCHANGE.coupling.matrix],
-                          h_i=[EXCHANGE.h_i], h_j=[EXCHANGE.h_j])
-        assert counts(synth_edge(EXCHANGE, 0.7))["cx"] == template_cnots(model)[0] == 3
+        model = SpinModel(2, [(0, 1)], *([x] for x in EXCHANGE))
+        assert counts(synth_edge(*EXCHANGE, 0.7))["cx"] == template_cnots(model)[0] == 3
 
 
 class TestCore3Cnot:
@@ -411,7 +397,7 @@ class TestBuildTrotterCircuit:
         gates = {id(g): g for layer in circ.layers for g in layer}
         pairs, slots = edge_tau_slots(model, col, f, m, t)
         assert len(gates) == len(pairs) < slots
-        keys = {(model.edge_pairs().index(g.qubits), g.tau, math.copysign(1.0, g.tau))
+        keys = {(model.pairs.tolist().index(list(g.qubits)), g.tau, math.copysign(1.0, g.tau))
                 for g in gates.values()}
         assert keys == pairs
 
@@ -679,12 +665,40 @@ def coupling_rows(draw):
     return jmat
 
 
-_NO_FIELD = (0.0, 0.0, 0.0)
-
-
 def field_rows():
     """A field share: zero, or a random vector."""
     return st.just(_NO_FIELD) | st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+@st.composite
+def edge_rows(draw):
+    """One edge row: a general coupling, or one with every entry within 1e-13
+    of zero or of j * identity; each field share zero or random."""
+    kind = draw(st.sampled_from(["general", "near-zero", "near-isotropic"]))
+    if kind == "general":
+        jmat = np.reshape(draw(st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9)), (3, 3))
+    else:
+        j = 0.0 if kind == "near-zero" else draw(st.floats(-2.0, 2.0))
+        off = draw(st.lists(st.floats(-1e-13, 1e-13), min_size=9, max_size=9))
+        jmat = j * np.eye(3) + np.reshape(off, (3, 3))
+    return jmat, draw(field_rows()), draw(field_rows())
+
+
+class TestSynthEdgeRows:
+    @settings(max_examples=100, deadline=None)
+    @given(row=edge_rows(), tau=st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0]))
+    @example(row=(np.zeros((3, 3)), _NO_FIELD, _NO_FIELD), tau=-0.0)
+    @example(row=(np.eye(3), _NO_FIELD, _NO_FIELD), tau=0.0)
+    @example(row=(1e-13 * np.eye(3), (0.3, 0.0, 0.5), _NO_FIELD), tau=0.3)
+    @example(row=(np.eye(3) + np.diag([0.0, 1e-13, -1e-13]), _NO_FIELD, _NO_FIELD), tau=-2.0)
+    def test_unitary_and_cnots_of_any_row(self, row, tau):
+        # the gate property of the 0/3/6 rule: exact, and as many CNOTs as
+        # template_cnots counts for the one-edge model (none at tau = 0)
+        circ = synth_edge(*row, tau)
+        target = ref_expm(ref_edge_hamiltonian(0, 1, 2, *row), -1j * tau)
+        assert op_norm(circ2_unitary(circ) - target) < 1e-9
+        model = SpinModel(2, [(0, 1)], *([x] for x in row))
+        assert counts(circ)["cx"] == (template_cnots(model)[0] if tau else 0)
 
 
 class TestTemplateCnots:
@@ -716,10 +730,11 @@ class TestTemplateCnots:
         for k, (jmat, h_i, h_j) in enumerate(rows):
             field = np.any(h_i) or np.any(h_j)
             rule = 0 if np.abs(jmat).max() <= ISOTROPY_TOL else \
-                3 if CouplingTensor(jmat).isotropic and not field else 6
+                3 if isotropic_rows(jmat) and not field else 6
             assert table[k] == rule
             if tau:
-                assert counts(synth_edge(model.edges[k], tau))["cx"] == rule
+                row = (model.coupling[k], model.h_i[k], model.h_j[k])
+                assert counts(synth_edge(*row, tau))["cx"] == rule
 
     @pytest.mark.parametrize("field", [None, [(0.3, 0.0, 0.5), (0.0, 0.0, 0.0)]],
                              ids=["bare", "field"])
@@ -732,7 +747,8 @@ class TestTemplateCnots:
         col = color_model(model)
         want = cnots if field is None else 2 * cnots
         assert template_cnots(model) == [want]
-        assert counts(synth_edge(model.edges[0], t))["cx"] == want
+        row = (model.coupling[0], model.h_i[0], model.h_j[0])
+        assert counts(synth_edge(*row, t))["cx"] == want
         for order in (1, 2):
             f = formula_for_order(order, col.num_classes)
             circ = build_trotter_circuit(model, col, f, 4, t)
@@ -744,7 +760,8 @@ class TestTemplateCnots:
 
     @pytest.mark.parametrize("mode", synth.MODES)
     def test_pipeline_builds_no_edge_views(self, mode):
-        # every pipeline stage reads the stacks; model.edges is the one-edge API
+        # every pipeline stage reads the stacks; only the bench's trace hook
+        # reads model.edges
         mixed = build_lattice("square", (3, 3), coupling=CouplingTensor.heisenberg(),
                               field=(0.5, 0.0, 0.3))
         model = model_from_json(model_to_json(mixed))
