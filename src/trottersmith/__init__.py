@@ -10,7 +10,7 @@ script fronts the same pipeline.
 from .circuits import Circuit, Gate, GateKind, circuit_from_json, circuit_to_json, \
     circuit_to_qasm3, counts
 from .coloring import EdgeColoring, color_model, coloring_from_json, coloring_to_json
-from .model import Boundary, CouplingTensor, EdgeTerm, LatticeKind, SpinModel, \
+from .model import Boundary, CouplingTensor, LatticeKind, SpinModel, \
     TimeProfile, build_lattice, from_edges, model_from_json, model_to_json
 from .oracle import circuit_unitary, exact_evolution, run_circuit, spectral_norm, \
     total_hamiltonian, trotter_error
@@ -28,7 +28,6 @@ __all__ = [
     "Circuit",
     "CouplingTensor",
     "EdgeColoring",
-    "EdgeTerm",
     "Gate",
     "GateKind",
     "GateTimingModel",

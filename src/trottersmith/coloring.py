@@ -23,14 +23,17 @@ class EdgeColoring:
     """Partition of edge indices into vertex-disjoint classes.
 
     ``classes[k]`` holds the indices into the model's edge stacks of class k+1;
-    class labels are 1-based in schedules.  Classes are never empty.
+    class labels are 1-based in schedules.  Classes are never empty.  ``n``
+    and every index are read through :func:`json_int`, so a bool, float or
+    string raises TypeError and a NumPy integer becomes a Python int.
     """
 
     n: int
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(tuple(c) for c in self.classes))
+        object.__setattr__(self, "n", json_int(self.n))
+        object.__setattr__(self, "classes", tuple(tuple(map(json_int, c)) for c in self.classes))
         if any(len(c) == 0 for c in self.classes):
             raise ValueError("coloring contains an empty class")
 
@@ -47,7 +50,7 @@ def validate(model: SpinModel, coloring: EdgeColoring) -> None:
     """
     if coloring.n != model.n:
         raise ValueError(f"coloring is for n={coloring.n}, model has n={model.n}")
-    pairs = model.pairs.tolist()
+    pairs = model.edges
     seen: dict[int, int] = {}
     for k, cls in enumerate(coloring.classes):
         touched: dict[int, int] = {}
@@ -86,7 +89,7 @@ def color_model(model: SpinModel) -> EdgeColoring:
     Deterministic: edges are processed in sorted order and free colors are
     always the smallest available.
     """
-    pairs = list(map(tuple, model.pairs.tolist()))
+    pairs = model.edges
     path = "koenig"
     color_of = _edge_colors(model.n, pairs, model.max_degree, koenig=True)
     if color_of is None:
@@ -99,7 +102,7 @@ def color_model(model: SpinModel) -> EdgeColoring:
     return EdgeColoring(model.n, tuple(tuple(classes[c]) for c in sorted(classes)))
 
 
-def _edge_colors(n: int, pairs: list[tuple[int, int]], palette: int,
+def _edge_colors(n: int, pairs: tuple[tuple[int, int], ...], palette: int,
                  koenig: bool) -> dict[tuple[int, int], int] | None:
     """Color each pair from ``range(palette)`` by Koenig's step or by
     Misra-Gries fans; None when a Koenig path reaches the edge's far end."""
@@ -209,8 +212,7 @@ _COLORING_FIELDS = frozenset({"n", "K", "classes"})
 def coloring_from_json(text: str) -> EdgeColoring:
     with json_document(text, "coloring") as doc:
         known_fields([doc], _COLORING_FIELDS, "coloring document")
-        classes = tuple(tuple(json_int(e) for e in c) for c in doc["classes"])
-        coloring = EdgeColoring(json_int(doc["n"]), classes)
+        coloring = EdgeColoring(doc["n"], doc["classes"])
         if doc.get("K") is not None and json_int(doc["K"]) != coloring.num_classes:
             raise ValueError("coloring document K does not match its class list")
     return coloring

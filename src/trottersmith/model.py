@@ -14,14 +14,13 @@ it into internally commuting classes.
 
 A :class:`SpinModel` is its stacks: read-only (E, 2) endpoints, (E, 3, 3)
 couplings and (E, 3) field shares, checked once as wholes.  Every pipeline
-stage reads the stacks.  ``model.edges`` gives per-edge :class:`EdgeTerm`
-views of the same rows, built on first use; no pipeline path reads them, and
-they stay only for the benchmark's trace hook, which counts them.
+stage reads the stacks; ``model.edges`` is the endpoints as (i, j) tuples of
+Python ints, built on first use, for code that keys or targets by pair.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -50,25 +49,6 @@ class Boundary(str, Enum):
     PERIODIC = "periodic"
 
 
-def _validated_edges(pairs, couplings, h_i, h_j):
-    """Check E edge terms at once; return read-only (E, 2), (E, 3, 3), (E, 3), (E, 3) stacks.
-
-    ``pairs`` holds the (i, j) endpoints, each an integer and never a bool;
-    ``couplings``, ``h_i`` and ``h_j`` hold one array-like per edge, and
-    ``couplings`` may be None when the tensors are checked already.  The
-    checks run in the order a one-edge document meets them (coupling shape
-    and finiteness, 0 <= i < j, then each field share), so
-    :class:`CouplingTensor`, :class:`EdgeTerm` and a stack of one raise the
-    same message.
-    """
-    jmat = None if couplings is None else real_stack(couplings, (3, 3), "coupling tensor entries")
-    ij = int_stack(pairs, 2, "edge endpoints")
-    bad = np.flatnonzero((ij[:, 0] < 0) | (ij[:, 0] >= ij[:, 1]))
-    if len(bad):
-        raise ValueError(f"edge must satisfy 0 <= i < j, got {tuple(ij[bad[0]].tolist())}")
-    return ij, jmat, real_stack(h_i, (3,), "h_i entries"), real_stack(h_j, (3,), "h_j entries")
-
-
 @dataclass(frozen=True, eq=False)
 class CouplingTensor:
     """Real 3x3 exchange tensor J^{ab} coupling S_i^a to S_j^b."""
@@ -88,32 +68,6 @@ class CouplingTensor:
     def diagonal(cls, jx: float, jy: float, jz: float) -> "CouplingTensor":
         # nested lists, not np.diag, so a boolean entry meets the row check
         return cls([[jx, 0.0, 0.0], [0.0, jy, 0.0], [0.0, 0.0, jz]])
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeTerm:
-    """One two-site term H_ij, including the field shares folded into it.
-
-    ``h_i`` and ``h_j`` are the portions of the local field vectors of sites
-    i and j carried by this particular edge; a site's whole field lives in
-    exactly one edge term so the per-edge Hamiltonians sum to the full H.
-    """
-
-    i: int
-    j: int
-    coupling: CouplingTensor
-    h_i: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
-    h_j: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        pairs, _, h_i, h_j = _validated_edges([(self.i, self.j)], None, [self.h_i], [self.h_j])
-        _check_couplings((self.coupling,))
-        for name, value in zip(("i", "j", "h_i", "h_j"), (*pairs[0].tolist(), h_i[0], h_j[0])):
-            object.__setattr__(self, name, value)
-
-    @property
-    def sites(self) -> tuple[int, int]:
-        return (self.i, self.j)
 
 
 def isotropic_rows(coupling: np.ndarray) -> np.ndarray:
@@ -190,7 +144,15 @@ class SpinModel:
     profile: TimeProfile = CONSTANT_PROFILE
 
     def __post_init__(self):
-        pairs, jmat, h_i, h_j = _validated_edges(self.pairs, self.coupling, self.h_i, self.h_j)
+        # coupling, endpoints, then field shares: the order a one-edge document
+        # meets them in, so a stack of one raises CouplingTensor's messages
+        jmat = real_stack(self.coupling, (3, 3), "coupling tensor entries")
+        pairs = int_stack(self.pairs, 2, "edge endpoints")
+        bad = np.flatnonzero((pairs[:, 0] < 0) | (pairs[:, 0] >= pairs[:, 1]))
+        if len(bad):
+            raise ValueError(f"edge must satisfy 0 <= i < j, got {tuple(pairs[bad[0]].tolist())}")
+        h_i = real_stack(self.h_i, (3,), "h_i entries")
+        h_j = real_stack(self.h_j, (3,), "h_j entries")
         if not len(pairs) == len(jmat) == len(h_i) == len(h_j):
             raise ValueError("pairs, coupling, h_i and h_j must have one row per edge")
         n = json_int(self.n)
@@ -211,17 +173,10 @@ class SpinModel:
             object.__setattr__(self, name, value)
 
     @functools.cached_property
-    def edges(self) -> tuple[EdgeTerm, ...]:
-        """One :class:`EdgeTerm` per row, for the benchmark's trace hook: read-only
-        row views that skip the per-edge checks, which the stacks have passed."""
-        terms = []
-        for (i, j), jmat, h_i, h_j in zip(self.pairs.tolist(), self.coupling, self.h_i, self.h_j):
-            coupling = object.__new__(CouplingTensor)
-            coupling.__dict__["matrix"] = jmat
-            term = object.__new__(EdgeTerm)
-            term.__dict__.update(i=i, j=j, coupling=coupling, h_i=h_i, h_j=h_j)
-            terms.append(term)
-        return tuple(terms)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """``pairs`` as one (i, j) tuple of Python ints per row, built on first use:
+        the colorer's dict keys, and the oracle's operator targets."""
+        return tuple(map(tuple, self.pairs.tolist()))
 
     @functools.cached_property
     def j_max(self) -> float:

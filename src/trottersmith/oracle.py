@@ -99,7 +99,7 @@ def total_hamiltonian(model: SpinModel) -> np.ndarray:
     eye = np.eye(2**model.n, dtype=complex)
     h = np.zeros_like(eye)
     hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
-    for pair, h4 in zip(map(tuple, model.pairs.tolist()), hterms):
+    for pair, h4 in zip(model.edges, hterms):
         h += _apply_local(h4, pair, eye)
     return h
 
@@ -216,8 +216,7 @@ def formula_unitary(
     if formula.num_classes > 1 and model.profile.is_constant:
         squarings = _squarings(formula, [len(cls) for cls in coloring.classes], m, model.n)
     hterms = edge_hamiltonians(model.coupling, model.h_i, model.h_j)
-    sites = list(map(tuple, model.pairs.tolist()))
-    pairs = [[sites[ei] for ei in cls] for cls in coloring.classes]
+    pairs = [[model.edges[ei] for ei in cls] for cls in coloring.classes]
     terms = [hterms[list(cls)] for cls in coloring.classes]
     stage_ops: dict[tuple[int, float], np.ndarray] = {}
     u = np.eye(2**model.n, dtype=complex)

@@ -45,11 +45,17 @@ def ref_edge_hamiltonian(i: int, j: int, n: int, jmat, h_i=None, h_j=None) -> np
     return h
 
 
+def ref_edge_terms(model) -> list[np.ndarray]:
+    """Independent 2^n embedding of each edge term, row k of the model's stacks."""
+    rows = zip(model.pairs.tolist(), model.coupling, model.h_i, model.h_j)
+    return [ref_edge_hamiltonian(i, j, model.n, jmat, h_i, h_j) for (i, j), jmat, h_i, h_j in rows]
+
+
 def ref_model_hamiltonian(model) -> np.ndarray:
     """Independent dense Hamiltonian of a whole model."""
     h = np.zeros((2**model.n, 2**model.n), dtype=complex)
-    for e in model.edges:
-        h += ref_edge_hamiltonian(e.i, e.j, model.n, e.coupling.matrix, e.h_i, e.h_j)
+    for term in ref_edge_terms(model):
+        h += term
     return h
 
 

@@ -41,6 +41,7 @@ from conftest import (
     fragment_unitary,
     op_norm,
     ref_edge_hamiltonian,
+    ref_edge_terms,
     ref_expm,
 )
 
@@ -84,10 +85,7 @@ def test_criterion_2_commuting_classes():
         coloring = color_model(model)
         validate(model, coloring)
         n = model.n
-        dense = [
-            ref_edge_hamiltonian(e.i, e.j, n, e.coupling.matrix, e.h_i, e.h_j)
-            for e in model.edges
-        ]
+        dense = ref_edge_terms(model)
         class_sums = []
         for cls in coloring.classes:
             for a, b in itertools.combinations(cls, 2):

@@ -77,7 +77,7 @@ _CHAIN_TEXT = model_mod.model_to_json(model_mod.build_lattice("chain", 7, field=
 ], ids=["build_lattice", "from_edges", "model_from_json"])
 def test_traced_model_counts_its_edges(make, monkeypatch):
     # the hook reads len(model.edges) after each traced build and load, so
-    # SpinModel.edges must stay, one view per stack row, while it does
+    # SpinModel.edges must stay, one (i, j) tuple per stack row, while it does
     monkeypatch.syspath_prepend(str(BENCH))
     tracer = importlib.import_module("tracing").Tracer()
     with tracer.installed(0):

@@ -94,8 +94,8 @@ class TestLattice:
         )
         assert res.exit_code == 0
         model = model_from_json(path.read_text())
-        assert model.edges[0].coupling.matrix[2, 2] == 0.5
-        assert any(e.h_i[2] == 0.25 or e.h_j[2] == 0.25 for e in model.edges)
+        assert model.coupling[0, 2, 2] == 0.5
+        assert any(h_i[2] == 0.25 or h_j[2] == 0.25 for h_i, h_j in zip(model.h_i, model.h_j))
 
     def test_invalid_lattice_is_a_usage_error(self):
         res = run("lattice", "--kind", "square", "--dims", "2x2",
@@ -338,7 +338,12 @@ class TestSynth:
         {"n": 1e400, "K": 2, "classes": [[0, 2], [1]]},
         {"n": 4.9, "K": 2, "classes": [[0, 2], [1]]},
         {"n": 4, "K": 2.5, "classes": [[0, 2], [1]]},
-    ], ids=["n-overflow", "n-float", "K-float"])
+        {"n": 4.0, "K": 2, "classes": [[0, 2], [1]]},
+        {"n": "4", "K": 2, "classes": [[0, 2], [1]]},
+        {"n": 4, "K": 2, "classes": [[True, 2], [1]]},
+        {"n": 4, "K": 2, "classes": [[0, 2], [1.0]]},
+    ], ids=["n-overflow", "n-float", "K-float", "n-integral-float", "n-str", "bool-index",
+            "float-index"])
     def test_coloring_with_non_integer_fields_exits_two(self, chain4_file, tmp_path, doc):
         path = tmp_path / "coloring.json"
         path.write_text(json.dumps(doc))

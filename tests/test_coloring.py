@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from trottersmith import (
 )
 from trottersmith.coloring import coloring_from_json, coloring_to_json, validate
 
-from conftest import op_norm, ref_edge_hamiltonian
+from conftest import op_norm, ref_edge_terms
 
 J1 = CouplingTensor.heisenberg()
 
@@ -38,7 +39,7 @@ class TestBuiltinColorings:
         col = color_model(model)
         assert col.num_classes == 2
         # even bonds {(0,1),(2,3)} then odd bonds {(1,2)}
-        assert [sorted(model.edges[i].sites for i in cls) for cls in col.classes] == [
+        assert [sorted(model.edges[i] for i in cls) for cls in col.classes] == [
             [(0, 1), (2, 3)],
             [(1, 2)],
         ]
@@ -191,10 +192,7 @@ class TestCommutingClasses:
     def test_within_class_commutators_vanish(self):
         for model in (build_lattice("chain", 6), build_lattice("hexagonal", (2, 1))):
             col = color_model(model)
-            embedded = [
-                ref_edge_hamiltonian(e.i, e.j, model.n, e.coupling.matrix, e.h_i, e.h_j)
-                for e in model.edges
-            ]
+            embedded = ref_edge_terms(model)
             for cls in col.classes:
                 for a, b in itertools.combinations(cls, 2):
                     comm = embedded[a] @ embedded[b] - embedded[b] @ embedded[a]
@@ -212,3 +210,27 @@ class TestColoringJson:
         text = '{"n": 4, "K": 3, "classes": [[0, 2], [1]]}'
         with pytest.raises(ValueError, match="does not match"):
             coloring_from_json(text)
+
+    def test_numpy_indices_round_trip_byte_for_byte(self):
+        # NumPy integers used to pass validate and then fail json.dumps
+        col = EdgeColoring(np.int64(4), (np.array([0, 2]), np.array([1], dtype=np.int32)))
+        validate(build_lattice("chain", 4), col)
+        assert type(col.n) is int and all(type(i) is int for c in col.classes for i in c)
+        text = coloring_to_json(col)
+        assert text == coloring_to_json(EdgeColoring(4, ((0, 2), (1,))))
+        assert coloring_to_json(coloring_from_json(text)) == text
+
+
+class TestColoringNumbers:
+    # n and every index go through json_int, as a model's and a circuit's n
+    # do; each case used to build, or to fail later than the constructor
+    @pytest.mark.parametrize("n, classes", [
+        (4.0, ((0, 2), (1,))),
+        ("4", ((0, 2), (1,))),
+        (4, ((True, 2), (1,))),
+        (4, ((np.True_, 2), (1,))),
+        (4, ((0, 2), (1.0,))),
+    ], ids=["n-float", "n-str", "bool-index", "np-bool-index", "float-index"])
+    def test_non_integers_raise_type_error(self, n, classes):
+        with pytest.raises(TypeError):
+            EdgeColoring(n, classes)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from trottersmith import (
     Circuit,
     CouplingTensor,
-    EdgeTerm,
     Gate,
     GateKind,
     GateTimingModel,
@@ -289,7 +288,6 @@ _REAL_SITES = {
     "coupling-rows": lambda x: CouplingTensor([[x, 0, 0], [0, 1, 0], [0, 0, 1]]),
     "model-h_i": lambda x: SpinModel(2, [(0, 1)], [np.eye(3)], [[x, 0, 0]], [np.zeros(3)]),
     "model-h_j": lambda x: SpinModel(2, [(0, 1)], [np.eye(3)], [np.zeros(3)], [[0, x, 0]]),
-    "edge-term-h_i": lambda x: EdgeTerm(0, 1, _J, h_i=[0.0, 0.0, x]),
     "from-edges-field": lambda x: from_edges(2, [(0, 1, _J)], [[x, 0.5, 0], [0, 0, 0]]),
     "lattice-field": lambda x: build_lattice("chain", 3, field=(0.5, x, 0.0)),
     "profile-factor": lambda x: TimeProfile("piecewise", (1.0, x)),

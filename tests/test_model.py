@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from trottersmith import (
     Boundary,
     CouplingTensor,
-    EdgeTerm,
     LatticeKind,
     SpinModel,
     TimeProfile,
@@ -26,6 +25,12 @@ from trottersmith.model import edge_hamiltonians, isotropic_rows
 from trottersmith.synth import _expm_herm
 
 from conftest import I2, SX, SZ, op_norm, ref_edge_hamiltonian
+
+
+def one_edge_model(i, j, jmat=np.eye(3), h_i=np.zeros(3), h_j=np.zeros(3)) -> SpinModel:
+    """A 3-site model of the one edge (i, j): the constructor checks a stack of
+    one in the order, and with the messages, that a one-edge document meets."""
+    return SpinModel(3, [(i, j)], [jmat], [h_i], [h_j])
 
 
 def one_edge_hamiltonian(jmat, h_i=(0.0, 0.0, 0.0), h_j=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -85,34 +90,33 @@ class TestCouplingTensor:
             j.matrix[0, 0] = 5.0
 
 
-class TestEdgeTerm:
+class TestOneEdgeModel:
     def test_orders_endpoints(self):
-        with pytest.raises(ValueError):
-            EdgeTerm(2, 1, CouplingTensor.heisenberg())
-        with pytest.raises(ValueError):
-            EdgeTerm(1, 1, CouplingTensor.heisenberg())
+        with pytest.raises(ValueError, match=re.escape("0 <= i < j, got (2, 1)")):
+            one_edge_model(2, 1)
+        with pytest.raises(ValueError, match=re.escape("0 <= i < j, got (1, 1)")):
+            one_edge_model(1, 1)
 
     def test_endpoints_must_be_integers(self):
         # float endpoints used to pass here and fail later inside color_model
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            EdgeTerm(0.0, 1.0, CouplingTensor.heisenberg())
+            one_edge_model(0.0, 1.0)
         # NumPy reads np.True_ beside integers as 1, as it does True
         with pytest.raises(TypeError, match="expected an integer, got"):
-            SpinModel(3, [(np.True_, 2)], [np.eye(3)], [np.zeros(3)], [np.zeros(3)])
-        term = EdgeTerm(np.int64(0), np.int32(2), CouplingTensor.heisenberg())
-        assert type(term.i) is int and type(term.j) is int
+            one_edge_model(np.True_, 2)
+        assert one_edge_model(np.int64(0), np.int32(2)).edges == ((0, 2),)
         model = from_edges(3, [(np.int64(2), np.int64(1), CouplingTensor.heisenberg())])
-        assert [type(v) for v in model.edges[0].sites] == [int, int]
+        assert [type(v) for v in model.edges[0]] == [int, int]
         assert model_to_json(model) == model_to_json(
             from_edges(3, [(1, 2, CouplingTensor.heisenberg())]))
 
     def test_requires_coupling_tensor(self):
-        with pytest.raises(TypeError):
-            EdgeTerm(0, 1, (1.0, 1.0, 1.0))
+        with pytest.raises(TypeError, match="coupling must be a CouplingTensor, got tuple"):
+            from_edges(2, [(0, 1, (1.0, 1.0, 1.0))])
 
     def test_field_share_shape(self):
-        with pytest.raises(ValueError):
-            EdgeTerm(0, 1, CouplingTensor.heisenberg(), h_i=np.zeros(2))
+        with pytest.raises(ValueError, match=re.escape("h_i entries must come in rows of shape")):
+            one_edge_model(0, 1, h_i=np.zeros(2))
 
 
 class TestOneEdgeHamiltonian:
@@ -153,19 +157,18 @@ class TestEdgeHamiltonians:
            st.sampled_from([0.7, -0.35, 0.0, -0.0]))
     @settings(max_examples=60, deadline=None)
     def test_stack_matches_reference_and_single_edges(self, raw, tau):
-        edges = [EdgeTerm(0, 1, CouplingTensor(np.reshape(j, (3, 3))), h_i=hi, h_j=hj)
-                 for j, hi, hj in raw]
-        stack = edge_hamiltonians(np.array([e.coupling.matrix for e in edges]),
-                                  np.array([e.h_i for e in edges]),
-                                  np.array([e.h_j for e in edges]))
-        assert stack.shape == (len(edges), 4, 4)
+        coupling = np.array([j for j, _, _ in raw], dtype=float).reshape(-1, 3, 3)
+        h_i = np.array([hi for _, hi, _ in raw], dtype=float)
+        h_j = np.array([hj for _, _, hj in raw], dtype=float)
+        stack = edge_hamiltonians(coupling, h_i, h_j)
+        assert stack.shape == (len(raw), 4, 4)
         us = _expm_herm(stack, -1j * tau)
-        for k, e in enumerate(edges):
-            ref = ref_edge_hamiltonian(0, 1, 2, e.coupling.matrix, e.h_i, e.h_j)
+        for k in range(len(raw)):
+            ref = ref_edge_hamiltonian(0, 1, 2, coupling[k], h_i[k], h_j[k])
             assert np.max(np.abs(stack[k] - ref)) <= 1e-15
             # row k depends only on row k: a one-row stack gives the same bits
-            assert stack[k].tobytes() == one_edge_hamiltonian(e.coupling.matrix, e.h_i,
-                                                              e.h_j).tobytes()
+            assert stack[k].tobytes() == one_edge_hamiltonian(coupling[k], h_i[k],
+                                                              h_j[k]).tobytes()
             assert us[k].tobytes() == _expm_herm(stack[k], -1j * tau).tobytes()
 
     def test_empty_sequence(self):
@@ -224,8 +227,8 @@ class TestBuildLattice:
     def test_uniform_coupling_everywhere(self):
         j = CouplingTensor.diagonal(1.0, 0.5, 0.25)
         model = build_lattice("chain", 5, coupling=j)
-        for e in model.edges:
-            assert np.array_equal(e.coupling.matrix, j.matrix)
+        for jmat in model.coupling:
+            assert np.array_equal(jmat, j.matrix)
         assert model.j_max == pytest.approx(1.0)
 
 
@@ -233,28 +236,29 @@ class TestAssignFields:
     def test_chain3_convention(self):
         h = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 3.0]])
         j = CouplingTensor.heisenberg()
-        e01, e12 = from_edges(3, [(0, 1, j), (1, 2, j)], h).edges
-        assert np.array_equal(e01.h_i, h[0])   # h_0 lives in edge (0,1)
-        assert np.array_equal(e01.h_j, np.zeros(3))
-        assert np.array_equal(e12.h_i, h[1])   # h_1 lives in edge (1,2)
-        assert np.array_equal(e12.h_j, h[2])   # h_2 lives in edge (1,2)
+        model = from_edges(3, [(0, 1, j), (1, 2, j)], h)
+        assert model.edges == ((0, 1), (1, 2))
+        assert np.array_equal(model.h_i[0], h[0])   # h_0 lives in edge (0,1)
+        assert np.array_equal(model.h_j[0], np.zeros(3))
+        assert np.array_equal(model.h_i[1], h[1])   # h_1 lives in edge (1,2)
+        assert np.array_equal(model.h_j[1], h[2])   # h_2 lives in edge (1,2)
 
     def test_zero_fields_zero_shares(self):
         j = CouplingTensor.heisenberg()
-        for e in from_edges(3, [(0, 1, j), (1, 2, j)], np.zeros((3, 3))).edges:
-            assert not e.h_i.any() and not e.h_j.any()
+        model = from_edges(3, [(0, 1, j), (1, 2, j)], np.zeros((3, 3)))
+        assert not model.h_i.any() and not model.h_j.any()
 
     def test_conservation_on_square(self):
         model = build_lattice("square", (3, 3), "periodic", field=(0.1, -0.2, 0.3))
         total = np.zeros(3)
-        for e in model.edges:
-            total += e.h_i + e.h_j
+        for h_i, h_j in zip(model.h_i, model.h_j):
+            total += h_i + h_j
         assert np.allclose(total, 9 * np.array([0.1, -0.2, 0.3]), atol=1e-12)
 
     def test_each_site_housed_once(self):
         model = build_lattice("square", (2, 2), field=(0.0, 0.0, 1.0))
-        housed = sum(float(np.sum(np.abs(e.h_i) > 0) > 0) + float(np.sum(np.abs(e.h_j) > 0) > 0)
-                     for e in model.edges)
+        housed = sum(float(np.sum(np.abs(h_i) > 0) > 0) + float(np.sum(np.abs(h_j) > 0) > 0)
+                     for h_i, h_j in zip(model.h_i, model.h_j))
         assert housed == model.n
 
     def test_site_fields_need_one_row_per_site(self):
@@ -295,9 +299,7 @@ class TestSpinModel:
         for arr in (model.pairs, model.coupling, model.h_i, model.h_j):
             with pytest.raises(ValueError):
                 arr[0] = 0
-        e = model.edges[1]
-        assert e.sites == (1, 2) and e.coupling.matrix.base is model.coupling
-        assert e.h_i.base is model.h_i and e.h_j.base is model.h_j
+        assert model.edges == ((0, 1), (1, 2), (2, 3)) and model.edges is model.edges
 
     def test_duplicate_edge_rejected(self):
         j = CouplingTensor.heisenberg()
@@ -378,11 +380,9 @@ class TestJson:
         assert back.lattice is model.lattice
         assert back.boundary is model.boundary
         assert back.profile.factors == (1.0, 0.25)
-        for a, b in zip(model.edges, back.edges):
-            assert a.sites == b.sites
-            assert np.array_equal(a.coupling.matrix, b.coupling.matrix)
-            assert np.array_equal(a.h_i, b.h_i)
-            assert np.array_equal(a.h_j, b.h_j)
+        assert back.edges == model.edges
+        for name in ("coupling", "h_i", "h_j"):
+            assert np.array_equal(getattr(back, name), getattr(model, name))
 
     @pytest.mark.parametrize("text", [
         '{"n":2,"lattice":"chain","boundary":"open","edges":[{"i":0,"j":1,"J":[[1.0,0.0,0.0],'
@@ -441,7 +441,7 @@ class TestStackedChecks:
     @pytest.mark.parametrize("case", sorted(_BAD_EDGES))
     def test_one_edge_document_fails_like_the_constructor(self, case):
         i, j, jmat, hi, hj = _BAD_EDGES[case]
-        direct = _message(lambda: EdgeTerm(i, j, CouplingTensor(jmat), h_i=hi, h_j=hj))
+        direct = _message(lambda: one_edge_model(i, j, jmat, hi, hj))
         text = json.dumps({"n": 3, "edges": [_edge_doc(i, j, jmat, hi, hj)]})
         assert _message(lambda: model_from_json(text)) == direct
 
@@ -453,7 +453,7 @@ class TestStackedChecks:
         text = json.dumps({"n": 1001, "edges": edges})
         got = _message(lambda: model_from_json(text))
         if case in _SAME_MESSAGE_IN_A_STACK:
-            direct = _message(lambda: EdgeTerm(i, j, CouplingTensor(jmat), h_i=hi, h_j=hj))
+            direct = _message(lambda: one_edge_model(i, j, jmat, hi, hj))
             assert got == direct
 
     def test_duplicate_and_out_of_range_edges_in_a_document(self):
@@ -466,10 +466,9 @@ class TestStackedChecks:
 
     def test_loaded_arrays_are_read_only(self):
         model = model_from_json(model_to_json(build_lattice("chain", 3, field=(0.1, 0, 0))))
-        for e in model.edges:
-            for arr in (e.coupling.matrix, e.h_i, e.h_j):
-                with pytest.raises(ValueError):
-                    arr[0] = 1.0
+        for arr in (model.pairs, model.coupling, model.h_i, model.h_j):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 def _ref_fold(n, pairs, fields):
@@ -520,10 +519,10 @@ class TestJsonRoundTripProperty:
                                if s in touched else [0.0, 0.0, 0.0] for s in range(n)])
         model = from_edges(n, [(a, b, c) for (a, b), c in zip(pairs, tensors)], fields)
         ref_hi, ref_hj = _ref_fold(n, pairs, fields)
-        for e, c, hi, hj in zip(model.edges, tensors, ref_hi, ref_hj):
-            assert e.coupling.matrix.tobytes() == c.matrix.tobytes()
-            assert e.h_i.tobytes() == hi.tobytes()
-            assert e.h_j.tobytes() == hj.tobytes()
+        for k, (c, hi, hj) in enumerate(zip(tensors, ref_hi, ref_hj)):
+            assert model.coupling[k].tobytes() == c.matrix.tobytes()
+            assert model.h_i[k].tobytes() == hi.tobytes()
+            assert model.h_j[k].tobytes() == hj.tobytes()
         text = model_to_json(model)
         back = model_from_json(text)
         assert model_to_json(back) == text
@@ -535,31 +534,18 @@ class TestJsonRoundTripProperty:
         for k in range(len(model.pairs)):
             assert stack[k].tobytes() == one_edge_hamiltonian(model.coupling[k], model.h_i[k],
                                                               model.h_j[k]).tobytes()
-        for a, b in zip(model.edges, back.edges):
-            assert a.coupling.matrix.tobytes() == b.coupling.matrix.tobytes()
-            assert a.h_i.tobytes() == b.h_i.tobytes()
-            assert a.h_j.tobytes() == b.h_j.tobytes()
 
 
-def test_whole_model_paths_build_no_edge_views(monkeypatch):
-    # loading, writing, coloring, scaled synthesis and the dense oracle read
-    # the stacks; only one-edge consumers build EdgeTerm views
-    from trottersmith import build_trotter_circuit, color_model, first_order
-    from trottersmith.coloring import validate
-    from trottersmith.oracle import formula_unitary, total_hamiltonian
-
-    model = build_lattice("square", (2, 3), coupling=CouplingTensor.diagonal(1.0, -0.5, 0.25),
-                          field=(0.3, 0.0, -0.7))
-
-    def no_views(self):
-        raise AssertionError("a whole-model path built per-edge views")
-
-    monkeypatch.setattr(SpinModel, "edges", property(no_views))
-    back = model_from_json(model_to_json(model))
-    col = color_model(back)
-    validate(back, col)
-    formula = first_order(col.num_classes)
-    circ = build_trotter_circuit(back, col, formula, 2, 0.5, mode="scaled")
-    assert circ.gate_count() == 2 * len(back.pairs)
-    assert total_hamiltonian(back).shape == (64, 64)
-    assert formula_unitary(back, col, formula, 2, 0.5).shape == (64, 64)
+@pytest.mark.parametrize("make", [
+    lambda: build_lattice("hexagonal", (2, 2), "periodic", field=(0.1, 0.0, 0.2)),
+    lambda: from_edges(4, [(3, 1, CouplingTensor.heisenberg()),
+                           (np.int64(0), np.int32(2), CouplingTensor.diagonal(1.0, 0.5, 0.0))]),
+    lambda: model_from_json(model_to_json(build_lattice("square", (3, 3), "periodic"))),
+], ids=["build_lattice", "from_edges", "model_from_json"])
+def test_edges_are_the_pairs_as_int_tuples(make):
+    # the colorer keys dicts by these and the oracle targets them, so they are
+    # Python ints in tuples however the model was built
+    model = make()
+    assert model.edges == tuple(map(tuple, model.pairs.tolist()))
+    assert all(type(e) is tuple and len(e) == 2 and all(type(v) is int for v in e)
+               for e in model.edges)

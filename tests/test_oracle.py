@@ -42,6 +42,7 @@ from conftest import (
     kron_chain,
     op_norm,
     random_unitary,
+    ref_edge_terms,
     ref_expm,
     ref_model_hamiltonian,
 )
@@ -216,13 +217,10 @@ class TestSpectralNorm:
     def test_class_commutator_within_paper_bound(self, heis_chain4):
         col = color_model(heis_chain4)
         h = [np.zeros((16, 16), dtype=complex) for _ in col.classes]
-        ref = ref_model_hamiltonian  # noqa: F841  (kept for symmetry with other tests)
-        from conftest import ref_edge_hamiltonian
-
+        terms = ref_edge_terms(heis_chain4)
         for k, cls in enumerate(col.classes):
             for ei in cls:
-                e = heis_chain4.edges[ei]
-                h[k] += ref_edge_hamiltonian(e.i, e.j, 4, e.coupling.matrix, e.h_i, e.h_j)
+                h[k] += terms[ei]
         comm = h[0] @ h[1] - h[1] @ h[0]
         val = spectral_norm(comm)
         assert 0.0 < val <= 0.75 * 4 * 1.0**2
@@ -267,8 +265,6 @@ class TestTrotterError:
             formula_unitary(heis_chain4, col, first_order(3), 1, 1.0)
 
     def test_formula_unitary_matches_manual_product(self, heis_chain4):
-        from conftest import ref_edge_hamiltonian
-
         xyz_field_piecewise = build_lattice(
             "chain", 5, coupling=CouplingTensor.diagonal(0.7, -1.2, 0.9),
             field=[0.4, -0.3, 0.8], profile=TimeProfile("piecewise", (1.0, -0.6)))
@@ -278,11 +274,10 @@ class TestTrotterError:
             got = formula_unitary(model, col, f, 2, 0.9)
             dim = 2**model.n
             hs = [np.zeros((dim, dim), dtype=complex) for _ in col.classes]
+            terms = ref_edge_terms(model)
             for k, cls in enumerate(col.classes):
                 for ei in cls:
-                    e = model.edges[ei]
-                    hs[k] += ref_edge_hamiltonian(e.i, e.j, model.n, e.coupling.matrix,
-                                                  e.h_i, e.h_j)
+                    hs[k] += terms[ei]
             u = np.eye(dim, dtype=complex)
             for s in expand(f, 2, 0.9, model.profile):
                 u = ref_expm(hs[s.k - 1], -1j * s.tau) @ u

@@ -35,8 +35,7 @@ from trottersmith import (
 )
 from trottersmith.circuits import Circuit, circuit_to_json
 from trottersmith.model import (CONSTANT_PROFILE, ISOTROPY_TOL, coupled_rows,
-                                edge_hamiltonians, isotropic_rows, model_from_json,
-                                model_to_json)
+                                edge_hamiltonians, isotropic_rows)
 from trottersmith.oracle import formula_unitary, run_circuit
 from trottersmith.synth import _cartan_fragment, _core_3cnot, canonical_core_unitary, \
     cartan_unitary, template_cnots
@@ -757,18 +756,6 @@ class TestTemplateCnots:
             assert counts(circ)["cx"] == report.cnots == report.interaction_gates * want
             assert audit(report, circ) == []
             assert op_norm(circuit_unitary(circ) - formula_unitary(model, col, f, 4, t)) < 1e-9
-
-    @pytest.mark.parametrize("mode", synth.MODES)
-    def test_pipeline_builds_no_edge_views(self, mode):
-        # every pipeline stage reads the stacks; only the bench's trace hook
-        # reads model.edges
-        mixed = build_lattice("square", (3, 3), coupling=CouplingTensor.heisenberg(),
-                              field=(0.5, 0.0, 0.3))
-        model = model_from_json(model_to_json(mixed))
-        col = color_model(model)
-        build_trotter_circuit(model, col, formula_for_order(2, col.num_classes), 2, 1.0, mode)
-        template_cnots(model)
-        assert "edges" not in model.__dict__
 
 
 def counts(circ):
