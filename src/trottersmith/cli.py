@@ -328,8 +328,12 @@ def verify(ctx, model_path, order, t, m_grid, jobs, out) -> None:
                                               model.profile) for m in ms if order == 1]
     if not np.isfinite(bounds).all():  # t^2 overflows, or times a zero J gives nan
         raise ValueError(f"the first-order error bound overflows a float: t={t}")
+    # one norm block through the grid: each point starts from its predecessor's
+    # top singular subspace plus half the seeded draw
+    dim = 2**model.n
+    block = np.zeros((dim, min(oracle.NORM_BLOCK, dim)), dtype=complex)
     errors = [oracle.trotter_error(model, coloring, formula, m, t, reference=reference,
-                                   seed=seed) for m in ms]
+                                   seed=seed, block=block) for m in ms]
     lines = ["m,error,bound,order"]
     for m, err, bound in zip(ms, errors, [format_float(b) for b in bounds] or [""] * len(ms)):
         lines.append(f"{m},{format_float(err)},{bound},{order}")

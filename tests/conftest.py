@@ -69,6 +69,28 @@ def op_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def seeded_norm(a: np.ndarray, seed: int = 0xC0FFEE) -> float:
+    """The oracle's seeded block power iteration, restated: 8 columns from one
+    seeded draw, stopped once the top Ritz value of a^H a changes by at most
+    1e-10.  ``spectral_norm`` without a carried block must return these bits
+    wherever the block's Ritz values end apart."""
+    a = np.asarray(a, dtype=complex)
+    dim = a.shape[1]
+    width = min(8, dim)
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((dim, width)) + 1j * rng.standard_normal((dim, width)))
+    lam = 0.0
+    for _ in range(1000):
+        w = (a.T @ (a @ v).conj()).conj()
+        ritz = v.conj().T @ w
+        lam_new = float(np.linalg.eigvalsh(0.5 * (ritz + ritz.conj().T))[-1])
+        v, _ = np.linalg.qr(w)
+        if abs(lam_new - lam) <= 1e-10 * max(abs(lam_new), 1e-300):
+            return float(np.sqrt(max(lam_new, 0.0)))
+        lam = lam_new
+    raise AssertionError("the seeded iteration did not settle")
+
+
 def dist_up_to_phase(u: np.ndarray, target: np.ndarray) -> float:
     tr = np.trace(target.conj().T @ u)
     phase = tr / abs(tr) if abs(tr) > 0 else 1.0

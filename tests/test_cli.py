@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import re
 import shlex
@@ -12,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from trottersmith import (
     Circuit,
+    CouplingTensor,
     Gate,
     GateKind,
     StepPlan,
@@ -33,15 +35,17 @@ from trottersmith import (
     counts,
     expand,
     formula_for_order,
+    from_edges,
     model_from_json,
     model_to_json,
     report_for_plan,
 )
-from trottersmith.cli import main
+from trottersmith.cli import DEFAULT_SEED, main
+from trottersmith.jsonutil import format_float
 from trottersmith.model import edge_hamiltonians
 from trottersmith.oracle import exact_evolution, formula_unitary, spectral_norm
 
-from conftest import class_edge_cnots, ref_expm
+from conftest import class_edge_cnots, ref_expm, seeded_norm
 
 
 def run(*args, **kwargs):
@@ -712,6 +716,132 @@ class TestVerify:
         assert res.exit_code == 0
         assert "--m-grid" in res.stdout
         assert "--jobs" not in res.stdout
+
+
+def _verify_rows(text: str) -> list[tuple[int, float]]:
+    return [(int(m), float(err)) for m, err, _, _ in
+            (row.split(",") for row in text.splitlines()[1:])]
+
+
+def _lapack_errors(path, order: int, t: float, ms) -> list[float]:
+    model = model_from_json(Path(path).read_text())
+    col = color_model(model)
+    f = formula_for_order(order, col.num_classes)
+    reference = exact_evolution(model, t)
+    return [float(np.linalg.norm(formula_unitary(model, col, f, m, t) - reference, 2))
+            for m in ms]
+
+
+_coefficient = st.floats(-1.5, 1.5)
+
+
+@st.composite
+def _verify_cases(draw):
+    """A random model of at most 6 sites, with anisotropy and fields, and a grid."""
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True))
+    edges = [(i, j, draw(st.tuples(_coefficient, _coefficient, _coefficient)))
+             for i, j in chosen]
+    touched = {s for pair in chosen for s in pair}  # a field needs an edge to live on
+    fields = [draw(st.tuples(_coefficient, _coefficient, _coefficient)) if s in touched
+              else (0.0, 0.0, 0.0) for s in range(n)]
+    order = draw(st.sampled_from([1, 2, 4]))
+    grid = draw(st.lists(st.integers(1, 32), min_size=1, max_size=5))
+    return n, edges, fields, order, grid, draw(st.floats(0.05, 2.0))
+
+
+_XYZ_CHAIN4 = [(0, 1, (1.0, 0.5, -0.3)), (1, 2, (0.8, 0.8, 0.8)), (2, 3, (1.0, -0.7, 0.2))]
+
+
+class TestVerifyNorm:
+    """verify's errors are the LAPACK norm, with one norm block carried over the grid."""
+
+    @given(case=_verify_cases())
+    @example(case=(4, _XYZ_CHAIN4, [(0.3, 0.0, 0.5)] * 4, 2, [2, 2], 0.9))
+    @example(case=(4, _XYZ_CHAIN4, [(0.3, -0.2, 0.5)] * 4, 4, [16, 4, 8, 4], 1.3))
+    @example(case=(6, [(i, i + 1, (1.0, 1.0, 1.0)) for i in range(5)], [(0.5, 0.0, 0.3)] * 6,
+                   1, [4, 8, 16, 32, 8], 1.0))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_error_is_the_lapack_norm(self, tmp_path, case):
+        n, edges, fields, order, grid, t = case
+        model = from_edges(n, [(i, j, CouplingTensor.diagonal(*c)) for i, j, c in edges],
+                           site_fields=fields)
+        path = tmp_path / "model.json"
+        path.write_text(model_to_json(model))
+        res = run("verify", "--model", str(path), "--order", str(order),
+                  "--m-grid", ",".join(map(str, grid)), "--time", repr(t))
+        assert res.exit_code == 0, res.output
+        rows = _verify_rows(res.stdout)
+        assert [m for m, _ in rows] == grid
+        # roundoff splits a top multiplet wider than the norm's block (a
+        # one-class formula's error, or a symmetric error times the identity on
+        # untouched sites) by about 2^n eps; the iteration resolves that
+        # multiplet only to its width, so an absolute floor of 2^n eps applies
+        floor = 2**n * np.finfo(float).eps
+        for (m, got), want in zip(rows, _lapack_errors(path, order, t, grid)):
+            assert abs(got - want) <= 1e-9 * want + floor, (m, got, want)
+
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+    def test_first_point_is_the_seeded_norm_bit_for_bit(self, tmp_path, seed):
+        path = tmp_path / "chain6.json"
+        run("lattice", "--kind", "chain", "--dims", "6", "--field", "0.5,0,0.3",
+            "--out", str(path))
+        res = run("--seed", str(seed), "verify", "--model", str(path),
+                  "--order", "2", "--m-grid", "4,8")
+        assert res.exit_code == 0, res.output
+        model = model_from_json(path.read_text())
+        col = color_model(model)
+        diff = (formula_unitary(model, col, formula_for_order(2, col.num_classes), 4, 1.0)
+                - exact_evolution(model, 1.0))
+        first = res.stdout.splitlines()[1].split(",")[1]
+        assert first == format_float(seeded_norm(diff, seed))
+
+    def test_carried_block_cuts_the_sweeps(self, tmp_path, caplog):
+        # the chain-check benchmark's model: 23 sweeps cold, then a handful
+        path = tmp_path / "chain9.json"
+        run("lattice", "--kind", "chain", "--dims", "9", "--coupling", "1.0",
+            "--field", "0.5,0,0.3", "--out", str(path))
+        with caplog.at_level(logging.INFO, logger="trottersmith.oracle"):
+            res = run("verify", "--model", str(path), "--order", "2", "--m-grid", "4,8,16,32")
+        assert res.exit_code == 0, res.output
+        log = [r.args for r in caplog.records if r.name == "trottersmith.oracle"]
+        assert [start for _, start in log] == ["seeded", "carried", "carried", "carried"]
+        assert all(sweeps <= 10 for sweeps, _ in log[1:])
+
+    @pytest.mark.parametrize("dims,coupling,field,order,grid,t", [
+        ("9", "1.0", "0.5,0,0.3", "2", "4,8,16,32,64", "10"),
+        ("8", "30", "30,0,15", "1", "4,8,16,32,64", "1"),
+        ("8", "30", "30,0,15", "2", "4,8,16,32,64", "1"),
+        ("7", "30", "30,0,15", "1", "4,8,16", "1"),
+    ], ids=["chain9-t10", "chain8-J30-order1", "chain8-J30-order2", "chain7-J30"])
+    def test_errors_near_the_ceiling_fall_back_to_lapack(self, tmp_path, caplog, dims,
+                                                         coupling, field, order, grid, t):
+        # ||U - R|| <= 2, and near 2 the top singular values cluster
+        path = tmp_path / "chain.json"
+        run("lattice", "--kind", "chain", "--dims", dims, "--coupling", coupling,
+            "--field", field, "--out", str(path))
+        with caplog.at_level(logging.INFO, logger="trottersmith.oracle"):
+            res = run("verify", "--model", str(path), "--order", order, "--m-grid", grid,
+                      "--time", t)
+        assert res.exit_code == 0, res.output
+        assert "LAPACK fallback" in caplog.text
+        rows = _verify_rows(res.stdout)
+        for (m, got), want in zip(rows, _lapack_errors(path, int(order), float(t),
+                                                       [m for m, _ in rows])):
+            assert got <= 2.0
+            assert abs(got - want) <= 1e-9 * want, (m, got, want)
+
+    def test_zero_time_reports_zero_error(self, tmp_path):
+        path = tmp_path / "chain9.json"
+        run("lattice", "--kind", "chain", "--dims", "9", "--coupling", "1.0",
+            "--field", "0.5,0,0.3", "--out", str(path))
+        res = run("verify", "--model", str(path), "--order", "1", "--m-grid", "4,8,16,32",
+                  "--time", "0")
+        assert res.exit_code == 0, res.output
+        assert res.stdout.splitlines()[1:] == [f"{m},0.0,0.0,1" for m in (4, 8, 16, 32)]
+        assert res.stderr == "slope=nan\n"
 
 
 PIECEWISE_TABLES = [(1.0,), (1.0, 0.0), (0.5, -1.0, 0.0), (0.0, -0.4, 1.0, 2.5),

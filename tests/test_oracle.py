@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from conftest import (
     ref_edge_terms,
     ref_expm,
     ref_model_hamiltonian,
+    seeded_norm,
 )
 
 J1 = CouplingTensor.heisenberg()
@@ -416,6 +418,177 @@ class TestRealSolver:
         formula_unitary(model, col, formula_for_order(2, col.num_classes), 4, 0.9)
         exact_evolution(model, 0.9)
         assert dtypes and set(dtypes) == {np.dtype(dtype)}
+
+
+def _norm_log(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "trottersmith.oracle"]
+
+
+def _grid_diffs(model, order, t, ms):
+    col = color_model(model)
+    f = formula_for_order(order, col.num_classes)
+    reference = exact_evolution(model, t)
+    return [formula_unitary(model, col, f, m, t) - reference for m in ms]
+
+
+def _clustered(rng, dim, top=2.0, spread=1e-4):
+    """A dim x dim matrix whose singular values all lie within ``spread * dim`` of ``top``."""
+    s = top - spread * np.arange(dim)
+    return random_unitary(dim, rng) @ (s[:, None] * random_unitary(dim, rng))
+
+
+class TestNormBlock:
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_without_a_block_the_bits_are_the_seeded_iteration(self, heis_chain6, rng, order):
+        model = _xyz_field_ring()
+        col = color_model(model)
+        f = formula_for_order(order, col.num_classes)
+        reference = exact_evolution(model, 0.9)
+        for m in (1, 4, 7, 16):
+            want = seeded_norm(formula_unitary(model, col, f, m, 0.9) - reference)
+            assert trotter_error(model, col, f, m, 0.9) == want
+        for diff in _grid_diffs(heis_chain6, order, 1.0, (4, 8)):
+            assert spectral_norm(diff) == seeded_norm(diff)
+            assert spectral_norm(diff, seed=5) == seeded_norm(diff, seed=5)
+        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        assert spectral_norm(a) == seeded_norm(a)
+
+    def test_zero_block_starts_seeded_and_returns_ritz_vectors(self, heis_chain6):
+        diff = _grid_diffs(heis_chain6, 2, 1.0, (8,))[0]
+        block = np.zeros((64, oracle_mod.NORM_BLOCK), dtype=complex)
+        got = spectral_norm(diff, block=block)
+        assert got == seeded_norm(diff)
+        assert np.allclose(block.conj().T @ block, np.eye(oracle_mod.NORM_BLOCK), atol=1e-12)
+        # largest first: the first column is (nearly) a top right singular vector
+        gains = np.linalg.norm(diff @ block, axis=0)
+        assert gains[0] == pytest.approx(got, rel=1e-8)
+        assert np.all(np.diff(gains) <= 1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_carried_block_agrees_with_lapack_in_fewer_sweeps(self, heis_chain6, caplog, order):
+        diffs = _grid_diffs(heis_chain6, order, 1.0, (4, 8, 16, 32))
+        block = np.zeros((64, oracle_mod.NORM_BLOCK), dtype=complex)
+        with caplog.at_level(logging.INFO, logger="trottersmith.oracle"):
+            got = [spectral_norm(d, block=block) for d in diffs]
+            cold = [spectral_norm(d) for d in diffs]
+        log = _norm_log(caplog)
+        assert got[0] == cold[0]
+        for g, d in zip(got, diffs):
+            assert g == pytest.approx(op_norm(d), rel=1e-9)
+        sweeps = [int(msg.split()[1]) for msg in log]
+        assert [msg.endswith("from a carried start") for msg in log[:4]] == [False] + [True] * 3
+        assert all(msg.endswith("from a seeded start") for msg in log[4:])
+        assert max(sweeps[1:4]) < min(sweeps[4:])
+
+    def test_trotter_error_passes_the_block_through(self, heis_chain6):
+        col = color_model(heis_chain6)
+        f = formula_for_order(2, col.num_classes)
+        block = np.zeros((64, oracle_mod.NORM_BLOCK), dtype=complex)
+        first = trotter_error(heis_chain6, col, f, 4, 1.0, block=block)
+        assert first == trotter_error(heis_chain6, col, f, 4, 1.0)
+        assert block.any()
+        carried = block.copy()
+        diff = _grid_diffs(heis_chain6, 2, 1.0, (8,))[0]
+        assert trotter_error(heis_chain6, col, f, 8, 1.0, block=block) == \
+            spectral_norm(diff, block=carried)
+
+    def test_zero_matrix_leaves_the_block_alone(self):
+        block = np.zeros((16, 8), dtype=complex)
+        block[0, 0] = 1.0
+        assert spectral_norm(np.zeros((16, 16)), block=block) == 0.0
+        assert block[0, 0] == 1.0 and np.count_nonzero(block) == 1
+
+    @pytest.mark.parametrize("shape", [(16, 4), (8, 8), (16,)])
+    def test_block_shape_is_checked(self, shape):
+        with pytest.raises(ValueError, match="norm block has shape"):
+            spectral_norm(np.eye(16), block=np.zeros(shape, dtype=complex))
+
+    def test_small_matrix_takes_a_block_as_wide_as_itself(self, rng):
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        block = np.zeros((4, 4), dtype=complex)
+        assert spectral_norm(a, block=block) == pytest.approx(op_norm(a), rel=1e-12)
+        assert spectral_norm(a, block=block) == pytest.approx(op_norm(a), rel=1e-12)
+
+
+class TestNormFallback:
+    def test_clustered_top_falls_back_to_lapack(self, rng, caplog):
+        # 64 singular values within 0.0064 of 2, as a Trotter error near its ceiling
+        a = _clustered(rng, 64)
+        with caplog.at_level(logging.INFO, logger="trottersmith.oracle"):
+            got = spectral_norm(a)
+        assert got == np.linalg.norm(a, 2)
+        (msg,) = _norm_log(caplog)
+        assert msg.startswith("norm: seeded start ") and msg.endswith("; LAPACK fallback")
+
+    def test_unsettled_iteration_falls_back_to_lapack(self, rng, caplog):
+        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        with caplog.at_level(logging.INFO, logger="trottersmith.oracle"):
+            got = spectral_norm(a, max_iters=3)
+        assert got == np.linalg.norm(a, 2)
+        assert _norm_log(caplog) == [
+            "norm: seeded start did not settle within 3 sweeps; LAPACK fallback"]
+
+    def test_fallback_clears_the_block(self, rng, caplog):
+        # Ritz vectors inside a cluster are a mixture: the next call starts seeded
+        a, b = _clustered(rng, 64), _clustered(rng, 64)
+        block = np.ones((64, 8), dtype=complex)
+        with caplog.at_level(logging.INFO, logger="trottersmith.oracle"):
+            assert spectral_norm(a, block=block) == np.linalg.norm(a, 2)
+            assert not block.any()
+            assert spectral_norm(b, block=block) == np.linalg.norm(b, 2)
+        starts = [msg.split()[1] for msg in _norm_log(caplog)]
+        assert starts == ["carried", "seeded"]
+
+    def test_carried_half_inside_a_new_cluster_falls_back(self, rng, caplog):
+        # the next operator's top 16 singular values cluster near 2 around the
+        # carried vectors: the stop must wait for the seeded half to show it
+        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        block = np.zeros((64, 8), dtype=complex)
+        spectral_norm(a, block=block)
+        basis, _ = np.linalg.qr(np.concatenate(
+            [block[:, :4], rng.standard_normal((64, 60)) + 1j * rng.standard_normal((64, 60))],
+            axis=1))
+        s = np.concatenate([2.0 - 1e-5 * np.arange(16), np.linspace(1.0, 0.1, 48)])
+        b = (random_unitary(64, rng) * s) @ basis.conj().T
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="trottersmith.oracle"):
+            got = spectral_norm(b, block=block)
+        assert got == pytest.approx(op_norm(b), rel=1e-9)
+        assert _norm_log(caplog)[0].startswith("norm: carried start")
+
+    def test_block_spanning_the_whole_space_needs_no_fallback(self, caplog):
+        with caplog.at_level(logging.INFO, logger="trottersmith.oracle"):
+            assert spectral_norm(2.0 * np.eye(8)) == pytest.approx(2.0, rel=1e-15)
+        assert _norm_log(caplog) == ["norm: 2 sweeps from a seeded start"]
+
+
+class TestZeroFactor:
+    def test_exponential_of_zero_factor_is_the_exact_identity(self, rng):
+        z = rng.standard_normal((3, 16, 16)) + 1j * rng.standard_normal((3, 16, 16))
+        hs = z + np.swapaxes(z.conj(), -1, -2)
+        for factor in (0, 0.0, -0j, -1j * 0.0, -1j * -0.0):
+            assert np.array_equal(expm_hermitian(hs[0], factor), np.eye(16))
+            stacked = expm_hermitian(hs, factor)
+            assert stacked.shape == hs.shape and stacked.dtype == complex
+            assert np.array_equal(stacked, np.broadcast_to(np.eye(16), hs.shape))
+        assert stacked.flags.writeable
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_time_zero_is_exact(self, order):
+        model = _xyz_field_ring()
+        col = color_model(model)
+        f = formula_for_order(order, col.num_classes)
+        assert np.array_equal(exact_evolution(model, 0.0), np.eye(32))
+        for m in (1, 3, 32):
+            assert np.array_equal(formula_unitary(model, col, f, m, 0.0), np.eye(32))
+            assert trotter_error(model, col, f, m, 0.0) == 0.0
+
+    def test_zero_factor_step_is_an_exact_identity(self):
+        model = _xyz_field_ring(profile=TimeProfile("piecewise", (0.0, 0.0, 0.0)))
+        col = color_model(model)
+        f = formula_for_order(2, col.num_classes)
+        assert np.array_equal(formula_unitary(model, col, f, 3, 0.9), np.eye(32))
+        assert np.array_equal(exact_evolution(model, 0.9), np.eye(32))
 
 
 def _random_circuit(rng: np.random.Generator, n: int, depth: int) -> Circuit:
