@@ -6,10 +6,12 @@ be exponentiated in a single parallel layer.  One colorer serves every model,
 built-in or custom: Koenig's step gives max-degree classes on every graph it
 completes, which includes every bipartite one (chain 2, even square 4,
 honeycomb 3); any other graph gets at most max-degree + 1 (Misra-Gries).
+Both read only the edges, so their cost follows E, never the stated n.
 """
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .jsonutil import dump_json, json_document, json_int, known_fields
@@ -91,10 +93,10 @@ def color_model(model: SpinModel) -> EdgeColoring:
     """
     pairs = model.edges
     path = "koenig"
-    color_of = _edge_colors(model.n, pairs, model.max_degree, koenig=True)
+    color_of = _edge_colors(pairs, model.max_degree, koenig=True)
     if color_of is None:
         path = "misra-gries"
-        color_of = _edge_colors(model.n, pairs, model.max_degree + 1, koenig=False)
+        color_of = _edge_colors(pairs, model.max_degree + 1, koenig=False)
     logger.info("coloring path: %s", path)
     classes: dict[int, list[int]] = {}
     for idx, pair in enumerate(pairs):
@@ -102,12 +104,12 @@ def color_model(model: SpinModel) -> EdgeColoring:
     return EdgeColoring(model.n, tuple(tuple(classes[c]) for c in sorted(classes)))
 
 
-def _edge_colors(n: int, pairs: tuple[tuple[int, int], ...], palette: int,
+def _edge_colors(pairs: tuple[tuple[int, int], ...], palette: int,
                  koenig: bool) -> dict[tuple[int, int], int] | None:
     """Color each pair from ``range(palette)`` by Koenig's step or by
     Misra-Gries fans; None when a Koenig path reaches the edge's far end."""
-    # vertex -> {color: neighbor}, edge (i,j) -> color
-    at: list[dict[int, int]] = [dict() for _ in range(n)]
+    # vertex -> {color: neighbor}, made on first use, edge (i,j) -> color
+    at: defaultdict[int, dict[int, int]] = defaultdict(dict)
     color_of: dict[tuple[int, int], int] = {}
 
     def free(v: int) -> int:

@@ -184,12 +184,9 @@ class SpinModel:
         return float(np.linalg.norm(self.coupling, 2, axis=(1, 2)).max())
 
     @functools.cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.pairs.ravel(), minlength=self.n).tolist())
-
-    @property
     def max_degree(self) -> int:
-        return max(self.degrees)
+        """Most edges at one site, counted over the edges, not the stated n."""
+        return int(np.unique(self.pairs, return_counts=True)[1].max())
 
 
 # constant 4x4 tables ordered (site i, site j): S^a x S^b, S^a x 1, 1 x S^a
@@ -388,18 +385,14 @@ def from_edges(
     site_fields=None,
     profile: TimeProfile = CONSTANT_PROFILE,
 ) -> SpinModel:
-    """Build a custom model from explicit edge couplings and per-site fields."""
-    by_pair: dict[tuple[int, int], CouplingTensor] = {}
-    for i, j, J in couplings:
-        pair = _norm_pair(i, j)
-        if pair in by_pair:
-            raise ValueError(f"duplicate edge {pair}")
-        by_pair[pair] = J
-    pairs = sorted(by_pair)
+    """Build a custom model from explicit edge couplings and per-site fields.
+
+    The rows are sorted by pair; :class:`SpinModel` refuses a repeated one."""
+    rows = sorted(((_norm_pair(i, j), J) for i, j, J in couplings), key=lambda row: row[0])
+    pairs = [pair for pair, _ in rows]
     h_i, h_j = _field_shares(n, pairs, np.zeros((n, 3)) if site_fields is None else site_fields)
-    _check_couplings(by_pair.values())
-    return SpinModel(n, pairs, np.array([by_pair[p].matrix for p in pairs]), h_i, h_j,
-                     profile=profile)
+    _check_couplings(J for _, J in rows)
+    return SpinModel(n, pairs, np.array([J.matrix for _, J in rows]), h_i, h_j, profile=profile)
 
 
 # --- JSON serialization -----------------------------------------------------

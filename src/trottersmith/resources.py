@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .circuits import Circuit, counts
 from .jsonutil import json_int, json_real
 from .model import CONSTANT_PROFILE, TimeProfile
+from .synth import EXCHANGE_CNOTS, KAK_CNOTS
 from .trotter import HIGHER_ORDER_C3, StepPlan, class_uses, formula_for_order
 
 # the simulation time is a float sum over stages; its rounding stays far below this
@@ -98,11 +99,11 @@ def report_for_plan(
     :func:`trottersmith.synth.template_cnots`), which fixes class sizes and
     CNOTs exactly.  Without it each class has ``edges_per_sweep`` / K
     edges, which defaults to n*K/2 as on a regular lattice with every class
-    full (ValueError when n*K is odd), and each gate costs 6 CNOTs, or 3
-    when ``heisenberg``; an ``edges_per_sweep`` that K does not divide
-    raises ValueError when the schedule runs the classes unequally often
-    (orders >= 2), since the count then depends on which class holds the
-    extra edges.  CNOTs are counted only
+    full, and each gate costs KAK_CNOTS, or EXCHANGE_CNOTS when
+    ``heisenberg``.  That gives no class sizes, and raises ValueError, when
+    n*K is odd, or when K does not divide the edges and the schedule runs
+    the classes unequally often (orders >= 2), since the count then depends
+    on which class holds the extra edges.  CNOTs are counted only
     for steps p with t * profile.factor(p, m) != 0: the other steps run
     every stage for tau = 0, and decomposed synthesis emits no CNOT for an
     identity.  Every stage takes ``timing``'s t_inf + s * |tau|, so the
@@ -115,22 +116,20 @@ def report_for_plan(
     formula = formula_for_order(plan.order, k)
     uses = class_uses(formula, plan.m, profile)
     if edge_cnots is None:
+        whole = edges_per_sweep is not None or not n * k % 2
         if edges_per_sweep is None:
-            if n * k % 2:
-                raise ValueError(
-                    f"n={n} sites in K={k} full classes would hold n*K/2 = {n * k / 2} "
-                    "edges; pass edges_per_sweep or edge_cnots")
             edges_per_sweep = n * k // 2
-        if edges_per_sweep % k and len(set(uses)) > 1:
-            # which class holds the extra edges decides the count; only the
-            # coloring knows, so an even spread would price a fractional gate
-            raise ValueError(
-                f"edges_per_sweep={edges_per_sweep} does not split evenly over K={k} "
-                "classes that this schedule runs unequally often; pass edge_cnots "
-                "to give each class's edges")
+        # which class holds the extra edges decides the count; only the
+        # coloring knows, so an even spread would price a fractional gate
+        if not whole or (edges_per_sweep % k and len(set(uses)) > 1):
+            why = (f"n*K/2 = {n * k / 2} is no whole number of edges" if not whole else
+                   f"{edges_per_sweep} edges per sweep do not split evenly over K classes that "
+                   "this schedule runs unequally often")
+            raise ValueError(f"n={n} and K={k} give no class sizes: {why}; a model's coloring "
+                             "gives each class its own edges (edge_cnots, or estimate --model)")
         size = edges_per_sweep / k
-        sizes, class_cnots = [size] * k, [(3 if heisenberg else 6) * size] * k
-        template = "heisenberg-3cnot" if heisenberg else "general-6cnot"
+        sizes, class_cnots = [size] * k, [(EXCHANGE_CNOTS if heisenberg else KAK_CNOTS) * size] * k
+        template = f"heisenberg-{EXCHANGE_CNOTS}cnot" if heisenberg else f"general-{KAK_CNOTS}cnot"
     else:
         if heisenberg:
             raise ValueError("pass heisenberg or edge_cnots, not both")

@@ -308,6 +308,9 @@ def kak_decompose(u: np.ndarray) -> CartanCoefficients:
 Fragment = list[list[Gate]]
 """A run of layers on one edge, ready for positional merging."""
 
+# CNOTs in the two templates' cores: field-free exchange, and KAK
+EXCHANGE_CNOTS, KAK_CNOTS = 3, 6
+
 
 def _core_3cnot(alpha: float, beta: float, gamma: float) -> Fragment:
     """Three-CNOT realization of canonical_core_unitary on qubits (0, 1).
@@ -374,12 +377,13 @@ def _plain_exchange(coupling: np.ndarray, h_i: np.ndarray, h_j: np.ndarray) -> n
 
 
 def template_cnots(model: SpinModel) -> list[int]:
-    """CNOTs ``decomposed`` mode emits per edge row at tau != 0: 3 or 6 by its
-    template, or 0 where :func:`~trottersmith.model.coupled_rows` finds no
+    """CNOTs ``decomposed`` mode emits per edge row at tau != 0: EXCHANGE_CNOTS
+    or KAK_CNOTS by its template, or 0 where ``model.coupled_rows`` finds no
     coupling.  The builder drops the CNOT core by the same rule, so the count
     and the circuit agree for every coupling."""
     plain = _plain_exchange(model.coupling, model.h_i, model.h_j)
-    return np.where(coupled_rows(model.coupling), np.where(plain, 3, 6), 0).tolist()
+    cnots = np.where(plain, EXCHANGE_CNOTS, KAK_CNOTS)
+    return np.where(coupled_rows(model.coupling), cnots, 0).tolist()
 
 
 def _template(shared: dict, plain: bool, core: bool, alpha: float, u: np.ndarray) -> Fragment:

@@ -21,6 +21,10 @@ from .model import CONSTANT_PROFILE, TimeProfile
 
 COEFF_SUM_TOL = 1e-12
 
+# Most stages a formula may hold per step, or a schedule before merging:
+# ``expand`` peaks at about 160 bytes per stage, so a build stays near 160 MB.
+MAX_STAGES = 10**6
+
 # Prefactor of the order-2q step rule in ``steps_for_accuracy``.  The paper
 # gives only the scaling of m and leaves this constant unspecified, so the
 # value is a heuristic convention, not a derived bound.
@@ -129,15 +133,19 @@ def suzuki(q: int, num_classes: int) -> ProductFormula:
 
 
 def formula_for_order(order: int, num_classes: int) -> ProductFormula:
-    """Map an even order (or 1) to its formula."""
-    order = json_int(order, "order")
+    """Map an even order (or 1) to its formula; ValueError, before building
+    anything, past MAX_STAGES stages per step: K at order 1, 5^(q-1) (2K - 2)
+    + 1 at order 2q, and q levels to build even at K = 1."""
+    order, k = _check_order(order), _check_k(num_classes)
+    levels = min(order // 2 - 1, MAX_STAGES.bit_length())  # where 5^levels passes the limit
+    if max(k if order == 1 else 5**levels * (2 * k - 2) + 1, order // 2) > MAX_STAGES:
+        raise ValueError(f"an order-{order} formula on K={k} classes takes more than "
+                         f"{MAX_STAGES} stages per step")
     if order == 1:
-        return first_order(num_classes)
+        return first_order(k)
     if order == 2:
-        return second_order(num_classes)
-    if order >= 4 and order % 2 == 0:
-        return suzuki(order // 2, num_classes)
-    raise ValueError(f"order must be 1 or an even integer >= 2, got {order}")
+        return second_order(k)
+    return suzuki(order // 2, k)
 
 
 def suzuki_p(q: int) -> float:
@@ -162,6 +170,13 @@ def _check_m(m: int) -> int:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return m
+
+
+def _check_order(order: int) -> int:
+    order = json_int(order, "order")
+    if order != 1 and (order < 2 or order % 2):
+        raise ValueError(f"order must be 1 or an even integer >= 2, got {order}")
+    return order
 
 
 def _check_k(num_classes: int) -> int:
@@ -230,9 +245,7 @@ def steps_for_accuracy(
     if t < 0:
         raise ValueError("t must be nonnegative")
     j = json_real(j, "coupling j")
-    order = json_int(order, "order")
-    if order != 1 and (order < 2 or order % 2):
-        raise ValueError(f"order must be 1 or an even integer >= 2, got {order}")
+    order = _check_order(order)
     if not profile.is_constant:
         return StepPlan(m=len(profile.factors), order=order, bound_used="user",
                         num_classes=num_classes, t=t, epsilon=epsilon)
@@ -263,9 +276,12 @@ def expand(
     the time profile's factor for that step (left-endpoint sampling).
     Adjacent stages on the same class are merged across step boundaries,
     but only under a constant profile, where neighboring steps agree.
-    Raises ValueError when a duration overflows a float.
+    Raises ValueError past MAX_STAGES stages, before building, or when a
+    duration overflows a float.
     """
     m = _check_m(m)
+    if m * len(formula.stages) > MAX_STAGES:
+        raise ValueError(f"m={m} steps of {len(formula.stages)} stages exceed {MAX_STAGES} stages")
     dt = json_real(t, "t") / m
     stages: list[tuple[int, float]] = []
     for p in range(m):

@@ -152,6 +152,29 @@ def heis_chain4():
 
 
 @pytest.fixture
+def memory_cap():
+    """Caps this process's address space 2 GiB above its size for one test, so
+    that an input meant to be refused before anything is allocated fails with
+    MemoryError, not by exhausting the host, should the refusal regress.  A
+    no-op where the platform has no such limit."""
+    try:
+        import resource
+
+        with open("/proc/self/statm") as f:
+            size = int(f.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + 2**31 if soft == resource.RLIM_INFINITY else min(size + 2**31, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.fixture
 def heis_chain6():
     from trottersmith import build_lattice
 

@@ -434,16 +434,26 @@ class TestSynth:
 class TestEstimate:
     def test_odd_site_count_with_unequal_classes_exits_two(self):
         # n*K/2 = 5 edges cannot fill the 2 classes that order 2 runs unequally
-        # often, and 7.5 edges no classes at all; the command line has no
-        # edge_cnots to pass, so the message names the options it does have
-        for k, order, why in (("2", "2", "n*K/2 = 5 does not split evenly over K=2 classes "
-                                         "that this schedule runs unequally often"),
+        # often, and 7.5 edges no classes at all; the report's one message
+        # names the command line's remedy beside the library's
+        for k, order, why in (("2", "2", "5 edges per sweep do not split evenly over K "
+                                         "classes that this schedule runs unequally often"),
                               ("3", "1", "n*K/2 = 7.5 is no whole number of edges")):
             res = run("estimate", "--n", "5", "--classes", k, "--order", order,
                       "--epsilon", "0.01", "--time", "1")
             assert res.exit_code == 2, res.output
-            assert res.stderr == (f"error: --n 5 and --classes {k} give no class sizes: {why}; "
-                                  "pass --model to count each class's own edges\n")
+            assert res.stderr == (f"error: n=5 and K={k} give no class sizes: {why}; a model's "
+                                  "coloring gives each class its own edges (edge_cnots, or "
+                                  "estimate --model)\n")
+
+    def test_stage_limit_is_not_a_class_size_error(self, memory_cap):
+        # an order-40 formula on two classes has 3.8e13 stages per step; the
+        # report's own message reaches the user, not a class-size one
+        res = run("estimate", "--n", "4", "--classes", "2", "--order", "40",
+                  "--epsilon", "0.01", "--time", "1")
+        assert res.exit_code == 2, res.output
+        assert res.stderr == ("error: an order-40 formula on K=2 classes takes more than "
+                              "1000000 stages per step\n")
 
     def test_regular_lattice_numbers(self):
         res = run("estimate", "--n", "4", "--classes", "2", "--epsilon", "0.01",
@@ -812,10 +822,12 @@ class TestVerifyNorm:
 
     @pytest.mark.parametrize("dims,coupling,field,order,grid,t", [
         ("9", "1.0", "0.5,0,0.3", "2", "4,8,16,32,64", "10"),
+        ("9", "1.0", "0.5,0,0.3", "2", "4,8,16,32,64", "50"),
         ("8", "30", "30,0,15", "1", "4,8,16,32,64", "1"),
         ("8", "30", "30,0,15", "2", "4,8,16,32,64", "1"),
         ("7", "30", "30,0,15", "1", "4,8,16", "1"),
-    ], ids=["chain9-t10", "chain8-J30-order1", "chain8-J30-order2", "chain7-J30"])
+    ], ids=["chain9-t10", "chain9-t50", "chain8-J30-order1", "chain8-J30-order2",
+            "chain7-J30"])
     def test_errors_near_the_ceiling_fall_back_to_lapack(self, tmp_path, caplog, dims,
                                                          coupling, field, order, grid, t):
         # ||U - R|| <= 2, and near 2 the top singular values cluster
@@ -827,6 +839,9 @@ class TestVerifyNorm:
                       "--time", t)
         assert res.exit_code == 0, res.output
         assert "LAPACK fallback" in caplog.text
+        # the 200-sweep budget sits above every trusted stop measured, and
+        # these clustered errors give up at it
+        assert "did not settle within 200 sweeps" in caplog.text
         rows = _verify_rows(res.stdout)
         for (m, got), want in zip(rows, _lapack_errors(path, int(order), float(t),
                                                        [m for m, _ in rows])):
@@ -907,6 +922,44 @@ class TestExitCodes:
         res = run("color", "--model", str(chain4_file))
         assert res.exit_code == 1
         assert "internal error: RuntimeError" in res.stderr
+
+
+class TestSizeLimits:
+    """A formula or schedule too large for memory is bad input, refused
+    before anything is allocated; a model's stated n sizes nothing."""
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--order", "40"),
+        ("synth", "--order", "40", "--steps", "1", "--time", "1"),
+        ("estimate", "--order", "40", "--epsilon", "0.01", "--time", "1"),
+        ("synth", "--steps", "99999999999999999999", "--time", "1"),
+        ("synth", "--epsilon", "1e-300", "--order", "2", "--time", "1"),
+        ("verify", "--m-grid", "99999999999999999999"),
+        ("verify", "--order", "1000"),
+    ], ids=lambda args: " ".join(args))
+    def test_stage_limit_exits_two(self, chain4_file, memory_cap, args):
+        res = run(args[0], "--model", str(chain4_file), *args[1:])
+        assert res.exit_code == 2, res.output
+        assert "internal error" not in res.stderr
+        assert re.fullmatch(r"error: (an order-\d+ formula on K=2 classes takes more than "
+                            r"1000000 stages per step|m=\d+ steps of \d stages exceed 1000000 "
+                            r"stages)\n", res.stderr), res.stderr
+
+    def test_plan_builds_no_schedule(self, chain4_file):
+        res = run("plan", "--model", str(chain4_file), "--order", "40", "--epsilon", "0.01",
+                  "--time", "1")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["m"] == 3
+
+    @pytest.mark.parametrize("n", [10**8, 10**12, 10**20])
+    def test_stated_site_count_does_not_size_the_colorer(self, tmp_path, memory_cap, n):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": n, "edges": [{"i": 0, "j": 1, "J": np.eye(3).tolist()}]}))
+        for args in (("color",), ("plan", "--epsilon", "0.01", "--time", "1"),
+                     ("synth", "--steps", "1", "--time", "1")):
+            res = run(args[0], "--model", str(path), *args[1:])
+            assert res.exit_code == 0, res.output
+        assert json.loads(run("color", "--model", str(path)).stdout)["classes"] == [[0]]
 
 
 class TestListOptions:

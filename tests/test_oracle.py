@@ -520,10 +520,11 @@ class TestNormFallback:
         (msg,) = _norm_log(caplog)
         assert msg.startswith("norm: seeded start ") and msg.endswith("; LAPACK fallback")
 
-    def test_unsettled_iteration_falls_back_to_lapack(self, rng, caplog):
+    def test_unsettled_iteration_falls_back_to_lapack(self, rng, caplog, monkeypatch):
         a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        monkeypatch.setattr(oracle_mod, "NORM_MAX_ITERS", 3)
         with caplog.at_level(logging.INFO, logger="trottersmith.oracle"):
-            got = spectral_norm(a, max_iters=3)
+            got = spectral_norm(a)
         assert got == np.linalg.norm(a, 2)
         assert _norm_log(caplog) == [
             "norm: seeded start did not settle within 3 sweeps; LAPACK fallback"]

@@ -102,7 +102,8 @@ class TestFirstOrderEstimate:
         # predict 4 and 10 gates at m = 1 and 3, so the count is refused
         col = color_model(heis_chain4)
         plan = StepPlan(m=m, order=2, bound_used="user", num_classes=2, t=1.0)
-        with pytest.raises(ValueError, match="pass edge_cnots"):
+        with pytest.raises(ValueError, match="n=4 and K=2 give no class sizes: 3 edges per "
+                                             "sweep do not split evenly"):
             report_for_plan(plan, 4, edges_per_sweep=3)
         circ = build_trotter_circuit(heis_chain4, col, formula_for_order(2, 2), m, 1.0,
                                      mode="scaled")
@@ -120,12 +121,14 @@ class TestOddSiteCount:
 
     def test_uneven_classes_at_second_order_refused(self):
         plan = StepPlan(m=2, order=2, bound_used="user", num_classes=2, t=1.0)
-        with pytest.raises(ValueError, match="edges_per_sweep=5 does not split evenly"):
+        with pytest.raises(ValueError, match="n=5 and K=2 give no class sizes: 5 edges per "
+                                             "sweep do not split evenly"):
             report_for_plan(plan, 5)
 
     def test_odd_edge_total_refused(self):
         plan = StepPlan(m=2, order=1, bound_used="user", num_classes=3, t=1.0)
-        with pytest.raises(ValueError, match=r"n\*K/2 = 7\.5 edges"):
+        with pytest.raises(ValueError, match=r"n=5 and K=3 give no class sizes: n\*K/2 = 7\.5 "
+                                             "is no whole number of edges"):
             report_for_plan(plan, 5)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 188])

@@ -37,8 +37,8 @@ from trottersmith.circuits import Circuit, circuit_to_json
 from trottersmith.model import (CONSTANT_PROFILE, ISOTROPY_TOL, coupled_rows,
                                 edge_hamiltonians, isotropic_rows)
 from trottersmith.oracle import formula_unitary, run_circuit
-from trottersmith.synth import _cartan_fragment, _core_3cnot, canonical_core_unitary, \
-    cartan_unitary, template_cnots
+from trottersmith.synth import EXCHANGE_CNOTS, KAK_CNOTS, _cartan_fragment, _core_3cnot, \
+    canonical_core_unitary, cartan_unitary, template_cnots
 from trottersmith.trotter import expand
 
 from conftest import (
@@ -157,7 +157,7 @@ class TestCartanFragment:
         for _ in range(20):
             u = random_unitary(4, rng)
             frag = _cartan_fragment(kak_decompose(u), True)
-            assert frag_cx_count(frag) == 6
+            assert frag_cx_count(frag) == 6 == KAK_CNOTS
             # the template's one-qubit runs are fused: no two adjacent one-qubit layers
             assert len(frag) == 13
             assert op_norm(fragment_unitary(frag) - u) < 1e-9
@@ -263,7 +263,7 @@ class TestCore3Cnot:
             # orientations realise the same matrix
             for a, b in ((0, 1), (1, 0)):
                 frag = synth._retarget(_core_3cnot(alpha, beta, gamma), {0: a, 1: b})
-                assert frag_cx_count(frag) == 3
+                assert frag_cx_count(frag) == 3 == EXCHANGE_CNOTS
                 assert len(frag) == 6
                 assert op_norm(fragment_unitary(frag) - target) < 1e-12
 

@@ -21,9 +21,10 @@ from trottersmith import (
     second_order,
     steps_for_accuracy,
     suzuki,
+    trotter,
 )
 from trottersmith.model import CONSTANT_PROFILE
-from trottersmith.trotter import class_uses, suzuki_p
+from trottersmith.trotter import MAX_STAGES, class_uses, suzuki_p
 
 
 def stage_tuples(formula):
@@ -124,6 +125,22 @@ class TestFormulaForOrder:
         for order in (0, 3, 5, -2):
             with pytest.raises(ValueError):
                 formula_for_order(order, 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_stage_count_closed_form(self, k):
+        # the count the stage limit checks before anything is built
+        assert len(formula_for_order(1, k).stages) == k
+        for order in range(2, 11, 2):
+            assert len(formula_for_order(order, k).stages) == 5 ** (order // 2 - 1) * (2 * k - 2) + 1
+
+    @pytest.mark.parametrize("order, k", [(40, 2), (1000, 2), (10**20, 2), (10**20, 1),
+                                          (20, 2), (1, MAX_STAGES + 1)])
+    def test_stage_limit_refuses_before_building(self, order, k):
+        # order 40 on two classes would hold 3.8e13 stages per step; a one-class
+        # formula stays one stage, but its build would walk 5e19 levels
+        with pytest.raises(ValueError, match=f"an order-{order} formula on K={k} classes takes "
+                                             f"more than {MAX_STAGES} stages per step"):
+            formula_for_order(order, k)
 
 
 class TestValidation:
@@ -298,6 +315,18 @@ class TestStepsForAccuracy:
 
 
 class TestExpand:
+    def test_stage_limit_refuses_before_building(self, monkeypatch):
+        f = second_order(2)
+        for m in (MAX_STAGES // 3 + 1, 99999999999999999999):
+            with pytest.raises(ValueError, match=f"m={m} steps of 3 stages exceed {MAX_STAGES} "
+                                                 "stages"):
+                expand(f, m, 1.0)
+        # the limit counts stages before the step boundaries merge
+        monkeypatch.setattr(trotter, "MAX_STAGES", 9)
+        assert len(expand(f, 3, 1.0)) == 7
+        with pytest.raises(ValueError, match="m=4 steps of 3 stages exceed 9 stages"):
+            expand(f, 4, 1.0)
+
     def test_single_step_is_the_schedule(self):
         f = second_order(2)
         out = expand(f, 1, 2.0)
